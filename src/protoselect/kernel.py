@@ -124,7 +124,7 @@ def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
         raise InputError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
     if spec.family == GAUSSIAN:
         diff = x - y
-        value = float(np.exp(-(diff @ diff) / (2.0 * spec.bandwidth**2)))
+        value = float(np.exp(-(diff @ diff) / (2.0 * np.float64(spec.bandwidth) ** 2)))
     else:
         value = float(x @ y)
     if not np.isfinite(value):
@@ -135,7 +135,7 @@ def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
 def _cross_kernel(left: np.ndarray, right: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if spec.family == GAUSSIAN:
         sq = cdist(left, right, "sqeuclidean")
-        return np.exp(-sq / (2.0 * spec.bandwidth**2))
+        return np.exp(-sq / (2.0 * np.float64(spec.bandwidth) ** 2))
     return left @ right.T
 
 

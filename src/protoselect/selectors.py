@@ -4,19 +4,25 @@ All selectors consume a precomputed Gram matrix and mean map and return a
 SelectionResult whose traces record the objective and the selected
 coordinate's gradient after each step. Argmax ties always break toward the
 lowest index so runs are reproducible.
+
+ProtoDash, ProtoGreedy, Random-W and the top-m re-solve share one loop,
+`_grow`: each step reads the gradient, lets a pick policy choose the next
+index and solve the grown support, and records the traces. The policies
+are largest gradient, largest realized gain, and a fixed order. The
+uniform-weight L2C baselines solve nothing and keep their own loop.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InputError, SolverError
 from .kernel import KernelMatrix, MeanMap
-from .nnqp import SolverConfig, SupportSet, WeightVector, objective, solve_restricted
+from .nnqp import (SolverConfig, SupportSet, WeightVector, gradient, objective,
+                   solve_restricted)
 
 PROTODASH = "protodash"
 PROTOGREEDY = "protogreedy"
@@ -103,36 +109,104 @@ def _check_instance(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig):
         raise InputError(f"m={cfg.m} exceeds the number of source rows {K.n2}")
 
 
-def _result(method, sel, weights, obj, grad, times, early) -> SelectionResult:
-    return SelectionResult(
-        method=method,
-        indices=SupportSet(tuple(sel)),
-        weights=weights,
-        objective_trace=np.asarray(obj, dtype=float),
-        gradient_trace=np.asarray(grad, dtype=float),
-        wall_times=np.asarray(times, dtype=float),
-        early_stopped=early,
-    )
+def _result(method, weights, obj, grad, times, early) -> SelectionResult:
+    return SelectionResult(method, weights.support, weights, obj, grad, times, early)
 
 
-def _attach_partial(err: SolverError, method, sel, weights, obj, grad, times) -> SolverError:
-    err.partial = _result(method, sel, weights, obj, grad, times, early=False)
-    return err
+def _grow(method, K, mu, cfg: SelectionConfig, pick) -> SelectionResult:
+    """Grow a support one index per step, re-solving the weights each time.
+
+    `pick(g, weights, f, extend)` sees the gradient g at the current weights
+    and their objective f; `extend(j)` solves the support grown by j from a
+    warm start. It returns `(j, weights, objective)` for the grown support,
+    or None to stop early. Growth stops at cfg.m indices (all n2 in epsilon
+    mode) or when the objective rises by less than cfg.epsilon. A
+    SolverError leaves with the steps completed so far as `partial`.
+    """
+    target = cfg.m if cfg.m is not None else K.n2
+    weights, f = WeightVector.zeros(K.n2), 0.0
+    obj, grad, times = [], [], []
+    early = False
+
+    def extend(j: int):
+        solved = solve_restricted(K, mu, weights.support.extended(j), cfg.solver,
+                                  warm_start=weights)
+        return j, solved, objective(solved, K, mu)
+
+    while len(weights.support) < target:
+        start = time.perf_counter()
+        g = gradient(weights, K, mu)
+        try:
+            picked = pick(g, weights, f, extend)
+        except SolverError as err:
+            err.partial = _result(method, weights, obj, grad, times, early)
+            raise
+        if picked is None:
+            early = True
+            break
+        j, solved, f_new = picked
+        if cfg.epsilon is not None and f_new - f < cfg.epsilon:
+            break
+        weights, f = solved, f_new
+        obj.append(f)
+        grad.append(g[j])
+        times.append(time.perf_counter() - start)
+    return _result(method, weights, obj, grad, times, early)
 
 
-def _with_oversampling(select_impl, K, mu, cfg: SelectionConfig) -> SelectionResult:
+def _largest_gradient(g, weights, f, extend):
+    """ProtoDash: take the candidate with the largest positive gradient."""
+    masked = g.copy()
+    masked[weights.support.as_array()] = -np.inf
+    j = int(np.argmax(masked))
+    return extend(j) if masked[j] > 0.0 else None
+
+
+def _largest_gain(g, weights, f, extend):
+    """ProtoGreedy: solve every candidate extension and take the largest gain.
+
+    Candidates with a non-positive gradient leave the objective unchanged
+    and score zero without a solve.
+    """
+    candidate = np.ones(g.shape[0], dtype=bool)
+    candidate[weights.support.as_array()] = False
+    if np.where(candidate, g, -np.inf).max() <= 0.0:
+        return None
+    gains = np.full(g.shape[0], -np.inf)
+    gains[candidate & (g <= 0.0)] = 0.0
+    extensions = {}
+    for j in np.flatnonzero(candidate & (g > 0.0)):
+        extensions[j] = extend(int(j))
+        gains[j] = extensions[j][2] - f
+    j0 = int(np.argmax(gains))
+    if g[j0] > 0.0:
+        return extensions[j0]
+    # inert addition: the optimum is unchanged, the new coordinate stays 0
+    return j0, WeightVector(weights.support.extended(j0), np.append(weights.weights, 0.0),
+                            weights.dimension), f
+
+
+def _in_order(order):
+    """Random-W and top-m re-solve: take the given indices in turn."""
+    return lambda g, weights, f, extend: extend(int(order[len(weights.support)]))
+
+
+def _grown_config(cfg: SelectionConfig, n2: int) -> SelectionConfig:
+    """The config actually grown: oversampling widens m to factor * m, capped at n2."""
     if cfg.oversample_factor == 1:
-        return select_impl(K, mu, cfg)
-    wide = replace(cfg, m=min(cfg.m * cfg.oversample_factor, K.n2), oversample_factor=1)
-    full = select_impl(K, mu, wide)
-    keep = min(cfg.m, len(full.indices))
-    if keep == len(full.indices):
+        return cfg
+    return replace(cfg, m=min(cfg.m * cfg.oversample_factor, n2), oversample_factor=1)
+
+
+def _with_oversampling(method, K, mu, cfg: SelectionConfig, pick) -> SelectionResult:
+    _check_instance(K, mu, cfg)
+    full = _grow(method, K, mu, _grown_config(cfg, K.n2), pick)
+    if cfg.m is None or len(full.indices) <= cfg.m:
         return full
-    return top_m_by_weight(full, keep, K, mu, cfg.solver)
+    return top_m_by_weight(full, cfg.m, K, mu, cfg.solver)
 
 
-def proto_dash(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig,
-               threads: int = 1) -> SelectionResult:
+def proto_dash(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:
     """Select prototypes by repeatedly taking the largest-gradient candidate.
 
     Each step appends the index maximizing the current gradient of the
@@ -141,48 +215,10 @@ def proto_dash(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig,
     increase falls below epsilon, or early once no remaining gradient is
     positive (further additions cannot change the objective).
     """
-    return _with_oversampling(_dash_impl, K, mu, cfg)
+    return _with_oversampling(PROTODASH, K, mu, cfg, _largest_gradient)
 
 
-def _dash_impl(K, mu, cfg) -> SelectionResult:
-    _check_instance(K, mu, cfg)
-    n2 = K.n2
-    target = cfg.m if cfg.m is not None else n2
-    entries, mu_entries = K.entries, mu.entries
-    sel: list[int] = []
-    obj, grad, times = [], [], []
-    weights = WeightVector.zeros(n2)
-    f_cur = 0.0
-    g = mu_entries.copy()
-    early = False
-    while len(sel) < target:
-        start = time.perf_counter()
-        masked = g.copy()
-        masked[sel] = -np.inf
-        j0 = int(np.argmax(masked))
-        if masked[j0] <= 0.0:
-            early = True
-            break
-        try:
-            solved = solve_restricted(K, mu, weights.support.extended(j0), cfg.solver,
-                                      warm_start=weights)
-        except SolverError as err:
-            raise _attach_partial(err, PROTODASH, sel, weights, obj, grad, times)
-        f_new = objective(solved, K, mu)
-        if cfg.epsilon is not None and f_new - f_cur < cfg.epsilon:
-            break
-        sel.append(j0)
-        weights = solved
-        f_cur = f_new
-        g = mu_entries - entries[:, weights.support.as_array()] @ weights.weights
-        obj.append(f_new)
-        grad.append(masked[j0])
-        times.append(time.perf_counter() - start)
-    return _result(PROTODASH, sel, weights, obj, grad, times, early)
-
-
-def proto_greedy(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig,
-                 threads: int = 1) -> SelectionResult:
+def proto_greedy(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:
     """Select prototypes by exhaustively scoring every candidate's gain.
 
     Each step solves the restricted weights for every candidate extension
@@ -191,67 +227,7 @@ def proto_greedy(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig,
     objective unchanged and are scored zero without a solve. Termination
     matches proto_dash.
     """
-    return _with_oversampling(
-        lambda K_, mu_, cfg_: _greedy_impl(K_, mu_, cfg_, threads), K, mu, cfg
-    )
-
-
-def _greedy_impl(K, mu, cfg, threads=1) -> SelectionResult:
-    _check_instance(K, mu, cfg)
-    n2 = K.n2
-    target = cfg.m if cfg.m is not None else n2
-    entries, mu_entries = K.entries, mu.entries
-    sel: list[int] = []
-    obj, grad, times = [], [], []
-    weights = WeightVector.zeros(n2)
-    f_cur = 0.0
-    early = False
-    while len(sel) < target:
-        start = time.perf_counter()
-        if sel:
-            g = mu_entries - entries[:, weights.support.as_array()] @ weights.weights
-        else:
-            g = mu_entries.copy()
-        candidate = np.ones(n2, dtype=bool)
-        candidate[sel] = False
-        masked = np.where(candidate, g, -np.inf)
-        if masked.max() <= 0.0:
-            early = True
-            break
-        gains = np.full(n2, -np.inf)
-        gains[candidate & (g <= 0.0)] = 0.0
-        to_solve = np.flatnonzero(candidate & (g > 0.0))
-
-        def realized_gain(j: int) -> float:
-            solved = solve_restricted(K, mu, weights.support.extended(int(j)),
-                                      cfg.solver, warm_start=weights)
-            return objective(solved, K, mu) - f_cur
-
-        try:
-            if threads > 1 and to_solve.size > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    values = list(pool.map(realized_gain, to_solve))
-            else:
-                values = [realized_gain(j) for j in to_solve]
-        except SolverError as err:
-            raise _attach_partial(err, PROTOGREEDY, sel, weights, obj, grad, times)
-        gains[to_solve] = values
-        j0 = int(np.argmax(gains))
-        if cfg.epsilon is not None and gains[j0] < cfg.epsilon:
-            break
-        if g[j0] > 0.0:
-            weights = solve_restricted(K, mu, weights.support.extended(j0), cfg.solver,
-                                       warm_start=weights)
-            f_cur = objective(weights, K, mu)
-        else:
-            # inert addition: the optimum is unchanged, the new coordinate stays 0
-            weights = WeightVector(weights.support.extended(j0),
-                                   np.append(weights.weights, 0.0), n2)
-        sel.append(j0)
-        obj.append(f_cur)
-        grad.append(g[j0])
-        times.append(time.perf_counter() - start)
-    return _result(PROTOGREEDY, sel, weights, obj, grad, times, early)
+    return _with_oversampling(PROTOGREEDY, K, mu, cfg, _largest_gain)
 
 
 def l2c_equal(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:
@@ -303,41 +279,19 @@ def _l2c_impl(K, mu, cfg, method) -> SelectionResult:
         times.append(time.perf_counter() - start)
     m = len(sel)
     weights = WeightVector(SupportSet(tuple(sel)), np.full(m, 1.0 / m) if m else np.zeros(0), n2)
-    return _result(method, sel, weights, obj, grad, times, early=False)
+    return _result(method, weights, obj, grad, times, early=False)
 
 
 def random_w(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:
     """Uniformly sample m distinct prototypes, then learn their weights."""
-    _check_instance(K, mu, cfg)
     if cfg.m is None:
         raise InputError("random_w supports m-termination only")
     if cfg.seed is None:
         raise InputError("random_w needs a seed")
-    if cfg.oversample_factor != 1:
-        return _with_oversampling(lambda K_, mu_, c_: random_w(K_, mu_, c_), K, mu, cfg)
-    n2 = K.n2
+    _check_instance(K, mu, cfg)
     rng = np.random.default_rng(cfg.seed)
-    order = [int(j) for j in rng.choice(n2, size=cfg.m, replace=False)]
-    entries, mu_entries = K.entries, mu.entries
-    sel: list[int] = []
-    obj, grad, times = [], [], []
-    weights = WeightVector.zeros(n2)
-    for j in order:
-        start = time.perf_counter()
-        if sel:
-            g_j = float(mu_entries[j] - entries[j, weights.support.as_array()] @ weights.weights)
-        else:
-            g_j = float(mu_entries[j])
-        try:
-            weights = solve_restricted(K, mu, weights.support.extended(j), cfg.solver,
-                                       warm_start=weights)
-        except SolverError as err:
-            raise _attach_partial(err, RANDOM_W, sel, weights, obj, grad, times)
-        sel.append(j)
-        obj.append(objective(weights, K, mu))
-        grad.append(g_j)
-        times.append(time.perf_counter() - start)
-    return _result(RANDOM_W, sel, weights, obj, grad, times, early=False)
+    order = rng.choice(K.n2, size=_grown_config(cfg, K.n2).m, replace=False)
+    return _with_oversampling(RANDOM_W, K, mu, cfg, _in_order(order))
 
 
 def top_m_by_weight(result: SelectionResult, m: int, K: KernelMatrix, mu: MeanMap,
@@ -352,26 +306,10 @@ def top_m_by_weight(result: SelectionResult, m: int, K: KernelMatrix, mu: MeanMa
     if m > t:
         raise InputError(f"cannot keep {m} of {t} prototypes")
     order = sorted(range(t), key=lambda p: (-result.weights.weights[p], p))[:m]
-    kept = sorted(order)
-    idx = tuple(result.indices.indices[p] for p in kept)
-    solver = solver or SolverConfig()
-    sel: list[int] = []
-    obj, grad, times = [], [], []
-    weights = WeightVector.zeros(result.weights.dimension)
-    entries, mu_entries = K.entries, mu.entries
-    for j in idx:
-        start = time.perf_counter()
-        if sel:
-            g_j = float(mu_entries[j] - entries[j, weights.support.as_array()] @ weights.weights)
-        else:
-            g_j = float(mu_entries[j])
-        weights = solve_restricted(K, mu, weights.support.extended(j), solver,
-                                   warm_start=weights)
-        sel.append(j)
-        obj.append(objective(weights, K, mu))
-        grad.append(g_j)
-        times.append(time.perf_counter() - start)
-    return _result(result.method, sel, weights, obj, grad, times, result.early_stopped)
+    kept = [result.indices.indices[p] for p in sorted(order)]
+    cfg = SelectionConfig(m=m, solver=solver or SolverConfig())
+    res = _grow(result.method, K, mu, cfg, _in_order(kept))
+    return replace(res, early_stopped=result.early_stopped)
 
 
 def criticisms(result: SelectionResult, K: KernelMatrix, mu: MeanMap,
@@ -386,11 +324,7 @@ def criticisms(result: SelectionResult, K: KernelMatrix, mu: MeanMap,
     available = n2 - len(result.indices)
     if c < 1 or c > available:
         raise InputError(f"c must be in [1, {available}]")
-    if len(result.weights.support):
-        s = result.weights.support.as_array()
-        g = mu.entries - K.entries[:, s] @ result.weights.weights
-    else:
-        g = mu.entries.copy()
+    g = gradient(result.weights, K, mu)
     mask = np.ones(n2, dtype=bool)
     mask[list(result.indices)] = False
     pool = np.flatnonzero(mask)

@@ -7,11 +7,15 @@ from protoselect import (
     InputError,
     KernelMatrix,
     KernelSpec,
+    ProtoSelectError,
+    SolverConfig,
     kernel_eval,
     kernel_matrix,
+    kkt_residual,
     mean_map,
     median_bandwidth,
 )
+from protoselect.selectors import SelectionConfig, proto_dash
 
 
 def gauss(sigma=1.0, jitter=0.0):
@@ -167,6 +171,24 @@ class TestValidation:
             KernelSpec("gaussian", bandwidth=0.0)
         with pytest.raises(InputError):
             KernelSpec("gaussian", bandwidth=None)
+
+    def test_huge_bandwidth_saturates_to_ones(self):
+        # bandwidth**2 overflows a float; the kernel must saturate, not raise
+        spec = KernelSpec("gaussian", bandwidth=1e200, jitter=1e-10)
+        rng = np.random.default_rng(3)
+        source, target = Dataset(rng.normal(size=(5, 2))), Dataset(rng.normal(size=(4, 2)))
+        with np.errstate(over="ignore"):
+            K = kernel_matrix(source, spec)
+            mu = mean_map(target, source, spec)
+            value = kernel_eval(source.values[0], target.values[0], spec)
+        np.testing.assert_array_equal(K.entries, np.ones((5, 5)) + 1e-10 * np.eye(5))
+        np.testing.assert_array_equal(mu.entries, np.ones(5))
+        assert value == 1.0
+        try:
+            res = proto_dash(K, mu, SelectionConfig(m=3))
+        except ProtoSelectError:
+            return
+        assert kkt_residual(res.weights, K, mu, res.indices) <= SolverConfig().kkt_tolerance
 
     def test_spec_rejects_negative_jitter(self):
         with pytest.raises(InputError):

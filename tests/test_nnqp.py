@@ -14,7 +14,7 @@ from protoselect import (
     objective,
     solve_restricted,
 )
-from conftest import gaussian_instance, identity_instance, synthetic_instance
+from helpers import gaussian_instance, identity_instance, synthetic_instance
 
 
 def dense_objective(K, mu, w):

@@ -30,7 +30,7 @@ from protoselect.selectors import (
     proto_greedy,
     random_w,
 )
-from conftest import gaussian_instance, identity_instance
+from helpers import gaussian_instance, identity_instance
 
 
 class TestExhaustiveOptimal:

@@ -3,6 +3,8 @@ import pytest
 
 from protoselect import (
     InputError,
+    SolverConfig,
+    SolverError,
     SupportSet,
     WeightVector,
     gradient,
@@ -20,7 +22,7 @@ from protoselect.selectors import (
     random_w,
     top_m_by_weight,
 )
-from conftest import gaussian_instance, identity_instance, synthetic_instance
+from helpers import gaussian_instance, identity_instance, synthetic_instance
 
 
 def brute_force_singleton(K, mu):
@@ -183,13 +185,6 @@ class TestProtoGreedy:
         assert len(res.objective_trace) == len(res.indices) == 4
         assert np.all(np.diff(res.objective_trace) >= -1e-10)
 
-    def test_threads_do_not_change_result(self, rng):
-        K, mu = gaussian_instance(rng, n1=7, n2=12, sigma=0.9)
-        one = proto_greedy(K, mu, SelectionConfig(m=4), threads=1)
-        four = proto_greedy(K, mu, SelectionConfig(m=4), threads=4)
-        assert one.indices.indices == four.indices.indices
-        np.testing.assert_array_equal(one.weights.weights, four.weights.weights)
-
 
 class TestUniformBaselines:
     def test_single_pick_matches_dash_argmax(self, rng):
@@ -289,21 +284,53 @@ class TestTopMByWeight:
             objective_trace=np.zeros(3),
             gradient_trace=np.zeros(3),
             wall_times=np.zeros(3),
+            early_stopped=True,
         )
         trunc = top_m_by_weight(fake, 2, K, mu)
         assert trunc.indices.indices == (5, 3)
+        assert trunc.method == base.method and trunc.early_stopped
 
     def test_oversample_config_path(self, rng):
         K, mu = gaussian_instance(rng, n1=8, n2=10)
-        res = proto_dash(K, mu, SelectionConfig(m=3, oversample_factor=2))
-        assert len(res.indices) == 3
-        assert kkt_residual(res.weights, K, mu, res.indices) <= 1e-8
+        for select in (proto_dash, proto_greedy, random_w):
+            res = select(K, mu, SelectionConfig(m=3, seed=0, oversample_factor=2))
+            assert len(res.indices) == 3
+            assert kkt_residual(res.weights, K, mu, res.indices) <= 1e-8
 
     def test_rejects_m_too_large(self, rng):
         K, mu = gaussian_instance(rng)
         res = proto_dash(K, mu, SelectionConfig(m=2))
         with pytest.raises(InputError):
             top_m_by_weight(res, 5, K, mu)
+
+
+def _select(method, K, mu, solver):
+    if method == "top_m_by_weight":
+        full = proto_dash(K, mu, SelectionConfig(m=8))
+        return top_m_by_weight(full, len(full.indices) - 1, K, mu, solver)
+    select = {"proto_dash": proto_dash, "proto_greedy": proto_greedy, "random_w": random_w}[method]
+    return select(K, mu, SelectionConfig(m=6, seed=3, solver=solver))
+
+
+@pytest.mark.parametrize("method", ["proto_dash", "proto_greedy", "random_w", "top_m_by_weight"])
+def test_solver_error_carries_completed_steps(rng, method):
+    # a one-iteration cap fails the first step whose solve needs a step-back;
+    # the steps before it match the uncapped run
+    failed_late = 0
+    for _ in range(10):
+        K, mu = gaussian_instance(rng, n1=12, n2=12)
+        full = _select(method, K, mu, SolverConfig())
+        try:
+            _select(method, K, mu, SolverConfig(max_iterations=1))
+        except SolverError as err:
+            partial = err.partial
+            t = len(partial.indices)
+            assert partial.method == full.method and t < len(full.indices)
+            assert partial.indices.indices == full.indices.indices[:t]
+            np.testing.assert_array_equal(partial.objective_trace, full.objective_trace[:t])
+            assert kkt_residual(partial.weights, K, mu, partial.indices) <= 1e-8
+            failed_late += t > 0
+    assert failed_late > 0
 
 
 class TestCriticisms:
@@ -356,6 +383,9 @@ class TestConfigValidation:
         K, mu = gaussian_instance(rng, n1=4, n2=4)
         with pytest.raises(InputError):
             proto_dash(K, mu, SelectionConfig(m=9))
+        for select in (proto_dash, proto_greedy, random_w):
+            with pytest.raises(InputError):
+                select(K, mu, SelectionConfig(m=9, seed=0, oversample_factor=2))
 
     def test_oversample_needs_m(self):
         with pytest.raises(InputError):
