@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 
 class ProtoSelectError(Exception):
     """Base class for all protoselect errors."""
@@ -37,3 +39,11 @@ class SolverError(ProtoSelectError):
         self.best_iterate = best_iterate
         self.residual = residual
         self.partial = partial
+
+
+def as_index(value, name: str) -> int:
+    """`value` as a Python int; InputError if it is not an integer (2.0 included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None

@@ -134,26 +134,26 @@ def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
 
 def _cross_kernel(left: np.ndarray, right: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if spec.family == GAUSSIAN:
-        sq = cdist(left, right, "sqeuclidean")
-        return np.exp(-sq / (2.0 * np.float64(spec.bandwidth) ** 2))
+        out = cdist(left, right, "sqeuclidean")
+        np.divide(out, -2.0 * np.float64(spec.bandwidth) ** 2, out=out)
+        return np.exp(out, out=out)
     return left @ right.T
 
 
 def kernel_matrix(source: Dataset, spec: KernelSpec) -> KernelMatrix:
     """Gram matrix over the source rows.
 
-    The upper triangle is computed once and mirrored, so the result is
-    exactly symmetric. Jitter is added to the diagonal only; for the
+    The block is exactly symmetric as computed: the pairwise distances do
+    the same arithmetic for (i, j) and (j, i), and numpy forms X @ X.T as
+    one triangle mirrored. KernelMatrix rejects any asymmetry and any
+    non-finite entry. Jitter is added to the diagonal only; for the
     gaussian family the diagonal is exactly 1 + jitter.
     """
     entries = _cross_kernel(source.values, source.values, spec)
-    entries = np.triu(entries) + np.triu(entries, 1).T
     if spec.family == GAUSSIAN:
         np.fill_diagonal(entries, 1.0 + spec.jitter)
     else:
         np.fill_diagonal(entries, np.diagonal(entries) + spec.jitter)
-    if not np.all(np.isfinite(entries)):
-        raise NumericError("kernel matrix computation produced non-finite values")
     return KernelMatrix(entries=entries, spec=spec)
 
 
@@ -165,10 +165,7 @@ def mean_map(target: Dataset, source: Dataset, spec: KernelSpec) -> MeanMap:
     """
     if target.d != source.d:
         raise InputError(f"feature dimension mismatch: target {target.d}, source {source.d}")
-    cross = _cross_kernel(target.values, source.values, spec)
-    entries = cross.mean(axis=0)
-    if not np.all(np.isfinite(entries)):
-        raise NumericError("mean map computation produced non-finite values")
+    entries = _cross_kernel(target.values, source.values, spec).mean(axis=0)
     return MeanMap(entries=entries, n1=target.n)
 
 
@@ -181,6 +178,8 @@ def median_bandwidth(data: Dataset) -> float:
     if data.n < 2:
         raise InputError("median bandwidth needs at least two rows")
     med = float(np.median(pdist(data.values)))
+    if not np.isfinite(med):
+        raise NumericError("median pairwise distance is not finite (features too large)")
     if med <= 0.0:
         raise DegenerateDataError("median pairwise distance is zero (rows effectively identical)")
     return med

@@ -10,12 +10,13 @@ support, which the downstream KKT-based checks rely on.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import InputError, SolverError
+from .errors import InputError, SolverError, as_index
 from .kernel import KernelMatrix, MeanMap
 
 
@@ -26,7 +27,10 @@ class SupportSet:
     indices: tuple[int, ...] = ()
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        try:
+            idx = tuple(map(operator.index, self.indices))
+        except TypeError:
+            raise InputError("support indices must be integers") from None
         if any(i < 0 for i in idx):
             raise InputError("support indices must be non-negative")
         if len(set(idx)) != len(idx):
@@ -92,8 +96,11 @@ class SolverConfig:
     def __post_init__(self):
         if not np.isfinite(self.kkt_tolerance) or self.kkt_tolerance <= 0:
             raise InputError("kkt_tolerance must be positive")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise InputError("max_iterations must be positive")
+        if self.max_iterations is not None:
+            object.__setattr__(self, "max_iterations",
+                               as_index(self.max_iterations, "max_iterations"))
+            if self.max_iterations < 1:
+                raise InputError("max_iterations must be positive")
 
     def iteration_cap(self, support_size: int) -> int:
         if self.max_iterations is not None:
@@ -101,8 +108,16 @@ class SolverConfig:
         return 10 * support_size + 100
 
 
+def _check_sizes(K: KernelMatrix, mu: MeanMap, w: WeightVector | None = None):
+    if mu.n2 != K.n2:
+        raise InputError("kernel matrix and mean map sizes disagree")
+    if w is not None and w.dimension != K.n2:
+        raise InputError(f"weight vector has dimension {w.dimension}, kernel matrix has {K.n2}")
+
+
 def objective(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> float:
     """Value of w'mu - w'Kw/2 using only the support coordinates."""
+    _check_sizes(K, mu, w)
     if len(w.support) == 0:
         return 0.0
     s = w.support.as_array()
@@ -112,6 +127,7 @@ def objective(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> float:
 
 def gradient(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> np.ndarray:
     """Full-length gradient mu - Kw."""
+    _check_sizes(K, mu, w)
     if len(w.support) == 0:
         return mu.entries.copy()
     s = w.support.as_array()
@@ -122,17 +138,17 @@ def kkt_residual(w: WeightVector, K: KernelMatrix, mu: MeanMap, L: SupportSet) -
     """Largest first-order optimality violation of w on the support L.
 
     Per coordinate j in L this is |grad_j| where w_j > 0 and max(grad_j, 0)
-    where w_j = 0, plus any negative-weight violation.
+    where w_j = 0; weights are never negative.
     """
+    _check_sizes(K, mu, w)
     if not set(w.positive_support()).issubset(set(L)):
         raise InputError("weight support must lie inside L")
     if len(L) == 0:
         return 0.0
     idx = L.as_array()
-    wl = w.dense()[idx]
-    g = mu.entries[idx] - K.entries[np.ix_(idx, idx)] @ wl
-    per_coord = np.where(wl > 0, np.abs(g), np.maximum(g, 0.0))
-    return float(per_coord.max() + max(0.0, -wl.min()))
+    if idx.max() >= K.n2:
+        raise InputError("support index out of range")
+    return _residual_of(K.entries[np.ix_(idx, idx)], mu.entries[idx], w.dense()[idx])
 
 
 class _ActiveSetFailure(Exception):
@@ -232,8 +248,7 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
     """
     cfg = cfg or SolverConfig()
     n2 = K.n2
-    if mu.n2 != n2:
-        raise InputError("kernel matrix and mean map sizes disagree")
+    _check_sizes(K, mu, warm_start)
     if len(L) == 0:
         return WeightVector.zeros(n2)
     idx = L.as_array()

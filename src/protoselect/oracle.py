@@ -2,19 +2,23 @@
 
 Everything here is deliberately exhaustive: optimal subsets come from full
 enumeration, curvature constants from principal-minor spectra, and the
-submodularity ratio from enumerating candidate sets. The guards keep all
-of it at desk scale, where exactness is the point.
+submodularity ratio from enumerating candidate sets. One guard,
+`_guard_subsets`, keeps every enumeration at desk scale, where exactness
+is the point.
+
+`verify_instance` is the one guarantee check: it scores ProtoDash and
+ProtoGreedy against their bounds on the exhaustive optimum and returns one
+verify-report row, or raises DegenerateDataError when a bound is vacuous.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, GuardError, InputError
+from .errors import DegenerateDataError, GuardError, InputError, as_index
 from .kernel import Dataset, KernelMatrix, KernelSpec, MeanMap, kernel_matrix, mean_map
 from .nnqp import SolverConfig, SupportSet, WeightVector, gradient, objective, solve_restricted
 from .selectors import SelectionConfig, proto_dash, proto_greedy
@@ -24,48 +28,12 @@ MAX_ENUMERABLE_ROWS = 20
 _SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class GuaranteeReport:
-    """Outcome of checking the selection guarantee on one instance.
-
-    `bound` is (1 - exp(-3*c*gamma / (4*C_tilde))) * f_opt and `satisfied`
-    records whether the gradient-driven selector's value clears it within
-    numerical slack.
-    """
-
-    f_dash: float
-    f_opt: float
-    gamma: float
-    c: float
-    C_tilde: float
-    bound: float
-    satisfied: bool
-
-    def __post_init__(self):
-        if not (0 < self.c <= self.C_tilde):
-            raise InputError("curvature constants must satisfy 0 < c <= C_tilde")
-        if self.gamma <= 0:
-            raise InputError("submodularity ratio must be positive")
-        if self.satisfied != (self.f_dash >= self.bound - _SLACK):
-            raise InputError("satisfied flag is inconsistent with the bound")
-
-    def to_dict(self) -> dict:
-        return {
-            "f_dash": self.f_dash,
-            "f_opt": self.f_opt,
-            "gamma": self.gamma,
-            "c": self.c,
-            "C_tilde": self.C_tilde,
-            "bound": self.bound,
-            "satisfied": self.satisfied,
-        }
-
-
-def _guard_subsets(n2: int, m: int):
+def _guard_subsets(n2: int, count: int):
+    """Refuse an enumeration over more than 20 rows or a million subsets."""
     if n2 > MAX_ENUMERABLE_ROWS:
         raise GuardError(f"instance too large to enumerate: n2={n2} > {MAX_ENUMERABLE_ROWS}")
-    if math.comb(n2, m) > ENUMERATION_CAP:
-        raise GuardError(f"too many subsets to enumerate: C({n2},{m}) > {ENUMERATION_CAP}")
+    if count > ENUMERATION_CAP:
+        raise GuardError(f"too many subsets to enumerate: {count} > {ENUMERATION_CAP}")
 
 
 class _SetFunction:
@@ -96,13 +64,15 @@ def exhaustive_optimal(K: KernelMatrix, mu: MeanMap, m: int,
     n2 <= 20 and at most one million subsets.
     """
     n2 = K.n2
+    m = as_index(m, "m")
     if not 1 <= m <= n2:
         raise InputError(f"m must be in [1, {n2}]")
-    _guard_subsets(n2, m)
+    sizes = range(1, m + 1)
+    _guard_subsets(n2, sum(math.comb(n2, s) for s in sizes))
     fn = _fn or _SetFunction(K, mu, solver)
     best_set: tuple[int, ...] = ()
     best_val = 0.0
-    for size in range(1, m + 1):
+    for size in sizes:
         for combo in itertools.combinations(range(n2), size):
             val = fn.value(combo)
             if val > best_val:
@@ -120,18 +90,17 @@ def submodularity_ratio(K: KernelMatrix, mu: MeanMap, L: SupportSet, r: int,
     ratio is only defined under a strict objective increase.
     """
     n2 = K.n2
+    r = as_index(r, "r")
     if r < 1:
         raise InputError("r must be positive")
     rest = [j for j in range(n2) if j not in L]
-    if n2 > MAX_ENUMERABLE_ROWS or sum(
-        math.comb(len(rest), s) for s in range(1, min(r, len(rest)) + 1)
-    ) > ENUMERATION_CAP:
-        raise GuardError("instance too large to enumerate candidate sets")
+    sizes = range(1, min(r, len(rest)) + 1)
+    _guard_subsets(n2, sum(math.comb(len(rest), s) for s in sizes))
     fn = _fn or _SetFunction(K, mu, solver)
     base = fn.value(L)
     single_gain = {j: fn.value(tuple(L) + (j,)) - base for j in rest}
     best = None
-    for size in range(1, min(r, len(rest)) + 1):
+    for size in sizes:
         for S in itertools.combinations(rest, size):
             denom = fn.value(tuple(L) + S) - base
             if denom <= 1e-12:
@@ -178,13 +147,13 @@ def rsc_rsm_bounds(K: KernelMatrix, k: int) -> tuple[float, float]:
     k-sparse vectors. k = n2 uses the full spectrum directly.
     """
     n2 = K.n2
+    k = as_index(k, "k")
     if not 1 <= k <= n2:
         raise InputError(f"k must be in [1, {n2}]")
     if k == n2:
         eig = np.linalg.eigvalsh(K.entries)
         return float(eig[0]), float(eig[-1])
-    if n2 > MAX_ENUMERABLE_ROWS:
-        raise GuardError(f"principal-minor enumeration capped at n2={MAX_ENUMERABLE_ROWS}")
+    _guard_subsets(n2, math.comb(n2, k))
     if k == 1:
         diag = np.diagonal(K.entries)
         return float(diag.min()), float(diag.max())
@@ -197,61 +166,49 @@ def rsc_rsm_bounds(K: KernelMatrix, k: int) -> tuple[float, float]:
     return c, C
 
 
-def _verify_core(K: KernelMatrix, mu: MeanMap, m: int,
-                 solver: SolverConfig | None, include_greedy: bool) -> dict:
+def verify_instance(K: KernelMatrix, mu: MeanMap, m: int,
+                    solver: SolverConfig | None = None) -> dict:
+    """Check both selectors' guarantees on one enumerable instance.
+
+    ProtoDash must clear (1 - exp(-3*c*gamma / (4*C_tilde))) * f_opt and
+    ProtoGreedy (1 - exp(-gamma_greedy)) * f_opt, each within numerical
+    slack; gamma and gamma_greedy are minimized over the prefixes of each
+    selector's own order.
+
+    Raises:
+        DegenerateDataError: c, gamma or gamma_greedy is not positive, so a
+            bound would be vacuous.
+    """
     fn = _SetFunction(K, mu, solver)
-    dash = proto_dash(K, mu, SelectionConfig(m=m, solver=solver or SolverConfig()))
+    cfg = SelectionConfig(m=m, solver=fn.solver)
+    dash = proto_dash(K, mu, cfg)
     f_dash = dash.final_objective
     _, f_opt = exhaustive_optimal(K, mu, m, solver, _fn=fn)
     gamma = gamma_over_prefixes(K, mu, dash.indices, m, solver, _fn=fn)
-    c_m, _ = rsc_rsm_bounds(K, m)
+    c, _ = rsc_rsm_bounds(K, m)
     _, C_tilde = rsc_rsm_bounds(K, 1)
-    bound = (1.0 - math.exp(-3.0 * c_m * gamma / (4.0 * C_tilde))) * f_opt
-    out = {
+    greedy = proto_greedy(K, mu, cfg)
+    f_greedy = greedy.final_objective
+    gamma_greedy = gamma_over_prefixes(K, mu, greedy.indices, m, solver, _fn=fn)
+    for name, value in (("c", c), ("gamma", gamma), ("gamma_greedy", gamma_greedy)):
+        if value <= 0:
+            raise DegenerateDataError(f"{name}={value:.3g} is not positive; the bound is vacuous")
+    bound = (1.0 - math.exp(-3.0 * c * gamma / (4.0 * C_tilde))) * f_opt
+    greedy_bound = (1.0 - math.exp(-gamma_greedy)) * f_opt
+    return {
         "m": m,
         "f_dash": f_dash,
         "f_opt": f_opt,
         "gamma": gamma,
-        "c": c_m,
+        "c": c,
         "C_tilde": C_tilde,
         "bound": bound,
         "satisfied": bool(f_dash >= bound - _SLACK),
+        "f_greedy": f_greedy,
+        "gamma_greedy": gamma_greedy,
+        "greedy_bound": greedy_bound,
+        "greedy_satisfied": bool(f_greedy >= greedy_bound - _SLACK),
     }
-    if include_greedy:
-        greedy = proto_greedy(K, mu, SelectionConfig(m=m, solver=solver or SolverConfig()))
-        f_greedy = greedy.final_objective
-        gamma_g = gamma_over_prefixes(K, mu, greedy.indices, m, solver, _fn=fn)
-        bound_g = (1.0 - math.exp(-gamma_g)) * f_opt
-        out.update(
-            {
-                "f_greedy": f_greedy,
-                "gamma_greedy": gamma_g,
-                "greedy_bound": bound_g,
-                "greedy_satisfied": bool(f_greedy >= bound_g - _SLACK),
-            }
-        )
-    return out
-
-
-def verify_guarantee(K: KernelMatrix, mu: MeanMap, m: int,
-                     solver: SolverConfig | None = None) -> GuaranteeReport:
-    """Check the gradient-selection guarantee on one enumerable instance."""
-    core = _verify_core(K, mu, m, solver, include_greedy=False)
-    return GuaranteeReport(
-        f_dash=core["f_dash"],
-        f_opt=core["f_opt"],
-        gamma=core["gamma"],
-        c=core["c"],
-        C_tilde=core["C_tilde"],
-        bound=core["bound"],
-        satisfied=core["satisfied"],
-    )
-
-
-def verify_instance(K: KernelMatrix, mu: MeanMap, m: int,
-                    solver: SolverConfig | None = None) -> dict:
-    """Per-instance verdict covering both selectors; used by sweeps."""
-    return _verify_core(K, mu, m, solver, include_greedy=True)
 
 
 def finite_difference_check(K: KernelMatrix, mu: MeanMap, w: WeightVector,

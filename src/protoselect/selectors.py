@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError, SolverError
+from .errors import InputError, SolverError, as_index
 from .kernel import KernelMatrix, MeanMap
 from .nnqp import (SolverConfig, SupportSet, WeightVector, gradient, objective,
                    solve_restricted)
@@ -51,8 +51,12 @@ class SelectionConfig:
     def __post_init__(self):
         if (self.m is None) == (self.epsilon is None):
             raise InputError("set exactly one of m and epsilon")
-        if self.m is not None and self.m < 0:
-            raise InputError("m must be non-negative")
+        if self.m is not None:
+            object.__setattr__(self, "m", as_index(self.m, "m"))
+            if self.m < 0:
+                raise InputError("m must be non-negative")
+        object.__setattr__(self, "oversample_factor",
+                           as_index(self.oversample_factor, "oversample_factor"))
         if self.epsilon is not None and (not np.isfinite(self.epsilon) or self.epsilon <= 0):
             raise InputError("epsilon must be positive")
         if self.oversample_factor < 1:
@@ -303,6 +307,7 @@ def top_m_by_weight(result: SelectionResult, m: int, K: KernelMatrix, mu: MeanMa
     kept prefixes.
     """
     t = len(result.indices)
+    m = as_index(m, "m")
     if m > t:
         raise InputError(f"cannot keep {m} of {t} prototypes")
     order = sorted(range(t), key=lambda p: (-result.weights.weights[p], p))[:m]
@@ -321,6 +326,7 @@ def criticisms(result: SelectionResult, K: KernelMatrix, mu: MeanMap,
     poorly. Returns the c largest, descending, ties toward the lower index.
     """
     n2 = K.n2
+    c = as_index(c, "c")
     available = n2 - len(result.indices)
     if c < 1 or c > available:
         raise InputError(f"c must be in [1, {available}]")

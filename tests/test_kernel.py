@@ -7,6 +7,7 @@ from protoselect import (
     InputError,
     KernelMatrix,
     KernelSpec,
+    NumericError,
     ProtoSelectError,
     SolverConfig,
     kernel_eval,
@@ -72,11 +73,16 @@ class TestKernelMatrix:
                 assert K.entries[i, j] == pytest.approx(want, abs=1e-12)
 
     def test_exact_symmetry(self):
+        # nothing mirrors the block, so both families must come out symmetric
+        # from C-ordered, Fortran-ordered and strided feature arrays alike
         rng = np.random.default_rng(2)
-        for n in (2, 5, 17):
-            X = rng.normal(size=(n, 3))
-            K = kernel_matrix(Dataset(X), gauss(sigma=0.8, jitter=1e-10))
-            assert np.array_equal(K.entries, K.entries.T)
+        specs = (gauss(sigma=0.8, jitter=1e-10), KernelSpec("linear", jitter=1e-10))
+        for n in (2, 5, 17, 64):
+            X = rng.normal(size=(n, 6)) * 10.0 ** rng.uniform(-3, 3)
+            for values in (X, np.asfortranarray(X), X[:, ::2]):
+                for spec in specs:
+                    K = kernel_matrix(Dataset(values), spec)
+                    assert np.array_equal(K.entries, K.entries.T)
 
     def test_gaussian_diagonal_and_range(self):
         rng = np.random.default_rng(3)
@@ -98,6 +104,17 @@ class TestKernelMatrix:
         X = np.array([[1.0, 0.0], [0.0, 2.0]])
         K = kernel_matrix(Dataset(X), KernelSpec("linear", jitter=0.0))
         np.testing.assert_allclose(K.entries, np.array([[1.0, 0.0], [0.0, 4.0]]))
+
+    def test_overflow_raises_numeric_error(self):
+        rng = np.random.default_rng(8)
+        source = Dataset(rng.normal(size=(5, 3)) * 1e200)
+        target = Dataset(rng.normal(size=(4, 3)) * 1e200)
+        spec = KernelSpec("linear")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError):
+                kernel_matrix(source, spec)
+            with pytest.raises(NumericError):
+                mean_map(target, source, spec)
 
 
 class TestMeanMap:
@@ -159,6 +176,11 @@ class TestMedianBandwidth:
     def test_single_row_rejected(self):
         with pytest.raises(InputError):
             median_bandwidth(Dataset(np.ones((1, 2))))
+
+    def test_overflowing_distances_raise_numeric_error(self):
+        X = np.random.default_rng(9).normal(size=(6, 3)) * 1e300
+        with pytest.raises(NumericError):
+            median_bandwidth(Dataset(X))
 
 
 class TestValidation:

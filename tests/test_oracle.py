@@ -1,5 +1,8 @@
 import itertools
+import json
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -20,7 +23,6 @@ from protoselect.oracle import (
     random_gaussian_instance,
     rsc_rsm_bounds,
     submodularity_ratio,
-    verify_guarantee,
     verify_instance,
 )
 from protoselect.selectors import (
@@ -30,7 +32,7 @@ from protoselect.selectors import (
     proto_greedy,
     random_w,
 )
-from helpers import gaussian_instance, identity_instance
+from helpers import gaussian_instance, identity_instance, synthetic_instance
 
 
 class TestExhaustiveOptimal:
@@ -66,6 +68,10 @@ class TestExhaustiveOptimal:
         bigmu = MeanMap(entries=np.ones(25), n1=1)
         with pytest.raises(GuardError):
             exhaustive_optimal(big, bigmu, 3)
+        # C(20, 14) is under the cap, but sizes 1..14 together are over it
+        K20 = KernelMatrix(entries=np.eye(20), spec=KernelSpec("linear", jitter=0.0))
+        with pytest.raises(GuardError):
+            exhaustive_optimal(K20, MeanMap(entries=np.ones(20), n1=1), 14)
 
 
 class TestSubmodularityRatio:
@@ -165,24 +171,24 @@ class TestRscRsmBounds:
 class TestVerifyGuarantee:
     def test_identity_instance_tight(self):
         K, mu = identity_instance([0.9, 0.6, 0.3, 0.2])
-        rep = verify_guarantee(K, mu, 2)
-        assert rep.satisfied
-        assert rep.gamma == pytest.approx(1.0, abs=1e-9)
-        assert rep.f_dash == pytest.approx(rep.f_opt, abs=1e-10)
+        row = verify_instance(K, mu, 2)
+        assert row["satisfied"]
+        assert row["gamma"] == pytest.approx(1.0, abs=1e-9)
+        assert row["f_dash"] == pytest.approx(row["f_opt"], abs=1e-10)
 
     def test_m_equals_n2(self, rng):
         K, mu = gaussian_instance(rng, n1=5, n2=5, sigma=1.0)
-        rep = verify_guarantee(K, mu, 5)
-        assert rep.satisfied
-        assert rep.f_dash == pytest.approx(rep.f_opt, abs=1e-9)
+        row = verify_instance(K, mu, 5)
+        assert row["satisfied"]
+        assert row["f_dash"] == pytest.approx(row["f_opt"], abs=1e-9)
 
     def test_random_instances_hold(self, rng):
         for _ in range(20):
             K, mu, m, _ = random_gaussian_instance(rng, max_n1=10, max_n2=8, max_m=3)
-            rep = verify_guarantee(K, mu, m)
-            assert rep.satisfied
-            assert 0 < rep.c <= rep.C_tilde
-            assert rep.gamma > 0
+            row = verify_instance(K, mu, m)
+            assert row["satisfied"]
+            assert 0 < row["c"] <= row["C_tilde"]
+            assert row["gamma"] > 0
 
     def test_verify_instance_includes_greedy(self, rng):
         K, mu, m, _ = random_gaussian_instance(rng, max_n2=7)
@@ -193,9 +199,25 @@ class TestVerifyGuarantee:
 
     def test_identity_generator(self, rng):
         K, mu, m, meta = identity_kernel_instance(rng)
-        rep = verify_guarantee(K, mu, m)
-        assert rep.gamma == pytest.approx(1.0, abs=1e-9)
-        assert rep.satisfied
+        row = verify_instance(K, mu, m)
+        assert row["gamma"] == pytest.approx(1.0, abs=1e-9)
+        assert row["satisfied"]
+
+    def test_row_matches_report_schema(self, rng):
+        schema = json.loads(
+            resources.files("protoselect").joinpath("schemas/verify_report.schema.json").read_text()
+        )
+        for instance in range(5):
+            K, mu, m, meta = random_gaussian_instance(rng, max_n2=7)
+            row = verify_instance(K, mu, m)
+            line = {"instance": instance, "n1": meta["n1"], "n2": meta["n2"], **row}
+            jsonschema.validate(line, schema)
+
+    def test_vacuous_bound_is_degenerate(self):
+        # c = 0 on the minors that hold the zero diagonal entry: no guarantee to check
+        K, mu = synthetic_instance(np.diag([1.0, 1.0, 0.0]), [0.5, 0.4, 0.0])
+        with pytest.raises(DegenerateDataError, match="c=0"):
+            verify_instance(K, mu, 2)
 
 
 class TestFiniteDifferenceCheck:
