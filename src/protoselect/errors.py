@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 
@@ -47,3 +48,13 @@ def as_index(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InputError(f"{name} must be an integer, got {value!r}") from None
+
+
+def as_real(value, name: str) -> float:
+    """`value` as a Python float; InputError if it is not a real number (strings included)."""
+    if not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{name} is out of floating-point range") from None

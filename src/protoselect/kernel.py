@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .errors import DegenerateDataError, InputError, NumericError
+from .errors import DegenerateDataError, InputError, NumericError, as_index, as_real
 
 GAUSSIAN = "gaussian"
 LINEAR = "linear"
@@ -27,7 +27,10 @@ class Dataset:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        try:
+            arr = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError):
+            raise InputError("dataset values must be real numbers") from None
         if arr.ndim != 2:
             raise InputError("dataset must be a 2-D array of shape (n, d)")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -64,11 +67,14 @@ class KernelSpec:
         if self.family not in (GAUSSIAN, LINEAR):
             raise InputError(f"unknown kernel family {self.family!r}")
         if self.family == GAUSSIAN:
-            if self.bandwidth is None or not np.isfinite(self.bandwidth) or self.bandwidth <= 0:
+            if self.bandwidth is not None:
+                object.__setattr__(self, "bandwidth", as_real(self.bandwidth, "bandwidth"))
+            if self.bandwidth is None or not 0.0 < self.bandwidth < np.inf:
                 raise InputError("gaussian kernel needs a positive finite bandwidth")
         elif self.bandwidth is not None:
             raise InputError("bandwidth only applies to the gaussian family")
-        if not np.isfinite(self.jitter) or self.jitter < 0:
+        object.__setattr__(self, "jitter", as_real(self.jitter, "jitter"))
+        if not 0.0 <= self.jitter < np.inf:
             raise InputError("jitter must be a non-negative finite value")
 
 
@@ -107,6 +113,7 @@ class MeanMap:
             raise InputError("mean map must be a 1-D vector")
         if not np.all(np.isfinite(arr)):
             raise NumericError("mean map contains non-finite entries")
+        object.__setattr__(self, "n1", as_index(self.n1, "n1"))
         if self.n1 < 1:
             raise InputError("mean map needs at least one target row")
         object.__setattr__(self, "entries", arr)

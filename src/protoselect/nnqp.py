@@ -14,10 +14,13 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky, solve_triangular
 
-from .errors import InputError, SolverError, as_index
+from .errors import InputError, SolverError, as_index, as_real
 from .kernel import KernelMatrix, MeanMap
+
+# Relative size below which a Schur complement has lost its digits to cancellation.
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,9 @@ class SolverConfig:
     max_iterations: int | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.kkt_tolerance) or self.kkt_tolerance <= 0:
-            raise InputError("kkt_tolerance must be positive")
+        object.__setattr__(self, "kkt_tolerance", as_real(self.kkt_tolerance, "kkt_tolerance"))
+        if not 0.0 < self.kkt_tolerance < np.inf:
+            raise InputError("kkt_tolerance must be positive and finite")
         if self.max_iterations is not None:
             object.__setattr__(self, "max_iterations",
                                as_index(self.max_iterations, "max_iterations"))
@@ -149,6 +153,45 @@ def kkt_residual(w: WeightVector, K: KernelMatrix, mu: MeanMap, L: SupportSet) -
     if idx.max() >= K.n2:
         raise InputError("support index out of range")
     return _residual_of(K.entries[np.ix_(idx, idx)], mu.entries[idx], w.dense()[idx])
+
+
+def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
+    """Upper bound on the objective gain of adding each index to w's support.
+
+    With S the support of w, g = mu - Kw its gradient and U(T) the
+    unconstrained maximum of l on a support T, entry j is
+    U(S + j) - l(w) = g_S' K_SS^-1 g_S / 2 + h_j^2 / (2 s_j), where
+    s_j = K_jj - k_j' K_SS^-1 k_j is the Schur complement of K_SS and
+    h_j = g_j - k_j' K_SS^-1 g_S the gradient at U(S). Any non-negative
+    weights on S + j gain at most this much. One Cholesky factor of K_SS and
+    one triangular solve against K[S, :] give every entry.
+
+    The bound is +inf where it cannot be trusted: K_SS does not factor or a
+    pivot of its factor, itself a Schur complement, is at most sqrt(eps)
+    times its diagonal entry; or s_j is, where cancellation has taken its
+    digits. Entries for indices already in S carry no meaning.
+    """
+    entries = K.entries
+    diag = np.diagonal(entries)
+    s, h, base = diag, g, 0.0
+    if len(w.support):
+        idx = w.support.as_array()
+        try:
+            factor = cholesky(entries[np.ix_(idx, idx)], lower=True, check_finite=False)
+        except LinAlgError:
+            return np.full(K.n2, np.inf)
+        if np.any(np.diagonal(factor) ** 2 <= _SQRT_EPS * diag[idx]):
+            return np.full(K.n2, np.inf)
+        B = solve_triangular(factor, entries[idx], lower=True, check_finite=False)
+        r = solve_triangular(factor, g[idx], lower=True, check_finite=False)
+        s = diag - np.einsum("ij,ij->j", B, B)
+        h = g - r @ B
+        base = 0.5 * float(r @ r)
+    trusted = s > _SQRT_EPS * diag
+    bound = np.full(K.n2, np.inf)
+    with np.errstate(over="ignore"):  # an overflowing bound stays +inf
+        bound[trusted] = base + h[trusted] ** 2 / (2.0 * s[trusted])
+    return bound
 
 
 class _ActiveSetFailure(Exception):

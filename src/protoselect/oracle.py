@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateDataError, GuardError, InputError, as_index
+from .errors import DegenerateDataError, GuardError, InputError, as_index, as_real
 from .kernel import Dataset, KernelMatrix, KernelSpec, MeanMap, kernel_matrix, mean_map
 from .nnqp import SolverConfig, SupportSet, WeightVector, gradient, objective, solve_restricted
 from .selectors import SelectionConfig, proto_dash, proto_greedy
@@ -219,8 +219,9 @@ def finite_difference_check(K: KernelMatrix, mu: MeanMap, w: WeightVector,
     is empty. Coordinates whose gradient is within 1e-6 of zero report the
     absolute error; the rest report relative error.
     """
-    if step <= 0:
-        raise InputError("step must be positive")
+    step = as_real(step, "step")
+    if not 0.0 < step < np.inf:
+        raise InputError("step must be positive and finite")
     coords = list(w.support) if len(w.support) else list(range(K.n2))
     dense = w.dense()
     entries, mu_entries = K.entries, mu.entries

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, as_index
 from .kernel import Dataset, KernelSpec, kernel_matrix, mean_map
 from .nnqp import SolverConfig, objective, solve_restricted
 from .selectors import SelectionConfig, proto_dash
@@ -91,6 +91,9 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
     k = len(datasets)
     if k < 2:
         raise InputError("ranking needs at least two datasets")
+    threads = as_index(threads, "threads")
+    if threads < 1:
+        raise InputError("threads must be at least 1")
     dims = {ds.d for ds in datasets}
     if len(dims) != 1:
         raise InputError("datasets must share a feature dimension")
@@ -172,6 +175,7 @@ def export_graph(rm: RankMatrix, top_t: int) -> GraphExport:
     is deterministic, so repeated exports are byte-identical.
     """
     k = rm.k
+    top_t = as_index(top_t, "top_t")
     if not 1 <= top_t <= k - 1:
         raise InputError(f"top_t must be in [1, {k - 1}]")
     edges = []

@@ -1,10 +1,13 @@
-"""Malformed sizes and dimensions fail with InputError, never a raw TypeError or IndexError."""
+"""Malformed inputs fail with InputError, never a raw TypeError, ValueError or IndexError."""
 
 import numpy as np
 import pytest
 
 from protoselect import (
+    Dataset,
     InputError,
+    KernelSpec,
+    MeanMap,
     SolverConfig,
     SupportSet,
     WeightVector,
@@ -13,9 +16,25 @@ from protoselect import (
     objective,
     solve_restricted,
 )
-from protoselect.oracle import exhaustive_optimal, rsc_rsm_bounds, submodularity_ratio
-from protoselect.selectors import SelectionConfig, criticisms, proto_dash, top_m_by_weight
+from protoselect.oracle import (exhaustive_optimal, finite_difference_check, rsc_rsm_bounds,
+                                submodularity_ratio)
+from protoselect.ranking import RankMatrix, export_graph, rank_sources
+from protoselect.selectors import (SelectionConfig, criticisms, proto_dash, random_w,
+                                   top_m_by_weight)
 from helpers import gaussian_instance
+
+
+_SPEC = KernelSpec("gaussian", bandwidth=1.0)
+
+
+def _datasets():
+    rng = np.random.default_rng(7)
+    return [Dataset(rng.normal(size=(5, 2)) + i) for i in range(3)]
+
+
+def _rank_matrix():
+    rank = np.array([[0, 1, 2], [1, 0, 2], [1, 2, 0]])
+    return RankMatrix(names=("a", "b", "c"), objective=np.zeros((3, 3)), rank=rank)
 
 
 @pytest.fixture
@@ -37,9 +56,14 @@ def instance(rng):
         lambda K, mu, res: exhaustive_optimal(K, mu, 1.5),
         lambda K, mu, res: rsc_rsm_bounds(K, 1.5),
         lambda K, mu, res: submodularity_ratio(K, mu, SupportSet(), 1.5),
+        lambda K, mu, res: MeanMap(mu.entries, n1=1.5),
+        lambda K, mu, res: export_graph(_rank_matrix(), top_t=1.5),
+        lambda K, mu, res: rank_sources(_datasets(), m=2, spec=_SPEC, threads=2.5),
+        lambda K, mu, res: random_w(K, mu, SelectionConfig(m=2, seed=1.5)),
     ],
     ids=["m", "m_float_integral", "oversample_factor", "max_iterations", "support_index",
-         "criticisms_c", "top_m", "exhaustive_m", "rsc_rsm_k", "submodularity_r"],
+         "criticisms_c", "top_m", "exhaustive_m", "rsc_rsm_k", "submodularity_r", "mean_map_n1",
+         "export_top_t", "rank_threads", "random_w_seed"],
 )
 def test_non_integer_sizes_rejected(instance, call):
     with pytest.raises(InputError, match="integer"):
@@ -70,3 +94,53 @@ def test_mismatched_dimensions_rejected(rng, call):
     K, mu = gaussian_instance(rng, n1=5, n2=6)
     with pytest.raises(InputError):
         call(K, mu)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_rank_threads_below_one_rejected(threads):
+    with pytest.raises(InputError, match="threads"):
+        rank_sources(_datasets(), m=2, spec=_SPEC, threads=threads)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(InputError, match="seed"):
+        SelectionConfig(m=2, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SelectionConfig(epsilon="0.1"),
+        lambda: SolverConfig(kkt_tolerance="1e-8"),
+        lambda: KernelSpec("gaussian", bandwidth="1.0"),
+        lambda: KernelSpec("gaussian", bandwidth=1.0, jitter=[1e-10]),
+        lambda: KernelSpec("linear", jitter=None),
+    ],
+    ids=["epsilon", "kkt_tolerance", "bandwidth", "jitter", "jitter_none"],
+)
+def test_non_numeric_reals_rejected(call):
+    with pytest.raises(InputError, match="real number"):
+        call()
+
+
+def test_real_beyond_float_range_rejected():
+    with pytest.raises(InputError, match="range"):
+        SelectionConfig(epsilon=10 ** 400)
+
+
+def test_non_numeric_dataset_rejected():
+    with pytest.raises(InputError, match="real numbers"):
+        Dataset(np.array([["a"]]))
+
+
+def test_numpy_reals_accepted():
+    assert SelectionConfig(epsilon=np.float32(0.5)).epsilon == 0.5
+    assert KernelSpec("gaussian", bandwidth=np.int64(2), jitter=np.float64(0.0)).bandwidth == 2.0
+    assert type(SolverConfig(kkt_tolerance=np.float64(1e-9)).kkt_tolerance) is float
+
+
+@pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1e-6, "1e-6"])
+def test_finite_difference_step_must_be_positive_and_finite(rng, step):
+    K, mu = gaussian_instance(rng, n1=5, n2=6)
+    with pytest.raises(InputError, match="step"):
+        finite_difference_check(K, mu, WeightVector.zeros(6), step)
