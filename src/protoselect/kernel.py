@@ -20,6 +20,16 @@ LINEAR = "linear"
 DEFAULT_JITTER = 1e-10
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """`values` as a float array; InputError for complex or non-numeric input."""
+    try:
+        if np.iscomplexobj(values):
+            raise InputError(f"{what} must be real numbers, not complex")
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be real numbers") from None
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Dense real matrix, rows are instances and columns are features."""
@@ -27,10 +37,7 @@ class Dataset:
     values: np.ndarray
 
     def __post_init__(self):
-        try:
-            arr = np.asarray(self.values, dtype=float)
-        except (TypeError, ValueError):
-            raise InputError("dataset values must be real numbers") from None
+        arr = _real_array(self.values, "dataset values")
         if arr.ndim != 2:
             raise InputError("dataset must be a 2-D array of shape (n, d)")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -80,13 +87,19 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Symmetric Gram matrix over the source rows, jitter already applied."""
+    """Symmetric Gram matrix over the source rows, jitter already applied.
+
+    Only this module reads `entries`: the package reads the Gram through
+    `n2`, `diag()`, `rows(idx)` and `block(idx)`, which is all a kernel
+    stored another way would need. Entries are C-contiguous and exactly
+    symmetric, so a row read is a contiguous copy equal to those columns.
+    """
 
     entries: np.ndarray
     spec: KernelSpec
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
+        arr = np.ascontiguousarray(_real_array(self.entries, "kernel matrix entries"))
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InputError("kernel matrix must be square")
         if not np.all(np.isfinite(arr)):
@@ -99,6 +112,29 @@ class KernelMatrix:
     def n2(self) -> int:
         return self.entries.shape[0]
 
+    def _checked(self, idx) -> np.ndarray:
+        idx = np.asarray(idx)
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise InputError("kernel indices must be a 1-D sequence of integers")
+        idx = idx.astype(np.intp, copy=False)
+        # one reduction checks both ends: a negative index reads as a huge unsigned one
+        if idx.size and idx.view(np.uintp).max() >= self.n2:
+            raise InputError("support index out of range")
+        return idx
+
+    def diag(self) -> np.ndarray:
+        """The n2 diagonal entries, read-only."""
+        return np.diagonal(self.entries)
+
+    def rows(self, idx) -> np.ndarray:
+        """The |idx| x n2 kernel values of the source rows idx, C-contiguous."""
+        return self.entries[self._checked(idx)]
+
+    def block(self, idx) -> np.ndarray:
+        """The principal |idx| x |idx| block on idx, in that order, C-contiguous."""
+        idx = self._checked(idx)
+        return self.entries[np.ix_(idx, idx)]
+
 
 @dataclass(frozen=True)
 class MeanMap:
@@ -108,7 +144,7 @@ class MeanMap:
     n1: int
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
+        arr = _real_array(self.entries, "mean map entries")
         if arr.ndim != 1:
             raise InputError("mean map must be a 1-D vector")
         if not np.all(np.isfinite(arr)):
@@ -125,8 +161,8 @@ class MeanMap:
 
 def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
     """Evaluate the kernel on a single pair of feature vectors."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
+    x = _real_array(x, "kernel arguments").ravel()
+    y = _real_array(y, "kernel arguments").ravel()
     if x.shape != y.shape:
         raise InputError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
     if spec.family == GAUSSIAN:

@@ -122,20 +122,15 @@ def _check_sizes(K: KernelMatrix, mu: MeanMap, w: WeightVector | None = None):
 def objective(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> float:
     """Value of w'mu - w'Kw/2 using only the support coordinates."""
     _check_sizes(K, mu, w)
-    if len(w.support) == 0:
-        return 0.0
     s = w.support.as_array()
     ws = w.weights
-    return float(ws @ mu.entries[s] - 0.5 * ws @ (K.entries[np.ix_(s, s)] @ ws))
+    return float(ws @ mu.entries[s] - 0.5 * ws @ (K.block(s) @ ws))
 
 
 def gradient(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> np.ndarray:
     """Full-length gradient mu - Kw."""
     _check_sizes(K, mu, w)
-    if len(w.support) == 0:
-        return mu.entries.copy()
-    s = w.support.as_array()
-    return mu.entries - K.entries[:, s] @ w.weights
+    return mu.entries - w.weights @ K.rows(w.support.as_array())
 
 
 def kkt_residual(w: WeightVector, K: KernelMatrix, mu: MeanMap, L: SupportSet) -> float:
@@ -147,12 +142,8 @@ def kkt_residual(w: WeightVector, K: KernelMatrix, mu: MeanMap, L: SupportSet) -
     _check_sizes(K, mu, w)
     if not set(w.positive_support()).issubset(set(L)):
         raise InputError("weight support must lie inside L")
-    if len(L) == 0:
-        return 0.0
     idx = L.as_array()
-    if idx.max() >= K.n2:
-        raise InputError("support index out of range")
-    return _residual_of(K.entries[np.ix_(idx, idx)], mu.entries[idx], w.dense()[idx])
+    return _residual_of(K.block(idx), mu.entries[idx], w.dense()[idx])
 
 
 def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
@@ -171,18 +162,17 @@ def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
     times its diagonal entry; or s_j is, where cancellation has taken its
     digits. Entries for indices already in S carry no meaning.
     """
-    entries = K.entries
-    diag = np.diagonal(entries)
+    diag = K.diag()
     s, h, base = diag, g, 0.0
     if len(w.support):
         idx = w.support.as_array()
         try:
-            factor = cholesky(entries[np.ix_(idx, idx)], lower=True, check_finite=False)
+            factor = cholesky(K.block(idx), lower=True, check_finite=False)
         except LinAlgError:
             return np.full(K.n2, np.inf)
         if np.any(np.diagonal(factor) ** 2 <= _SQRT_EPS * diag[idx]):
             return np.full(K.n2, np.inf)
-        B = solve_triangular(factor, entries[idx], lower=True, check_finite=False)
+        B = solve_triangular(factor, K.rows(idx), lower=True, check_finite=False)
         r = solve_triangular(factor, g[idx], lower=True, check_finite=False)
         s = diag - np.einsum("ij,ij->j", B, B)
         h = g - r @ B
@@ -295,9 +285,7 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
     if len(L) == 0:
         return WeightVector.zeros(n2)
     idx = L.as_array()
-    if idx.max() >= n2:
-        raise InputError("support index out of range")
-    KL = K.entries[np.ix_(idx, idx)]
+    KL = K.block(idx)
     muL = mu.entries[idx]
     w0 = None
     if warm_start is not None:

@@ -151,16 +151,16 @@ def rsc_rsm_bounds(K: KernelMatrix, k: int) -> tuple[float, float]:
     if not 1 <= k <= n2:
         raise InputError(f"k must be in [1, {n2}]")
     if k == n2:
-        eig = np.linalg.eigvalsh(K.entries)
+        eig = np.linalg.eigvalsh(K.block(range(n2)))
         return float(eig[0]), float(eig[-1])
     _guard_subsets(n2, math.comb(n2, k))
     if k == 1:
-        diag = np.diagonal(K.entries)
+        diag = K.diag()
         return float(diag.min()), float(diag.max())
     c = np.inf
     C = -np.inf
     for combo in itertools.combinations(range(n2), k):
-        eig = np.linalg.eigvalsh(K.entries[np.ix_(combo, combo)])
+        eig = np.linalg.eigvalsh(K.block(combo))
         c = min(c, float(eig[0]))
         C = max(C, float(eig[-1]))
     return c, C
@@ -224,10 +224,10 @@ def finite_difference_check(K: KernelMatrix, mu: MeanMap, w: WeightVector,
         raise InputError("step must be positive and finite")
     coords = list(w.support) if len(w.support) else list(range(K.n2))
     dense = w.dense()
-    entries, mu_entries = K.entries, mu.entries
+    full, mu_entries = K.block(range(K.n2)), mu.entries
 
     def value(v: np.ndarray) -> float:
-        return float(v @ mu_entries - 0.5 * v @ (entries @ v))
+        return float(v @ mu_entries - 0.5 * v @ (full @ v))
 
     g = gradient(w, K, mu)
     worst = 0.0
@@ -243,6 +243,13 @@ def finite_difference_check(K: KernelMatrix, mu: MeanMap, w: WeightVector,
     return worst
 
 
+def _at_least(value, least: int, name: str) -> int:
+    value = as_index(value, name)
+    if value < least:
+        raise InputError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
 def random_gaussian_instance(rng: np.random.Generator,
                              max_n1: int = 15, max_n2: int = 10, max_m: int = 3,
                              sigma_range: tuple[float, float] = (0.5, 2.0),
@@ -253,6 +260,8 @@ def random_gaussian_instance(rng: np.random.Generator,
     matrix plus mean map; returns them with the drawn sparsity level and a
     metadata dict describing the draw.
     """
+    max_n1, max_n2 = _at_least(max_n1, 2, "max_n1"), _at_least(max_n2, 2, "max_n2")
+    max_m = _at_least(max_m, 1, "max_m")
     d = int(rng.choice(dims))
     n1 = int(rng.integers(2, max_n1 + 1))
     n2 = int(rng.integers(2, max_n2 + 1))
@@ -269,6 +278,7 @@ def random_gaussian_instance(rng: np.random.Generator,
 def identity_kernel_instance(rng: np.random.Generator, max_n2: int = 10,
                              max_m: int = 3) -> tuple[KernelMatrix, MeanMap, int, dict]:
     """Modular test instance: identity Gram matrix, positive mean map."""
+    max_n2, max_m = _at_least(max_n2, 2, "max_n2"), _at_least(max_m, 1, "max_m")
     n2 = int(rng.integers(2, max_n2 + 1))
     m = int(rng.integers(1, min(max_m, n2) + 1))
     K = KernelMatrix(entries=np.eye(n2), spec=KernelSpec("linear", jitter=0.0))

@@ -11,8 +11,8 @@ index and solve the grown support, and records the traces. The policies
 are largest gradient, largest realized gain, and a fixed order. The
 largest-gain policy solves only the candidates whose gain bound can still
 beat the best gain of the step, so it picks what exhaustive scoring would
-at a fraction of the solves. The uniform-weight L2C baselines solve
-nothing and keep their own loop.
+at a fraction of the solves. The uniform-weight L2C baseline solves
+nothing and keeps its own loop.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ import numpy as np
 
 from .errors import InputError, SolverError, as_index, as_real
 from .kernel import KernelMatrix, MeanMap
-from .nnqp import (SolverConfig, SupportSet, WeightVector, gain_bounds, gradient, objective,
-                   solve_restricted)
+from .nnqp import (SolverConfig, SupportSet, WeightVector, _check_sizes, gain_bounds, gradient,
+                   objective, solve_restricted)
 
 PROTODASH = "protodash"
 PROTOGREEDY = "protogreedy"
 L2C_EQUAL = "l2c_equal"
-L2C_ADAPTED = "l2c_adapted"
 RANDOM_W = "random_w"
 
 # Relative roundoff allowance when a gain bound is compared with a realized gain.
@@ -276,26 +275,13 @@ def l2c_equal(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionRe
     maximizing the objective at the uniform weight vector. Only
     m-termination is supported.
     """
-    return _l2c_impl(K, mu, cfg, L2C_EQUAL)
-
-
-def l2c_adapted(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:
-    """Uniform-weight baseline driven by a cross-dataset mean map.
-
-    Identical to l2c_equal; the caller supplies a mean map computed against
-    a different target population.
-    """
-    return _l2c_impl(K, mu, cfg, L2C_ADAPTED)
-
-
-def _l2c_impl(K, mu, cfg, method) -> SelectionResult:
     _check_instance(K, mu, cfg)
     if cfg.m is None:
         raise InputError("uniform-weight baseline supports m-termination only")
     if cfg.oversample_factor != 1:
         raise InputError("oversampling is meaningless with uniform weights")
     n2 = K.n2
-    entries, mu_entries = K.entries, mu.entries
+    diag, mu_entries = K.diag(), mu.entries
     sel: list[int] = []
     obj, grad, times = [], [], []
     col_sum = np.zeros(n2)  # sum of K columns over the selected set
@@ -305,20 +291,20 @@ def _l2c_impl(K, mu, cfg, method) -> SelectionResult:
         start = time.perf_counter()
         t = step + 1
         vals = (mu_sum + mu_entries) / t - (
-            quad_sum + 2.0 * col_sum + np.diagonal(entries)
+            quad_sum + 2.0 * col_sum + diag
         ) / (2.0 * t * t)
         vals[sel] = -np.inf
         j0 = int(np.argmax(vals))
         grad.append(mu_entries[j0] - (col_sum[j0] / step if step else 0.0))
         sel.append(j0)
         mu_sum += mu_entries[j0]
-        quad_sum += 2.0 * col_sum[j0] + entries[j0, j0]
-        col_sum += entries[:, j0]
+        quad_sum += 2.0 * col_sum[j0] + diag[j0]
+        col_sum += K.rows([j0])[0]
         obj.append(float(vals[j0]))
         times.append(time.perf_counter() - start)
     m = len(sel)
     weights = WeightVector(SupportSet(tuple(sel)), np.full(m, 1.0 / m) if m else np.zeros(0), n2)
-    return _result(method, weights, obj, grad, times, early=False)
+    return _result(L2C_EQUAL, weights, obj, grad, times, early=False)
 
 
 def random_w(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:
@@ -341,6 +327,7 @@ def top_m_by_weight(result: SelectionResult, m: int, K: KernelMatrix, mu: MeanMa
     their selection order and the objective trace is recomputed over the
     kept prefixes.
     """
+    _check_sizes(K, mu, result.weights)
     t = len(result.indices)
     m = as_index(m, "m")
     if m > t:

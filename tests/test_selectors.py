@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,6 @@ from protoselect import (
 from protoselect.selectors import (
     SelectionConfig,
     criticisms,
-    l2c_adapted,
     l2c_equal,
     proto_dash,
     proto_greedy,
@@ -209,13 +211,6 @@ class TestUniformBaselines:
                 want = uniform_value(K, mu, list(res.indices)[:t])
                 assert res.objective_trace[t - 1] == pytest.approx(want, rel=1e-9)
 
-    def test_adapted_equals_equal_on_same_target(self, rng):
-        K, mu = gaussian_instance(rng, n1=6, n2=7)
-        a = l2c_equal(K, mu, SelectionConfig(m=3))
-        b = l2c_adapted(K, mu, SelectionConfig(m=3))
-        assert a.indices.indices == b.indices.indices
-        np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
-
     def test_adapted_concentrated_target(self, rng):
         # a target sitting on one source row makes that row the first pick
         from protoselect import Dataset, KernelSpec, kernel_matrix, mean_map
@@ -225,7 +220,7 @@ class TestUniformBaselines:
         target = Dataset(np.repeat(source.values[4:5], 5, axis=0))
         K = kernel_matrix(source, spec)
         mu = mean_map(target, source, spec)
-        res = l2c_adapted(K, mu, SelectionConfig(m=2))
+        res = l2c_equal(K, mu, SelectionConfig(m=2))
         assert res.indices.indices[0] == 4
 
     def test_rejects_epsilon_mode(self, rng):
@@ -370,6 +365,17 @@ class TestCriticisms:
         res = proto_dash(K, mu, SelectionConfig(m=2))
         with pytest.raises(InputError):
             criticisms(res, K, mu, 5)
+
+
+def test_schema_methods_are_the_selectors_labels(rng):
+    schema = json.loads(
+        resources.files("protoselect").joinpath("schemas/select.schema.json").read_text()
+    )
+    K, mu = gaussian_instance(rng, n1=6, n2=8)
+    cfg = SelectionConfig(m=3, seed=0)
+    emitted = {select(K, mu, cfg).method
+               for select in (proto_dash, proto_greedy, l2c_equal, random_w)}
+    assert set(schema["definitions"]["selection"]["properties"]["method"]["enum"]) == emitted
 
 
 class TestConfigValidation:

@@ -6,18 +6,21 @@ import pytest
 from protoselect import (
     Dataset,
     InputError,
+    KernelMatrix,
     KernelSpec,
     MeanMap,
     SolverConfig,
     SupportSet,
     WeightVector,
     gradient,
+    kernel_eval,
     kkt_residual,
     objective,
     solve_restricted,
 )
-from protoselect.oracle import (exhaustive_optimal, finite_difference_check, rsc_rsm_bounds,
-                                submodularity_ratio)
+from protoselect.oracle import (exhaustive_optimal, finite_difference_check,
+                                identity_kernel_instance, random_gaussian_instance,
+                                rsc_rsm_bounds, submodularity_ratio)
 from protoselect.ranking import RankMatrix, export_graph, rank_sources
 from protoselect.selectors import (SelectionConfig, criticisms, proto_dash, random_w,
                                    top_m_by_weight)
@@ -30,6 +33,11 @@ _SPEC = KernelSpec("gaussian", bandwidth=1.0)
 def _datasets():
     rng = np.random.default_rng(7)
     return [Dataset(rng.normal(size=(5, 2)) + i) for i in range(3)]
+
+
+def _result_on_four_rows():
+    K, mu = gaussian_instance(np.random.default_rng(3), n1=5, n2=4)
+    return proto_dash(K, mu, SelectionConfig(m=3))
 
 
 def _rank_matrix():
@@ -86,9 +94,10 @@ def test_numpy_integers_accepted(instance):
         lambda K, mu: kkt_residual(WeightVector.zeros(6), K, mu, SupportSet((0, 6))),
         lambda K, mu: kkt_residual(WeightVector.zeros(8), K, mu, SupportSet((0,))),
         lambda K, mu: solve_restricted(K, mu, SupportSet((0, 4)), warm_start=WeightVector.zeros(2)),
+        lambda K, mu: top_m_by_weight(_result_on_four_rows(), 2, K, mu),
     ],
     ids=["objective", "gradient", "gradient_empty_support", "kkt_index", "kkt_dimension",
-         "warm_start"],
+         "warm_start", "top_m_result"],
 )
 def test_mismatched_dimensions_rejected(rng, call):
     K, mu = gaussian_instance(rng, n1=5, n2=6)
@@ -131,6 +140,40 @@ def test_real_beyond_float_range_rejected():
 def test_non_numeric_dataset_rejected():
     with pytest.raises(InputError, match="real numbers"):
         Dataset(np.array([["a"]]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Dataset(np.array([[1.0 + 1.0j, 2.0]])),
+        lambda: kernel_eval("a", "b", _SPEC),
+        lambda: KernelMatrix(np.eye(2) * (1.0 + 1.0j), _SPEC),
+        lambda: KernelMatrix([["a"]], _SPEC),
+        lambda: MeanMap(np.ones(2) * (1.0 + 1.0j), n1=1),
+        lambda: MeanMap(["a"], n1=1),
+    ],
+    ids=["dataset_complex", "kernel_eval_strings", "kernel_matrix_complex",
+         "kernel_matrix_strings", "mean_map_complex", "mean_map_strings"],
+)
+def test_non_real_values_rejected(call):
+    with pytest.raises(InputError, match="real numbers"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng: random_gaussian_instance(rng, max_n1=1),
+        lambda rng: random_gaussian_instance(rng, max_n2=1),
+        lambda rng: random_gaussian_instance(rng, max_m=0),
+        lambda rng: identity_kernel_instance(rng, max_n2=1),
+        lambda rng: identity_kernel_instance(rng, max_m=0),
+    ],
+    ids=["gaussian_n1", "gaussian_n2", "gaussian_m", "identity_n2", "identity_m"],
+)
+def test_instance_maxima_too_small_rejected(rng, call):
+    with pytest.raises(InputError, match="at least"):
+        call(rng)
 
 
 def test_numpy_reals_accepted():
