@@ -175,12 +175,56 @@ def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
     return value
 
 
+# Rows of the cross kernel computed at a time: 64 x 5000 floats is 2.5 MB.
+_CHUNK_ROWS = 64
+
+
+def _gaussian_in_place(sq_dist: np.ndarray, bandwidth: float) -> np.ndarray:
+    """exp(-sq_dist / (2 bandwidth^2)), written over sq_dist."""
+    np.divide(sq_dist, -2.0 * np.float64(bandwidth) ** 2, out=sq_dist)
+    return np.exp(sq_dist, out=sq_dist)
+
+
 def _cross_kernel(left: np.ndarray, right: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if spec.family == GAUSSIAN:
-        out = cdist(left, right, "sqeuclidean")
-        np.divide(out, -2.0 * np.float64(spec.bandwidth) ** 2, out=out)
-        return np.exp(out, out=out)
+        return _gaussian_in_place(cdist(left, right, "sqeuclidean"), spec.bandwidth)
     return left @ right.T
+
+
+def _gaussian_blocks(left: np.ndarray, right: np.ndarray, bandwidth: float):
+    """Yield the gaussian kernel between `left` and `right`, _CHUNK_ROWS rows at a time.
+
+    Each block is C-contiguous and entry for entry bit-equal to the same
+    rows of `_cross_kernel`: cdist computes every pair on its own. The blocks
+    share one buffer, so a consumer is done with a block, and free to
+    overwrite it, once it asks for the next.
+    """
+    right = np.ascontiguousarray(right)
+    buf = np.empty((min(left.shape[0], _CHUNK_ROWS), right.shape[0]))
+    for start in range(0, left.shape[0], _CHUNK_ROWS):
+        block = buf[: min(_CHUNK_ROWS, left.shape[0] - start)]
+        cdist(left[start:start + _CHUNK_ROWS], right, "sqeuclidean", out=block)
+        yield _gaussian_in_place(block, bandwidth)
+
+
+def _add_rows(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
+    """`total` plus every row of `block`, one row after another.
+
+    A column reduction of a C-contiguous array with more than one column adds
+    its rows in order, so carrying `total` in the block's first row gives the
+    bits of one reduction over all rows. `block[0]` is overwritten.
+    """
+    if total is not None:
+        block[0] += total
+    return np.add.reduce(block, axis=0)
+
+
+def _jittered(entries: np.ndarray, spec: KernelSpec) -> KernelMatrix:
+    if spec.family == GAUSSIAN:
+        np.fill_diagonal(entries, 1.0 + spec.jitter)
+    else:
+        np.fill_diagonal(entries, np.diagonal(entries) + spec.jitter)
+    return KernelMatrix(entries=entries, spec=spec)
 
 
 def kernel_matrix(source: Dataset, spec: KernelSpec) -> KernelMatrix:
@@ -192,24 +236,65 @@ def kernel_matrix(source: Dataset, spec: KernelSpec) -> KernelMatrix:
     non-finite entry. Jitter is added to the diagonal only; for the
     gaussian family the diagonal is exactly 1 + jitter.
     """
+    return _jittered(_cross_kernel(source.values, source.values, spec), spec)
+
+
+def _gram_and_self_mean_map(source: Dataset, spec: KernelSpec) -> tuple[KernelMatrix, MeanMap]:
+    """`kernel_matrix(source)` and `mean_map(source, source)` from one kernel pass.
+
+    The mean map is the column mean of the Gram before the jitter goes on.
+    """
     entries = _cross_kernel(source.values, source.values, spec)
-    if spec.family == GAUSSIAN:
-        np.fill_diagonal(entries, 1.0 + spec.jitter)
-    else:
-        np.fill_diagonal(entries, np.diagonal(entries) + spec.jitter)
-    return KernelMatrix(entries=entries, spec=spec)
+    mu = MeanMap(entries=entries.mean(axis=0), n1=source.n)
+    return _jittered(entries, spec), mu
+
+
+def _streams(source: Dataset, spec: KernelSpec) -> bool:
+    # Chunked sums are bit-equal to one block's only where the block's column
+    # reduction runs row by row: a one-column block is reduced pairwise. Linear
+    # rows of A @ B.T depend on how BLAS tiles the product, so they stay one block.
+    return spec.family == GAUSSIAN and source.n > 1
 
 
 def mean_map(target: Dataset, source: Dataset, spec: KernelSpec) -> MeanMap:
     """Empirical mean-map vector of the target evaluated at the source rows.
 
     Entry j is the average of the kernel between every target row and
-    source row j.
+    source row j. The gaussian kernel is computed and summed _CHUNK_ROWS
+    target rows at a time, so memory is one chunk x n2 floats, not n1 x n2;
+    the sums are bit-equal to averaging the whole n1 x n2 block. The linear
+    kernel, and a source of one row, still build the whole block.
     """
     if target.d != source.d:
         raise InputError(f"feature dimension mismatch: target {target.d}, source {source.d}")
-    entries = _cross_kernel(target.values, source.values, spec).mean(axis=0)
-    return MeanMap(entries=entries, n1=target.n)
+    if not _streams(source, spec):
+        return MeanMap(entries=_cross_kernel(target.values, source.values, spec).mean(axis=0),
+                       n1=target.n)
+    total = None
+    for block in _gaussian_blocks(target.values, source.values, spec.bandwidth):
+        total = _add_rows(total, block)
+    return MeanMap(entries=total / target.n, n1=target.n)
+
+
+def _pair_mean_maps(a: Dataset, b: Dataset, spec: KernelSpec) -> tuple[MeanMap, MeanMap]:
+    """`mean_map(a, b)` and `mean_map(b, a)` from one pass over the kernel between a and b.
+
+    a and b must share their feature dimension. cdist(b, a) is exactly the
+    transpose of cdist(a, b), so the row sums of the a x b blocks are the
+    column sums `mean_map(b, a)` would take. They are taken with cumsum,
+    which adds along a row in order as that column reduction does, where a
+    plain row sum would add pairwise.
+    """
+    if not (_streams(a, spec) and _streams(b, spec)):
+        return mean_map(a, b, spec), mean_map(b, a, spec)
+    total, row_sums = None, []
+    for block in _gaussian_blocks(a.values, b.values, spec.bandwidth):
+        # Taken before _add_rows overwrites block[0], and copied: a view of the
+        # last column would keep the chunk's whole cumsum alive.
+        row_sums.append(np.cumsum(block, axis=1)[:, -1].copy())
+        total = _add_rows(total, block)
+    return (MeanMap(entries=total / a.n, n1=a.n),
+            MeanMap(entries=np.concatenate(row_sums) / b.n, n1=b.n))
 
 
 def median_bandwidth(data: Dataset) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky, solve_triangular
 
 from .errors import InputError, SolverError, as_index, as_real
-from .kernel import KernelMatrix, MeanMap
+from .kernel import KernelMatrix, MeanMap, _real_array
 
 # Relative size below which a Schur complement has lost its digits to cancellation.
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
@@ -65,7 +65,10 @@ class WeightVector:
     dimension: int
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "dimension", as_index(self.dimension, "dimension"))
+        if self.dimension < 0:
+            raise InputError("dimension must be non-negative")
+        w = _real_array(self.weights, "weights")
         if w.ndim != 1 or w.shape[0] != len(self.support):
             raise InputError("weights must be 1-D and aligned to the support")
         if not np.all(np.isfinite(w)):
@@ -112,16 +115,17 @@ class SolverConfig:
         return 10 * support_size + 100
 
 
-def _check_sizes(K: KernelMatrix, mu: MeanMap, w: WeightVector | None = None):
-    if mu.n2 != K.n2:
-        raise InputError("kernel matrix and mean map sizes disagree")
+def _check_sizes(K: KernelMatrix, v: np.ndarray, w: WeightVector | None = None):
+    """InputError unless the vector v (a mean map's entries or a gradient) and w fit K."""
+    if np.shape(v) != (K.n2,):
+        raise InputError(f"vector of shape {np.shape(v)} does not fit a kernel matrix of {K.n2} rows")
     if w is not None and w.dimension != K.n2:
         raise InputError(f"weight vector has dimension {w.dimension}, kernel matrix has {K.n2}")
 
 
 def objective(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> float:
     """Value of w'mu - w'Kw/2 using only the support coordinates."""
-    _check_sizes(K, mu, w)
+    _check_sizes(K, mu.entries, w)
     s = w.support.as_array()
     ws = w.weights
     return float(ws @ mu.entries[s] - 0.5 * ws @ (K.block(s) @ ws))
@@ -129,7 +133,7 @@ def objective(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> float:
 
 def gradient(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> np.ndarray:
     """Full-length gradient mu - Kw."""
-    _check_sizes(K, mu, w)
+    _check_sizes(K, mu.entries, w)
     return mu.entries - w.weights @ K.rows(w.support.as_array())
 
 
@@ -139,7 +143,7 @@ def kkt_residual(w: WeightVector, K: KernelMatrix, mu: MeanMap, L: SupportSet) -
     Per coordinate j in L this is |grad_j| where w_j > 0 and max(grad_j, 0)
     where w_j = 0; weights are never negative.
     """
-    _check_sizes(K, mu, w)
+    _check_sizes(K, mu.entries, w)
     if not set(w.positive_support()).issubset(set(L)):
         raise InputError("weight support must lie inside L")
     idx = L.as_array()
@@ -162,6 +166,7 @@ def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
     times its diagonal entry; or s_j is, where cancellation has taken its
     digits. Entries for indices already in S carry no meaning.
     """
+    _check_sizes(K, g, w)
     diag = K.diag()
     s, h, base = diag, g, 0.0
     if len(w.support):
@@ -281,7 +286,7 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
     """
     cfg = cfg or SolverConfig()
     n2 = K.n2
-    _check_sizes(K, mu, warm_start)
+    _check_sizes(K, mu.entries, warm_start)
     if len(L) == 0:
         return WeightVector.zeros(n2)
     idx = L.as_array()

@@ -262,11 +262,21 @@ def random_gaussian_instance(rng: np.random.Generator,
     """
     max_n1, max_n2 = _at_least(max_n1, 2, "max_n1"), _at_least(max_n2, 2, "max_n2")
     max_m = _at_least(max_m, 1, "max_m")
+    try:
+        low, high = sigma_range
+        dims = tuple(_at_least(d, 1, "dims entries") for d in dims)
+    except (TypeError, ValueError):
+        raise InputError("sigma_range must be a (low, high) pair and dims a sequence") from None
+    low, high = as_real(low, "sigma_range low"), as_real(high, "sigma_range high")
+    if not (0.0 < low < np.inf and 0.0 < high < np.inf):
+        raise InputError("sigma_range must hold positive finite bandwidths")
+    if not dims:
+        raise InputError("dims must name at least one feature dimension")
     d = int(rng.choice(dims))
     n1 = int(rng.integers(2, max_n1 + 1))
     n2 = int(rng.integers(2, max_n2 + 1))
     m = int(rng.integers(1, min(max_m, n2) + 1))
-    sigma = float(rng.uniform(*sigma_range))
+    sigma = float(rng.uniform(low, high))
     spec = KernelSpec("gaussian", bandwidth=sigma)
     source = Dataset(rng.normal(size=(n2, d)))
     target = Dataset(rng.normal(size=(n1, d)))

@@ -14,7 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, as_index
-from .kernel import Dataset, KernelSpec, kernel_matrix, mean_map
+from .kernel import Dataset, KernelSpec, _gram_and_self_mean_map, _pair_mean_maps
+# Not called here; bound because perfbench's tracer test wraps and restores
+# ranking.kernel_matrix and ranking.mean_map (perfbench/tests/test_perfbench.py).
+from .kernel import kernel_matrix, mean_map  # noqa: F401
 from .nnqp import SolverConfig, objective, solve_restricted
 from .selectors import SelectionConfig, proto_dash
 
@@ -87,6 +90,11 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
     target i's mean map; by default the weights are re-solved for that
     target, `reweight=False` keeps the self-fit weights frozen instead.
     Ranks within each target row break ties by dataset order.
+
+    The kernel is computed once per dataset, for its Gram matrix and its
+    own mean map, and once per unordered pair {i, j}, for the mean maps of
+    i at j's rows and of j at i's rows. With `threads` > 1, datasets and
+    then pairs are spread over a thread pool.
     """
     k = len(datasets)
     if k < 2:
@@ -104,37 +112,30 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
     solver = solver or SolverConfig()
 
     def self_select(j: int):
-        K = kernel_matrix(datasets[j], spec)
-        mu_self = mean_map(datasets[j], datasets[j], spec)
+        K, mu_self = _gram_and_self_mean_map(datasets[j], spec)
         res = proto_dash(K, mu_self, SelectionConfig(m=min(m, datasets[j].n), solver=solver))
         return K, res
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            selections = list(pool.map(self_select, range(k)))
-    else:
-        selections = [self_select(j) for j in range(k)]
+    def score(i: int, j: int, mu_i) -> float:
+        """Dataset j's prototypes against target i, whose mean map at j's rows is mu_i."""
+        K, res = selections[j]
+        w = solve_restricted(K, mu_i, res.indices, solver) if reweight else res.weights
+        return objective(w, K, mu_i)
+
+    def pair_scores(pair):
+        i, j = pair
+        mu_i, mu_j = _pair_mean_maps(datasets[i], datasets[j], spec)
+        return score(i, j, mu_i), score(j, i, mu_j)
+
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        run = pool.map if threads > 1 else map
+        selections = list(run(self_select, range(k)))
+        scored = list(run(pair_scores, pairs))
 
     obj = np.zeros((k, k))
-
-    def cross_eval(pair):
-        i, j = pair
-        K, res = selections[j]
-        mu_i = mean_map(datasets[i], datasets[j], spec)
-        if reweight:
-            w = solve_restricted(K, mu_i, res.indices, solver)
-        else:
-            w = res.weights
-        return i, j, objective(w, K, mu_i)
-
-    jobs = [(i, j) for i in range(k) for j in range(k) if i != j]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            evaluated = list(pool.map(cross_eval, jobs))
-    else:
-        evaluated = [cross_eval(p) for p in jobs]
-    for i, j, value in evaluated:
-        obj[i, j] = value
+    for (i, j), (ij, ji) in zip(pairs, scored):
+        obj[i, j], obj[j, i] = ij, ji
     for j in range(k):
         obj[j, j] = selections[j][1].final_objective
 

@@ -327,7 +327,7 @@ def top_m_by_weight(result: SelectionResult, m: int, K: KernelMatrix, mu: MeanMa
     their selection order and the objective trace is recomputed over the
     kept prefixes.
     """
-    _check_sizes(K, mu, result.weights)
+    _check_sizes(K, mu.entries, result.weights)
     t = len(result.indices)
     m = as_index(m, "m")
     if m > t:

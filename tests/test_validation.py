@@ -18,6 +18,7 @@ from protoselect import (
     objective,
     solve_restricted,
 )
+from protoselect.nnqp import gain_bounds
 from protoselect.oracle import (exhaustive_optimal, finite_difference_check,
                                 identity_kernel_instance, random_gaussian_instance,
                                 rsc_rsm_bounds, submodularity_ratio)
@@ -68,10 +69,13 @@ def instance(rng):
         lambda K, mu, res: export_graph(_rank_matrix(), top_t=1.5),
         lambda K, mu, res: rank_sources(_datasets(), m=2, spec=_SPEC, threads=2.5),
         lambda K, mu, res: random_w(K, mu, SelectionConfig(m=2, seed=1.5)),
+        lambda K, mu, res: WeightVector.zeros(2.5),
+        lambda K, mu, res: WeightVector(SupportSet((0,)), np.ones(1), 2.5).dense(),
     ],
     ids=["m", "m_float_integral", "oversample_factor", "max_iterations", "support_index",
          "criticisms_c", "top_m", "exhaustive_m", "rsc_rsm_k", "submodularity_r", "mean_map_n1",
-         "export_top_t", "rank_threads", "random_w_seed"],
+         "export_top_t", "rank_threads", "random_w_seed", "weight_zeros_dimension",
+         "weight_dimension"],
 )
 def test_non_integer_sizes_rejected(instance, call):
     with pytest.raises(InputError, match="integer"):
@@ -95,9 +99,11 @@ def test_numpy_integers_accepted(instance):
         lambda K, mu: kkt_residual(WeightVector.zeros(8), K, mu, SupportSet((0,))),
         lambda K, mu: solve_restricted(K, mu, SupportSet((0, 4)), warm_start=WeightVector.zeros(2)),
         lambda K, mu: top_m_by_weight(_result_on_four_rows(), 2, K, mu),
+        lambda K, mu: gain_bounds(WeightVector.zeros(6), mu.entries[:3], K),
+        lambda K, mu: gain_bounds(WeightVector.zeros(4), mu.entries, K),
     ],
     ids=["objective", "gradient", "gradient_empty_support", "kkt_index", "kkt_dimension",
-         "warm_start", "top_m_result"],
+         "warm_start", "top_m_result", "gain_bounds_gradient", "gain_bounds_dimension"],
 )
 def test_mismatched_dimensions_rejected(rng, call):
     K, mu = gaussian_instance(rng, n1=5, n2=6)
@@ -151,9 +157,12 @@ def test_non_numeric_dataset_rejected():
         lambda: KernelMatrix([["a"]], _SPEC),
         lambda: MeanMap(np.ones(2) * (1.0 + 1.0j), n1=1),
         lambda: MeanMap(["a"], n1=1),
+        lambda: WeightVector(SupportSet((0,)), ["a"], 2),
+        lambda: WeightVector(SupportSet((0,)), [1.0 + 1.0j], 2),
     ],
     ids=["dataset_complex", "kernel_eval_strings", "kernel_matrix_complex",
-         "kernel_matrix_strings", "mean_map_complex", "mean_map_strings"],
+         "kernel_matrix_strings", "mean_map_complex", "mean_map_strings", "weights_strings",
+         "weights_complex"],
 )
 def test_non_real_values_rejected(call):
     with pytest.raises(InputError, match="real numbers"):
@@ -174,6 +183,31 @@ def test_non_real_values_rejected(call):
 def test_instance_maxima_too_small_rejected(rng, call):
     with pytest.raises(InputError, match="at least"):
         call(rng)
+
+
+def test_negative_weight_dimension_rejected():
+    with pytest.raises(InputError, match="dimension"):
+        WeightVector.zeros(-1)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(sigma_range=("a", "b")),
+        dict(sigma_range=(0.0, 1.0)),
+        dict(sigma_range=(0.5, np.inf)),
+        dict(sigma_range=(0.5,)),
+        dict(sigma_range=0.5),
+        dict(dims=()),
+        dict(dims=(2.5,)),
+        dict(dims=3),
+    ],
+    ids=["sigma_strings", "sigma_zero", "sigma_infinite", "sigma_one_value", "sigma_scalar",
+         "dims_empty", "dims_non_integer", "dims_scalar"],
+)
+def test_instance_draw_ranges_rejected(rng, kwargs):
+    with pytest.raises(InputError):
+        random_gaussian_instance(rng, **kwargs)
 
 
 def test_numpy_reals_accepted():
