@@ -13,21 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .errors import DegenerateDataError, InputError, NumericError, as_index, as_real
+from .errors import DegenerateDataError, InputError, NumericError, as_index, as_real, as_reals
 
 GAUSSIAN = "gaussian"
 LINEAR = "linear"
 DEFAULT_JITTER = 1e-10
-
-
-def _real_array(values, what: str) -> np.ndarray:
-    """`values` as a float array; InputError for complex or non-numeric input."""
-    try:
-        if np.iscomplexobj(values):
-            raise InputError(f"{what} must be real numbers, not complex")
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError(f"{what} must be real numbers") from None
 
 
 @dataclass(frozen=True)
@@ -37,7 +27,7 @@ class Dataset:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _real_array(self.values, "dataset values")
+        arr = as_reals(self.values, "dataset values")
         if arr.ndim != 2:
             raise InputError("dataset must be a 2-D array of shape (n, d)")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -74,15 +64,10 @@ class KernelSpec:
         if self.family not in (GAUSSIAN, LINEAR):
             raise InputError(f"unknown kernel family {self.family!r}")
         if self.family == GAUSSIAN:
-            if self.bandwidth is not None:
-                object.__setattr__(self, "bandwidth", as_real(self.bandwidth, "bandwidth"))
-            if self.bandwidth is None or not 0.0 < self.bandwidth < np.inf:
-                raise InputError("gaussian kernel needs a positive finite bandwidth")
+            object.__setattr__(self, "bandwidth", as_real(self.bandwidth, "bandwidth"))
         elif self.bandwidth is not None:
             raise InputError("bandwidth only applies to the gaussian family")
-        object.__setattr__(self, "jitter", as_real(self.jitter, "jitter"))
-        if not 0.0 <= self.jitter < np.inf:
-            raise InputError("jitter must be a non-negative finite value")
+        object.__setattr__(self, "jitter", as_real(self.jitter, "jitter", allow_zero=True))
 
 
 @dataclass(frozen=True)
@@ -99,7 +84,7 @@ class KernelMatrix:
     spec: KernelSpec
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(_real_array(self.entries, "kernel matrix entries"))
+        arr = np.ascontiguousarray(as_reals(self.entries, "kernel matrix entries"))
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InputError("kernel matrix must be square")
         if not np.all(np.isfinite(arr)):
@@ -144,14 +129,12 @@ class MeanMap:
     n1: int
 
     def __post_init__(self):
-        arr = _real_array(self.entries, "mean map entries")
+        arr = as_reals(self.entries, "mean map entries")
         if arr.ndim != 1:
             raise InputError("mean map must be a 1-D vector")
         if not np.all(np.isfinite(arr)):
             raise NumericError("mean map contains non-finite entries")
-        object.__setattr__(self, "n1", as_index(self.n1, "n1"))
-        if self.n1 < 1:
-            raise InputError("mean map needs at least one target row")
+        object.__setattr__(self, "n1", as_index(self.n1, "n1", least=1))
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -161,8 +144,8 @@ class MeanMap:
 
 def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
     """Evaluate the kernel on a single pair of feature vectors."""
-    x = _real_array(x, "kernel arguments").ravel()
-    y = _real_array(y, "kernel arguments").ravel()
+    x = as_reals(x, "kernel arguments").ravel()
+    y = as_reals(y, "kernel arguments").ravel()
     if x.shape != y.shape:
         raise InputError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
     if spec.family == GAUSSIAN:

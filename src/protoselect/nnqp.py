@@ -10,14 +10,13 @@ support, which the downstream KKT-based checks rely on.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky, solve_triangular
 
-from .errors import InputError, SolverError, as_index, as_real
-from .kernel import KernelMatrix, MeanMap, _real_array
+from .errors import InputError, SolverError, as_index, as_indices, as_real, as_reals
+from .kernel import KernelMatrix, MeanMap
 
 # Relative size below which a Schur complement has lost its digits to cancellation.
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
@@ -30,12 +29,7 @@ class SupportSet:
     indices: tuple[int, ...] = ()
 
     def __post_init__(self):
-        try:
-            idx = tuple(map(operator.index, self.indices))
-        except TypeError:
-            raise InputError("support indices must be integers") from None
-        if any(i < 0 for i in idx):
-            raise InputError("support indices must be non-negative")
+        idx = as_indices(self.indices, "support indices")
         if len(set(idx)) != len(idx):
             raise InputError("support indices must be distinct")
         object.__setattr__(self, "indices", idx)
@@ -65,10 +59,8 @@ class WeightVector:
     dimension: int
 
     def __post_init__(self):
-        object.__setattr__(self, "dimension", as_index(self.dimension, "dimension"))
-        if self.dimension < 0:
-            raise InputError("dimension must be non-negative")
-        w = _real_array(self.weights, "weights")
+        object.__setattr__(self, "dimension", as_index(self.dimension, "dimension", least=0))
+        w = as_reals(self.weights, "weights")
         if w.ndim != 1 or w.shape[0] != len(self.support):
             raise InputError("weights must be 1-D and aligned to the support")
         if not np.all(np.isfinite(w)):
@@ -101,13 +93,9 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kkt_tolerance", as_real(self.kkt_tolerance, "kkt_tolerance"))
-        if not 0.0 < self.kkt_tolerance < np.inf:
-            raise InputError("kkt_tolerance must be positive and finite")
         if self.max_iterations is not None:
             object.__setattr__(self, "max_iterations",
-                               as_index(self.max_iterations, "max_iterations"))
-            if self.max_iterations < 1:
-                raise InputError("max_iterations must be positive")
+                               as_index(self.max_iterations, "max_iterations", least=1))
 
     def iteration_cap(self, support_size: int) -> int:
         if self.max_iterations is not None:
@@ -166,6 +154,7 @@ def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
     times its diagonal entry; or s_j is, where cancellation has taken its
     digits. Entries for indices already in S carry no meaning.
     """
+    g = as_reals(g, "gradient")
     _check_sizes(K, g, w)
     diag = K.diag()
     s, h, base = diag, g, 0.0

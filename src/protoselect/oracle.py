@@ -64,9 +64,7 @@ def exhaustive_optimal(K: KernelMatrix, mu: MeanMap, m: int,
     n2 <= 20 and at most one million subsets.
     """
     n2 = K.n2
-    m = as_index(m, "m")
-    if not 1 <= m <= n2:
-        raise InputError(f"m must be in [1, {n2}]")
+    m = as_index(m, "m", least=1, most=n2)
     sizes = range(1, m + 1)
     _guard_subsets(n2, sum(math.comb(n2, s) for s in sizes))
     fn = _fn or _SetFunction(K, mu, solver)
@@ -90,9 +88,7 @@ def submodularity_ratio(K: KernelMatrix, mu: MeanMap, L: SupportSet, r: int,
     ratio is only defined under a strict objective increase.
     """
     n2 = K.n2
-    r = as_index(r, "r")
-    if r < 1:
-        raise InputError("r must be positive")
+    r = as_index(r, "r", least=1)
     rest = [j for j in range(n2) if j not in L]
     sizes = range(1, min(r, len(rest)) + 1)
     _guard_subsets(n2, sum(math.comb(len(rest), s) for s in sizes))
@@ -147,9 +143,7 @@ def rsc_rsm_bounds(K: KernelMatrix, k: int) -> tuple[float, float]:
     k-sparse vectors. k = n2 uses the full spectrum directly.
     """
     n2 = K.n2
-    k = as_index(k, "k")
-    if not 1 <= k <= n2:
-        raise InputError(f"k must be in [1, {n2}]")
+    k = as_index(k, "k", least=1, most=n2)
     if k == n2:
         eig = np.linalg.eigvalsh(K.block(range(n2)))
         return float(eig[0]), float(eig[-1])
@@ -220,8 +214,6 @@ def finite_difference_check(K: KernelMatrix, mu: MeanMap, w: WeightVector,
     absolute error; the rest report relative error.
     """
     step = as_real(step, "step")
-    if not 0.0 < step < np.inf:
-        raise InputError("step must be positive and finite")
     coords = list(w.support) if len(w.support) else list(range(K.n2))
     dense = w.dense()
     full, mu_entries = K.block(range(K.n2)), mu.entries
@@ -243,13 +235,6 @@ def finite_difference_check(K: KernelMatrix, mu: MeanMap, w: WeightVector,
     return worst
 
 
-def _at_least(value, least: int, name: str) -> int:
-    value = as_index(value, name)
-    if value < least:
-        raise InputError(f"{name} must be at least {least}, got {value}")
-    return value
-
-
 def random_gaussian_instance(rng: np.random.Generator,
                              max_n1: int = 15, max_n2: int = 10, max_m: int = 3,
                              sigma_range: tuple[float, float] = (0.5, 2.0),
@@ -260,16 +245,14 @@ def random_gaussian_instance(rng: np.random.Generator,
     matrix plus mean map; returns them with the drawn sparsity level and a
     metadata dict describing the draw.
     """
-    max_n1, max_n2 = _at_least(max_n1, 2, "max_n1"), _at_least(max_n2, 2, "max_n2")
-    max_m = _at_least(max_m, 1, "max_m")
+    max_n1, max_n2 = as_index(max_n1, "max_n1", least=2), as_index(max_n2, "max_n2", least=2)
+    max_m = as_index(max_m, "max_m", least=1)
     try:
         low, high = sigma_range
-        dims = tuple(_at_least(d, 1, "dims entries") for d in dims)
+        dims = tuple(as_index(d, "dims entries", least=1) for d in dims)
     except (TypeError, ValueError):
         raise InputError("sigma_range must be a (low, high) pair and dims a sequence") from None
     low, high = as_real(low, "sigma_range low"), as_real(high, "sigma_range high")
-    if not (0.0 < low < np.inf and 0.0 < high < np.inf):
-        raise InputError("sigma_range must hold positive finite bandwidths")
     if not dims:
         raise InputError("dims must name at least one feature dimension")
     d = int(rng.choice(dims))
@@ -288,7 +271,7 @@ def random_gaussian_instance(rng: np.random.Generator,
 def identity_kernel_instance(rng: np.random.Generator, max_n2: int = 10,
                              max_m: int = 3) -> tuple[KernelMatrix, MeanMap, int, dict]:
     """Modular test instance: identity Gram matrix, positive mean map."""
-    max_n2, max_m = _at_least(max_n2, 2, "max_n2"), _at_least(max_m, 1, "max_m")
+    max_n2, max_m = as_index(max_n2, "max_n2", least=2), as_index(max_m, "max_m", least=1)
     n2 = int(rng.integers(2, max_n2 + 1))
     m = int(rng.integers(1, min(max_m, n2) + 1))
     K = KernelMatrix(entries=np.eye(n2), spec=KernelSpec("linear", jitter=0.0))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, as_index
+from .errors import InputError, as_index, as_reals
 from .kernel import Dataset, KernelSpec, _gram_and_self_mean_map, _pair_mean_maps
 # Not called here; bound because perfbench's tracer test wraps and restores
 # ranking.kernel_matrix and ranking.mean_map (perfbench/tests/test_perfbench.py).
@@ -38,7 +38,9 @@ class RankMatrix:
 
     def __post_init__(self):
         k = len(self.names)
-        obj = np.asarray(self.objective, dtype=float)
+        if not all(isinstance(name, str) for name in self.names):
+            raise InputError("names must be strings")
+        obj = as_reals(self.objective, "objective")
         rnk = np.asarray(self.rank, dtype=int)
         if obj.shape != (k, k) or rnk.shape != (k, k):
             raise InputError("objective and rank must be k x k")
@@ -62,7 +64,7 @@ class AverageRanks:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = as_reals(self.values, "values")
         if vals.shape != (len(self.names),):
             raise InputError("values must align with names")
         if np.any(np.diff(vals) < 0):
@@ -99,16 +101,14 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
     k = len(datasets)
     if k < 2:
         raise InputError("ranking needs at least two datasets")
-    threads = as_index(threads, "threads")
-    if threads < 1:
-        raise InputError("threads must be at least 1")
+    m, threads = as_index(m, "m", least=0), as_index(threads, "threads", least=1)
     dims = {ds.d for ds in datasets}
     if len(dims) != 1:
         raise InputError("datasets must share a feature dimension")
     if names is None:
         names = [f"dataset_{i}" for i in range(k)]
-    if len(names) != k or len(set(names)) != k:
-        raise InputError("names must be unique and align with datasets")
+    if len(names) != k or not all(isinstance(n, str) for n in names) or len(set(names)) != k:
+        raise InputError("names must be unique strings and align with datasets")
     solver = solver or SolverConfig()
 
     def self_select(j: int):
@@ -176,9 +176,7 @@ def export_graph(rm: RankMatrix, top_t: int) -> GraphExport:
     is deterministic, so repeated exports are byte-identical.
     """
     k = rm.k
-    top_t = as_index(top_t, "top_t")
-    if not 1 <= top_t <= k - 1:
-        raise InputError(f"top_t must be in [1, {k - 1}]")
+    top_t = as_index(top_t, "top_t", least=1, most=k - 1)
     edges = []
     for i in range(k):
         row = sorted(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError, SolverError, as_index, as_real
+from .errors import InputError, SolverError, as_index, as_real, as_reals
 from .kernel import KernelMatrix, MeanMap
 from .nnqp import (SolverConfig, SupportSet, WeightVector, _check_sizes, gain_bounds, gradient,
                    objective, solve_restricted)
@@ -57,21 +57,13 @@ class SelectionConfig:
         if (self.m is None) == (self.epsilon is None):
             raise InputError("set exactly one of m and epsilon")
         if self.m is not None:
-            object.__setattr__(self, "m", as_index(self.m, "m"))
-            if self.m < 0:
-                raise InputError("m must be non-negative")
-        object.__setattr__(self, "oversample_factor",
-                           as_index(self.oversample_factor, "oversample_factor"))
+            object.__setattr__(self, "m", as_index(self.m, "m", least=0))
         if self.epsilon is not None:
             object.__setattr__(self, "epsilon", as_real(self.epsilon, "epsilon"))
-            if not 0.0 < self.epsilon < np.inf:
-                raise InputError("epsilon must be positive and finite")
         if self.seed is not None:
-            object.__setattr__(self, "seed", as_index(self.seed, "seed"))
-            if self.seed < 0:
-                raise InputError("seed must be non-negative")
-        if self.oversample_factor < 1:
-            raise InputError("oversample_factor must be at least 1")
+            object.__setattr__(self, "seed", as_index(self.seed, "seed", least=0))
+        object.__setattr__(self, "oversample_factor",
+                           as_index(self.oversample_factor, "oversample_factor", least=1))
         if self.oversample_factor > 1 and self.m is None:
             raise InputError("oversampling requires m-termination")
 
@@ -91,7 +83,7 @@ class SelectionResult:
     def __post_init__(self):
         t = len(self.indices)
         for name in ("objective_trace", "gradient_trace", "wall_times"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = as_reals(getattr(self, name), name)
             if arr.shape != (t,):
                 raise InputError(f"{name} must have one entry per selected index")
             object.__setattr__(self, name, arr)
@@ -109,7 +101,7 @@ class CriticismResult:
     scores: np.ndarray
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=float)
+        scores = as_reals(self.scores, "scores")
         if scores.shape != (len(self.indices),):
             raise InputError("scores must align with indices")
         if np.any(np.diff(scores) > 0):
@@ -120,8 +112,8 @@ class CriticismResult:
 def _check_instance(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig):
     if mu.n2 != K.n2:
         raise InputError("kernel matrix and mean map sizes disagree")
-    if cfg.m is not None and cfg.m > K.n2:
-        raise InputError(f"m={cfg.m} exceeds the number of source rows {K.n2}")
+    if cfg.m is not None:
+        as_index(cfg.m, "m", most=K.n2)
 
 
 def _result(method, weights, obj, grad, times, early) -> SelectionResult:
@@ -329,9 +321,7 @@ def top_m_by_weight(result: SelectionResult, m: int, K: KernelMatrix, mu: MeanMa
     """
     _check_sizes(K, mu.entries, result.weights)
     t = len(result.indices)
-    m = as_index(m, "m")
-    if m > t:
-        raise InputError(f"cannot keep {m} of {t} prototypes")
+    m = as_index(m, "m", least=0, most=t)
     order = sorted(range(t), key=lambda p: (-result.weights.weights[p], p))[:m]
     kept = [result.indices.indices[p] for p in sorted(order)]
     cfg = SelectionConfig(m=m, solver=solver or SolverConfig())
@@ -348,10 +338,7 @@ def criticisms(result: SelectionResult, K: KernelMatrix, mu: MeanMap,
     poorly. Returns the c largest, descending, ties toward the lower index.
     """
     n2 = K.n2
-    c = as_index(c, "c")
-    available = n2 - len(result.indices)
-    if c < 1 or c > available:
-        raise InputError(f"c must be in [1, {available}]")
+    c = as_index(c, "c", least=1, most=n2 - len(result.indices))
     g = gradient(result.weights, K, mu)
     mask = np.ones(n2, dtype=bool)
     mask[list(result.indices)] = False
