@@ -21,7 +21,7 @@ class ProtoSelectError(Exception):
 
 
 class InputError(ProtoSelectError):
-    """Malformed data, bad configuration, or invalid arguments (CLI exit 1)."""
+    """Malformed data, bad configuration, or invalid arguments."""
 
 
 class DegenerateDataError(InputError):
@@ -33,11 +33,11 @@ class NumericError(ProtoSelectError):
 
 
 class GuardError(ProtoSelectError):
-    """An enumeration guard refused an instance that is too large (CLI exit 3)."""
+    """An enumeration guard refused an instance that is too large."""
 
 
 class SolverError(ProtoSelectError):
-    """The weight solver did not converge (CLI exit 2).
+    """The weight solver did not converge.
 
     Attributes:
         best_iterate: best feasible weights seen before giving up, if any.

@@ -81,7 +81,6 @@ class KernelMatrix:
     """
 
     entries: np.ndarray
-    spec: KernelSpec
 
     def __post_init__(self):
         arr = np.ascontiguousarray(as_reals(self.entries, "kernel matrix entries"))
@@ -148,11 +147,12 @@ def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
     y = as_reals(y, "kernel arguments").ravel()
     if x.shape != y.shape:
         raise InputError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if spec.family == GAUSSIAN:
-        diff = x - y
-        value = float(np.exp(-(diff @ diff) / (2.0 * np.float64(spec.bandwidth) ** 2)))
-    else:
-        value = float(x @ y)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        if spec.family == GAUSSIAN:
+            diff = x - y
+            value = float(np.exp(-(diff @ diff) / (2.0 * np.float64(spec.bandwidth) ** 2)))
+        else:
+            value = float(x @ y)
     if not np.isfinite(value):
         raise NumericError("kernel evaluation produced a non-finite value")
     return value
@@ -207,7 +207,7 @@ def _jittered(entries: np.ndarray, spec: KernelSpec) -> KernelMatrix:
         np.fill_diagonal(entries, 1.0 + spec.jitter)
     else:
         np.fill_diagonal(entries, np.diagonal(entries) + spec.jitter)
-    return KernelMatrix(entries=entries, spec=spec)
+    return KernelMatrix(entries=entries)
 
 
 def kernel_matrix(source: Dataset, spec: KernelSpec) -> KernelMatrix:

@@ -103,6 +103,15 @@ class SolverConfig:
         return 10 * support_size + 100
 
 
+def as_solver(cfg) -> SolverConfig:
+    """`cfg`, or the default SolverConfig for None; InputError for anything else."""
+    if cfg is None:
+        return SolverConfig()
+    if not isinstance(cfg, SolverConfig):
+        raise InputError(f"solver must be a SolverConfig, got {cfg!r}")
+    return cfg
+
+
 def _check_sizes(K: KernelMatrix, v: np.ndarray, w: WeightVector | None = None):
     """InputError unless the vector v (a mean map's entries or a gradient) and w fit K."""
     if np.shape(v) != (K.n2,):
@@ -273,7 +282,7 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
         SolverError: no convergence within the iteration cap; the error
             carries the best iterate and its KKT residual.
     """
-    cfg = cfg or SolverConfig()
+    cfg = as_solver(cfg)
     n2 = K.n2
     _check_sizes(K, mu.entries, warm_start)
     if len(L) == 0:

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import DegenerateDataError, GuardError, InputError, as_index, as_real
 from .kernel import Dataset, KernelMatrix, KernelSpec, MeanMap, kernel_matrix, mean_map
-from .nnqp import SolverConfig, SupportSet, WeightVector, gradient, objective, solve_restricted
+from .nnqp import (SolverConfig, SupportSet, WeightVector, as_solver, gradient, objective,
+                   solve_restricted)
 from .selectors import SelectionConfig, proto_dash, proto_greedy
 
 ENUMERATION_CAP = 1_000_000
@@ -42,7 +43,7 @@ class _SetFunction:
     def __init__(self, K: KernelMatrix, mu: MeanMap, solver: SolverConfig | None):
         self.K = K
         self.mu = mu
-        self.solver = solver or SolverConfig()
+        self.solver = as_solver(solver)
         self._cache: dict[tuple[int, ...], float] = {(): 0.0}
 
     def value(self, subset) -> float:
@@ -274,6 +275,6 @@ def identity_kernel_instance(rng: np.random.Generator, max_n2: int = 10,
     max_n2, max_m = as_index(max_n2, "max_n2", least=2), as_index(max_m, "max_m", least=1)
     n2 = int(rng.integers(2, max_n2 + 1))
     m = int(rng.integers(1, min(max_m, n2) + 1))
-    K = KernelMatrix(entries=np.eye(n2), spec=KernelSpec("linear", jitter=0.0))
+    K = KernelMatrix(entries=np.eye(n2))
     mu = MeanMap(entries=rng.uniform(0.2, 1.0, size=n2), n1=1)
     return K, mu, m, {"n1": 1, "n2": n2, "m": m, "kernel": "identity"}

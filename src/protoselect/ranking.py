@@ -18,7 +18,7 @@ from .kernel import Dataset, KernelSpec, _gram_and_self_mean_map, _pair_mean_map
 # Not called here; bound because perfbench's tracer test wraps and restores
 # ranking.kernel_matrix and ranking.mean_map (perfbench/tests/test_perfbench.py).
 from .kernel import kernel_matrix, mean_map  # noqa: F401
-from .nnqp import SolverConfig, objective, solve_restricted
+from .nnqp import SolverConfig, as_solver, objective, solve_restricted
 from .selectors import SelectionConfig, proto_dash
 
 
@@ -41,15 +41,20 @@ class RankMatrix:
         if not all(isinstance(name, str) for name in self.names):
             raise InputError("names must be strings")
         obj = as_reals(self.objective, "objective")
-        rnk = np.asarray(self.rank, dtype=int)
-        if obj.shape != (k, k) or rnk.shape != (k, k):
+        try:
+            rnk = np.asarray(self.rank)
+        except ValueError:  # ragged rows
+            rnk = None
+        if obj.shape != (k, k) or rnk is None or rnk.shape != (k, k):
             raise InputError("objective and rank must be k x k")
+        if rnk.dtype.kind not in "iu":
+            raise InputError(f"rank must be integers, got {rnk.dtype} entries")
         for i in range(k):
             row = sorted(rnk[i, j] for j in range(k) if j != i)
             if row != list(range(1, k)):
                 raise InputError(f"rank row {i} is not a permutation of 1..{k - 1}")
         object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "rank", rnk)
+        object.__setattr__(self, "rank", rnk.astype(int, copy=False))
 
     @property
     def k(self) -> int:
@@ -109,7 +114,7 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
         names = [f"dataset_{i}" for i in range(k)]
     if len(names) != k or not all(isinstance(n, str) for n in names) or len(set(names)) != k:
         raise InputError("names must be unique strings and align with datasets")
-    solver = solver or SolverConfig()
+    solver = as_solver(solver)
 
     def self_select(j: int):
         K, mu_self = _gram_and_self_mean_map(datasets[j], spec)

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import InputError, SolverError, as_index, as_real, as_reals
 from .kernel import KernelMatrix, MeanMap
-from .nnqp import (SolverConfig, SupportSet, WeightVector, _check_sizes, gain_bounds, gradient,
-                   objective, solve_restricted)
+from .nnqp import (SolverConfig, SupportSet, WeightVector, _check_sizes, as_solver, gain_bounds,
+                   gradient, objective, solve_restricted)
 
 PROTODASH = "protodash"
 PROTOGREEDY = "protogreedy"
@@ -56,6 +56,7 @@ class SelectionConfig:
     def __post_init__(self):
         if (self.m is None) == (self.epsilon is None):
             raise InputError("set exactly one of m and epsilon")
+        object.__setattr__(self, "solver", as_solver(self.solver))
         if self.m is not None:
             object.__setattr__(self, "m", as_index(self.m, "m", least=0))
         if self.epsilon is not None:
@@ -81,6 +82,8 @@ class SelectionResult:
     early_stopped: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.weights, WeightVector) or self.indices != self.weights.support:
+            raise InputError("weights must be a WeightVector whose support is indices, in order")
         t = len(self.indices)
         for name in ("objective_trace", "gradient_trace", "wall_times"):
             arr = as_reals(getattr(self, name), name)
@@ -324,7 +327,7 @@ def top_m_by_weight(result: SelectionResult, m: int, K: KernelMatrix, mu: MeanMa
     m = as_index(m, "m", least=0, most=t)
     order = sorted(range(t), key=lambda p: (-result.weights.weights[p], p))[:m]
     kept = [result.indices.indices[p] for p in sorted(order)]
-    cfg = SelectionConfig(m=m, solver=solver or SolverConfig())
+    cfg = SelectionConfig(m=m, solver=solver)
     res = _grow(result.method, K, mu, cfg, _in_order(kept))
     return replace(res, early_stopped=result.early_stopped)
 

@@ -16,7 +16,7 @@ def gaussian_instance(rng, n1=8, n2=6, d=2, sigma=1.0, jitter=1e-10):
 
 def synthetic_instance(entries, mu_values, n1=1):
     """Instance with hand-picked Gram entries and mean map."""
-    K = KernelMatrix(entries=np.asarray(entries, dtype=float), spec=KernelSpec("linear", jitter=0.0))
+    K = KernelMatrix(entries=np.asarray(entries, dtype=float))
     mu = MeanMap(entries=np.asarray(mu_values, dtype=float), n1=n1)
     return K, mu
 

@@ -40,6 +40,10 @@ class TestKernelEval:
         with pytest.raises(InputError):
             kernel_eval(np.array([1.0]), np.array([1.0, 2.0]), gauss())
 
+    def test_gaussian_overflowing_distance_is_zero(self):
+        # the squared distance overflows to inf, as cdist's does in mean_map
+        assert kernel_eval([1e200], [-1e200], gauss()) == 0.0
+
     def test_translation_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -219,4 +223,4 @@ class TestValidation:
     def test_kernel_matrix_rejects_asymmetry(self):
         bad = np.array([[1.0, 0.2], [0.3, 1.0]])
         with pytest.raises(InputError):
-            KernelMatrix(entries=bad, spec=KernelSpec("linear"))
+            KernelMatrix(entries=bad)

@@ -141,7 +141,7 @@ def test_rows_are_the_columns():
 
 
 def test_fortran_ordered_entries_stored_row_major():
-    K = KernelMatrix(np.asfortranarray(np.eye(3) + 0.5), KernelSpec("linear", jitter=0.0))
+    K = KernelMatrix(np.asfortranarray(np.eye(3) + 0.5))
     assert K.entries.flags.c_contiguous
 
 

@@ -1,6 +1,3 @@
-import json
-from importlib import resources
-
 import numpy as np
 import pytest
 
@@ -365,17 +362,6 @@ class TestCriticisms:
         res = proto_dash(K, mu, SelectionConfig(m=2))
         with pytest.raises(InputError):
             criticisms(res, K, mu, 5)
-
-
-def test_schema_methods_are_the_selectors_labels(rng):
-    schema = json.loads(
-        resources.files("protoselect").joinpath("schemas/select.schema.json").read_text()
-    )
-    K, mu = gaussian_instance(rng, n1=6, n2=8)
-    cfg = SelectionConfig(m=3, seed=0)
-    emitted = {select(K, mu, cfg).method
-               for select in (proto_dash, proto_greedy, l2c_equal, random_w)}
-    assert set(schema["definitions"]["selection"]["properties"]["method"]["enum"]) == emitted
 
 
 class TestConfigValidation:

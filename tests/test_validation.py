@@ -22,7 +22,7 @@ from protoselect.errors import DegenerateDataError, NumericError
 from protoselect.nnqp import gain_bounds
 from protoselect.oracle import (exhaustive_optimal, finite_difference_check, gamma_over_prefixes,
                                 identity_kernel_instance, random_gaussian_instance,
-                                rsc_rsm_bounds, submodularity_ratio)
+                                rsc_rsm_bounds, submodularity_ratio, verify_instance)
 from protoselect.ranking import AverageRanks, RankMatrix, export_graph, rank_sources
 from protoselect.selectors import (CriticismResult, SelectionConfig, SelectionResult, criticisms,
                                    l2c_equal, proto_dash, random_w, top_m_by_weight)
@@ -156,13 +156,13 @@ def test_non_numeric_dataset_rejected():
     [
         lambda: Dataset(np.array([[1.0 + 1.0j, 2.0]])),
         lambda: kernel_eval("a", "b", _SPEC),
-        lambda: KernelMatrix(np.eye(2) * (1.0 + 1.0j), _SPEC),
-        lambda: KernelMatrix([["a"]], _SPEC),
+        lambda: KernelMatrix(np.eye(2) * (1.0 + 1.0j)),
+        lambda: KernelMatrix([["a"]]),
         lambda: MeanMap(np.ones(2) * (1.0 + 1.0j), n1=1),
         lambda: MeanMap(["a"], n1=1),
         lambda: WeightVector(SupportSet((0,)), ["a"], 2),
         lambda: WeightVector(SupportSet((0,)), [1.0 + 1.0j], 2),
-        lambda: gain_bounds(WeightVector.zeros(2), ["a", "b"], KernelMatrix(np.eye(2), _SPEC)),
+        lambda: gain_bounds(WeightVector.zeros(2), ["a", "b"], KernelMatrix(np.eye(2))),
         lambda: SelectionResult("x", SupportSet(), WeightVector.zeros(2), ["a"], [], []),
         lambda: CriticismResult((0,), ["a"]),
         lambda: RankMatrix(("a", "b"), [["x", "y"], ["z", "w"]], [[0, 1], [1, 0]]),
@@ -301,11 +301,14 @@ def _one_prototype():
         (lambda K, mu: Dataset(np.ones((0, 2))), InputError, "at least one row"),
         (lambda K, mu: KernelSpec("cosine"), InputError, "unknown kernel family"),
         (lambda K, mu: KernelSpec("linear", bandwidth=1.0), InputError, "only applies"),
-        (lambda K, mu: KernelMatrix(np.ones((2, 3)), _SPEC), InputError, "square"),
+        (lambda K, mu: KernelMatrix(np.ones((2, 3))), InputError, "square"),
         (lambda K, mu: MeanMap(np.ones((2, 2)), n1=1), InputError, "1-D"),
         (lambda K, mu: MeanMap(np.ones(2), n1=0), InputError, "n1 must be at least 1"),
         (lambda K, mu: kernel_eval([np.inf], [1.0], KernelSpec("linear")), NumericError,
          "non-finite"),
+        (lambda K, mu: kernel_eval([1e200], [1e200], KernelSpec("linear")), NumericError,
+         "non-finite"),
+        (lambda K, mu: kernel_eval([np.inf], [np.inf], _SPEC), NumericError, "non-finite"),
         (lambda K, mu: SupportSet((0, -1)), InputError, "non-negative"),
         (lambda K, mu: WeightVector(SupportSet((0,)), np.ones(2), 3), InputError, "aligned"),
         (lambda K, mu: WeightVector(SupportSet((0,)), [np.nan], 3), InputError, "non-finite"),
@@ -325,6 +328,16 @@ def _one_prototype():
          DegenerateDataError, "any prefix"),
         (lambda K, mu: RankMatrix(("a", "b"), np.zeros((3, 3)), np.zeros((3, 3))), InputError,
          "k x k"),
+        (lambda K, mu: RankMatrix(("a", "b"), np.zeros((2, 2)), [[0, 1.5], [1, 0]]), InputError,
+         "rank must be integers"),
+        (lambda K, mu: RankMatrix(("a", "b"), np.zeros((2, 2)), [[0.0, 1.0], [1.0, 0.0]]),
+         InputError, "rank must be integers"),
+        (lambda K, mu: RankMatrix(("a", "b"), np.zeros((2, 2)), [["0", "1"], ["1", "0"]]),
+         InputError, "rank must be integers"),
+        (lambda K, mu: RankMatrix(("a", "b"), np.zeros((2, 2)), [[False, True], [True, False]]),
+         InputError, "rank must be integers"),
+        (lambda K, mu: RankMatrix(("a", "b"), np.zeros((2, 2)), [[0, 1], [1]]), InputError,
+         "k x k"),
         (lambda K, mu: AverageRanks(("a", "b"), [1.0]), InputError, "align"),
         (lambda K, mu: rank_sources(_datasets(), m=2, spec=_SPEC, names=["a", "a", "b"]),
          InputError, "unique"),
@@ -334,6 +347,13 @@ def _one_prototype():
          "oversample_factor must be at least 1"),
         (lambda K, mu: SelectionResult("x", *_one_prototype(), [1.0, 2.0], [1.0], [0.0]),
          InputError, "one entry per selected index"),
+        (lambda K, mu: SelectionResult("x", SupportSet((1,)), _one_prototype()[1], [1.0], [1.0],
+                                       [0.0]), InputError, "support is indices"),
+        (lambda K, mu: SelectionResult("x", SupportSet((1, 0)), WeightVector(SupportSet((0, 1)),
+                                       np.ones(2), 2), [1.0, 2.0], [1.0, 0.5], [0.0, 0.0]),
+         InputError, "support is indices"),
+        (lambda K, mu: SelectionResult("x", SupportSet(), np.zeros(0), [], [], []), InputError,
+         "must be a WeightVector"),
         (lambda K, mu: CriticismResult((0, 1), [1.0]), InputError, "align"),
         (lambda K, mu: CriticismResult((0, 1), [1.0, 2.0]), InputError, "non-increasing"),
         (lambda K, mu: proto_dash(K, MeanMap(np.ones(5), n1=1), SelectionConfig(m=2)),
@@ -342,16 +362,29 @@ def _one_prototype():
          "meaningless"),
         (lambda K, mu: random_w(K, mu, SelectionConfig(epsilon=0.1, seed=1)), InputError,
          "m-termination"),
+        (lambda K, mu: SelectionConfig(m=2, solver="x"), InputError, "solver must be a Solver"),
+        (lambda K, mu: solve_restricted(K, mu, SupportSet((0,)), "x"), InputError,
+         "solver must be a Solver"),
+        (lambda K, mu: top_m_by_weight(proto_dash(K, mu, SelectionConfig(m=3)), 1, K, mu,
+                                       solver="x"), InputError, "solver must be a Solver"),
+        (lambda K, mu: verify_instance(K, mu, 2, solver="x"), InputError,
+         "solver must be a Solver"),
+        (lambda K, mu: rank_sources(_datasets(), m=2, spec=_SPEC, solver="x"), InputError,
+         "solver must be a Solver"),
     ],
     ids=["dataset_1d", "dataset_empty", "kernel_family", "linear_bandwidth", "kernel_not_square",
-         "mean_map_2d", "mean_map_n1_zero", "kernel_eval_non_finite", "support_negative",
-         "weights_misaligned", "weights_non_finite", "weights_index_beyond_dimension",
-         "kkt_tolerance_zero", "max_iterations_zero", "warm_start_outside_L", "exhaustive_m_zero",
+         "mean_map_2d", "mean_map_n1_zero", "kernel_eval_non_finite", "kernel_eval_overflow",
+         "kernel_eval_infinite_difference", "support_negative", "weights_misaligned",
+         "weights_non_finite", "weights_index_beyond_dimension", "kkt_tolerance_zero",
+         "max_iterations_zero", "warm_start_outside_L", "exhaustive_m_zero",
          "exhaustive_m_beyond_n2", "rsc_k_zero", "rsc_k_beyond_n2", "submodularity_r_zero",
-         "gamma_no_prefix_gains", "rank_matrix_shape", "average_ranks_alignment",
+         "gamma_no_prefix_gains", "rank_matrix_shape", "rank_real", "rank_integral_real",
+         "rank_strings", "rank_bools", "rank_ragged", "average_ranks_alignment",
          "rank_duplicate_names", "m_negative", "epsilon_zero", "oversample_zero",
-         "selection_result_trace", "criticism_alignment", "criticism_order",
-         "selector_mu_size", "l2c_oversampling", "random_w_epsilon_mode"],
+         "selection_result_trace", "selection_result_indices", "selection_result_order",
+         "selection_result_weights_type", "criticism_alignment", "criticism_order",
+         "selector_mu_size", "l2c_oversampling", "random_w_epsilon_mode", "selection_solver",
+         "solve_restricted_cfg", "top_m_solver", "verify_solver", "rank_solver"],
 )
 def test_each_check_raises_its_error(rng, call, error, match):
     K, mu = gaussian_instance(rng, n1=5, n2=6)
