@@ -8,6 +8,7 @@ mean map). Both are built here.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,14 +71,38 @@ class KernelSpec:
         object.__setattr__(self, "jitter", as_real(self.jitter, "jitter", allow_zero=True))
 
 
+# Side of the square tiles the symmetry check compares with their mirror images.
+_TILE = 256
+
+
+def _exactly_symmetric(arr: np.ndarray) -> bool:
+    """arr == arr.T, compared one tile and its mirror tile at a time."""
+    n = arr.shape[0]
+    return all(np.array_equal(arr[i:i + _TILE, j:j + _TILE], arr[j:j + _TILE, i:i + _TILE].T)
+               for i in range(0, n, _TILE) for j in range(i, n, _TILE))
+
+
+def _checked(idx, n2: int) -> np.ndarray:
+    """idx as a 1-D intp array of row indices below n2; InputError otherwise."""
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise InputError("kernel indices must be a 1-D sequence of integers")
+    idx = idx.astype(np.intp, copy=False)
+    # one reduction checks both ends: a negative index reads as a huge unsigned one
+    if idx.size and idx.view(np.uintp).max() >= n2:
+        raise InputError("support index out of range")
+    return idx
+
+
 @dataclass(frozen=True)
 class KernelMatrix:
     """Symmetric Gram matrix over the source rows, jitter already applied.
 
     Only this module reads `entries`: the package reads the Gram through
-    `n2`, `diag()`, `rows(idx)` and `block(idx)`, which is all a kernel
-    stored another way would need. Entries are C-contiguous and exactly
-    symmetric, so a row read is a contiguous copy equal to those columns.
+    `n2`, `diag()`, `rows(idx)` and `block(idx)`, which is all that
+    `GaussianGram`, the Gram `kernel_matrix` builds for the gaussian family,
+    has. Entries are C-contiguous and exactly symmetric, so a row read is a
+    contiguous copy equal to those columns.
     """
 
     entries: np.ndarray
@@ -88,7 +113,7 @@ class KernelMatrix:
             raise InputError("kernel matrix must be square")
         if not np.all(np.isfinite(arr)):
             raise NumericError("kernel matrix contains non-finite entries")
-        if not np.array_equal(arr, arr.T):
+        if not _exactly_symmetric(arr):
             raise InputError("kernel matrix must be exactly symmetric")
         object.__setattr__(self, "entries", arr)
 
@@ -96,28 +121,108 @@ class KernelMatrix:
     def n2(self) -> int:
         return self.entries.shape[0]
 
-    def _checked(self, idx) -> np.ndarray:
-        idx = np.asarray(idx)
-        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
-            raise InputError("kernel indices must be a 1-D sequence of integers")
-        idx = idx.astype(np.intp, copy=False)
-        # one reduction checks both ends: a negative index reads as a huge unsigned one
-        if idx.size and idx.view(np.uintp).max() >= self.n2:
-            raise InputError("support index out of range")
-        return idx
-
     def diag(self) -> np.ndarray:
         """The n2 diagonal entries, read-only."""
         return np.diagonal(self.entries)
 
     def rows(self, idx) -> np.ndarray:
         """The |idx| x n2 kernel values of the source rows idx, C-contiguous."""
-        return self.entries[self._checked(idx)]
+        return self.entries[_checked(idx, self.n2)]
 
     def block(self, idx) -> np.ndarray:
         """The principal |idx| x |idx| block on idx, in that order, C-contiguous."""
-        idx = self._checked(idx)
-        return self.entries[np.ix_(idx, idx)]
+        idx = _checked(idx, self.n2)
+        return self.entries[idx[:, None], idx]
+
+
+class GaussianGram:
+    """Gaussian Gram over the source rows, each row computed when first read.
+
+    It has the readers of KernelMatrix and gives the same bits: row i is
+    cdist(X[[i]], X), entry for entry that row of cdist(X, X), with 1 + jitter
+    on the diagonal. Rows go into a buffer that grows as they are read, so m
+    prototypes cost m rows of time and memory, not n2.
+
+    A row is checked when it is computed: it must be finite and agree with
+    every row computed before it at their shared entries, so each pair of
+    rows is checked for symmetry once. Rows are filled under a lock and never
+    change after, so threads may share the Gram.
+    """
+
+    def __init__(self, source: Dataset, spec: KernelSpec):
+        if spec.family != GAUSSIAN:
+            raise InputError("GaussianGram needs a gaussian kernel spec")
+        # A copy, so later writes to the caller's array change no row.
+        self._X = np.array(source.values, order="C")
+        n2 = self._X.shape[0]
+        # Taken now, so an overflowing bandwidth warns here as the dense Gram does.
+        self._scale = _gaussian_scale(spec.bandwidth)
+        self._diag = np.full(n2, 1.0 + spec.jitter)
+        self._diag.flags.writeable = False
+        self._slot = np.full(n2, -1, dtype=np.intp)  # buffer row of each source row, -1 if unread
+        self._held = np.empty(n2, dtype=np.intp)  # source row in each filled buffer row
+        self._filled = 0
+        self._buf = np.empty((0, n2))
+        self._lock = threading.Lock()
+
+    @property
+    def n2(self) -> int:
+        return self._slot.shape[0]
+
+    def diag(self) -> np.ndarray:
+        """The n2 diagonal entries, all 1 + jitter, read-only."""
+        return self._diag
+
+    def rows(self, idx) -> np.ndarray:
+        """The |idx| x n2 kernel values of the source rows idx, C-contiguous.
+
+        Rows first read in this order, as a growing support reads them, come
+        back as a read-only view of the buffer.
+        """
+        slots = self._slots(_checked(idx, self.n2))
+        if slots.size and np.all(np.diff(slots) == 1):
+            view = self._buf[slots[0]:slots[-1] + 1]
+            view.flags.writeable = False
+            return view
+        return self._buf[slots]
+
+    def block(self, idx) -> np.ndarray:
+        """The principal |idx| x |idx| block on idx, in that order, C-contiguous."""
+        idx = _checked(idx, self.n2)
+        slots = self._slots(idx)  # before self._buf is read: a fill may grow it
+        return self._buf[slots[:, None], idx]
+
+    def _slots(self, idx: np.ndarray) -> np.ndarray:
+        """The buffer rows holding the source rows idx, computing those not yet read."""
+        slots = self._slot[idx]
+        if self._filled < self.n2 and slots.size and slots.min() < 0:
+            with self._lock:
+                self._fill(idx)
+            slots = self._slot[idx]
+        return slots
+
+    def _fill(self, idx: np.ndarray):
+        missing = np.array(list(dict.fromkeys(idx[self._slot[idx] < 0].tolist())), dtype=np.intp)
+        start, stop = self._filled, self._filled + missing.size
+        if start == stop:  # another thread filled them while this one waited for the lock
+            return
+        if stop > self._buf.shape[0]:
+            grown = np.empty((min(self.n2, max(2 * self._buf.shape[0], stop)), self.n2))
+            grown[:start] = self._buf[:start]
+            self._buf = grown
+        new = self._buf[start:stop]
+        cdist(self._X[missing], self._X, "sqeuclidean", out=new)
+        _gaussian_in_place(new, self._scale)
+        new[np.arange(missing.size), missing] = self._diag[0]
+        if not np.all(np.isfinite(new)):
+            raise NumericError("kernel matrix contains non-finite entries")
+        # The new rows at every filled row and at each other, against those columns.
+        self._held[start:stop] = missing
+        held = self._held[:stop]
+        if not np.array_equal(new[:, held], self._buf[:stop, missing].T):
+            raise InputError("kernel matrix must be exactly symmetric")
+        self._slot[missing] = np.arange(start, stop)
+        self._filled = stop
 
 
 @dataclass(frozen=True)
@@ -147,6 +252,9 @@ def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
     y = as_reals(y, "kernel arguments").ravel()
     if x.shape != y.shape:
         raise InputError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
+    # An infinite argument would make the gaussian kernel a finite 0 below.
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise NumericError("kernel arguments contain non-finite values")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
         if spec.family == GAUSSIAN:
             diff = x - y
@@ -162,15 +270,21 @@ def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
 _CHUNK_ROWS = 64
 
 
-def _gaussian_in_place(sq_dist: np.ndarray, bandwidth: float) -> np.ndarray:
-    """exp(-sq_dist / (2 bandwidth^2)), written over sq_dist."""
-    np.divide(sq_dist, -2.0 * np.float64(bandwidth) ** 2, out=sq_dist)
+def _gaussian_scale(bandwidth: float) -> np.float64:
+    """-2 bandwidth^2, the divisor of the gaussian exponent."""
+    return -2.0 * np.float64(bandwidth) ** 2
+
+
+def _gaussian_in_place(sq_dist: np.ndarray, scale: np.float64) -> np.ndarray:
+    """exp(sq_dist / scale), written over sq_dist; scale comes from _gaussian_scale."""
+    np.divide(sq_dist, scale, out=sq_dist)
     return np.exp(sq_dist, out=sq_dist)
 
 
 def _cross_kernel(left: np.ndarray, right: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if spec.family == GAUSSIAN:
-        return _gaussian_in_place(cdist(left, right, "sqeuclidean"), spec.bandwidth)
+        sq_dist = cdist(left, right, "sqeuclidean")
+        return _gaussian_in_place(sq_dist, _gaussian_scale(spec.bandwidth))
     return left @ right.T
 
 
@@ -183,11 +297,12 @@ def _gaussian_blocks(left: np.ndarray, right: np.ndarray, bandwidth: float):
     overwrite it, once it asks for the next.
     """
     right = np.ascontiguousarray(right)
+    scale = _gaussian_scale(bandwidth)
     buf = np.empty((min(left.shape[0], _CHUNK_ROWS), right.shape[0]))
     for start in range(0, left.shape[0], _CHUNK_ROWS):
         block = buf[: min(_CHUNK_ROWS, left.shape[0] - start)]
         cdist(left[start:start + _CHUNK_ROWS], right, "sqeuclidean", out=block)
-        yield _gaussian_in_place(block, bandwidth)
+        yield _gaussian_in_place(block, scale)
 
 
 def _add_rows(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
@@ -210,15 +325,21 @@ def _jittered(entries: np.ndarray, spec: KernelSpec) -> KernelMatrix:
     return KernelMatrix(entries=entries)
 
 
-def kernel_matrix(source: Dataset, spec: KernelSpec) -> KernelMatrix:
+def kernel_matrix(source: Dataset, spec: KernelSpec) -> KernelMatrix | GaussianGram:
     """Gram matrix over the source rows.
 
-    The block is exactly symmetric as computed: the pairwise distances do
-    the same arithmetic for (i, j) and (j, i), and numpy forms X @ X.T as
-    one triangle mirrored. KernelMatrix rejects any asymmetry and any
-    non-finite entry. Jitter is added to the diagonal only; for the
-    gaussian family the diagonal is exactly 1 + jitter.
+    The gaussian Gram is a GaussianGram, which computes a row when it is
+    first read. The linear Gram is built whole as a KernelMatrix, because
+    rows of X[idx] @ X.T can differ in the last bits from those of X @ X.T.
+
+    Either is exactly symmetric as computed: the pairwise distances do the
+    same arithmetic for (i, j) and (j, i), and numpy forms X @ X.T as one
+    triangle mirrored. Both reject any asymmetry and any non-finite entry.
+    Jitter is added to the diagonal only; for the gaussian family the
+    diagonal is exactly 1 + jitter.
     """
+    if spec.family == GAUSSIAN:
+        return GaussianGram(source, spec)
     return _jittered(_cross_kernel(source.values, source.values, spec), spec)
 
 
@@ -264,17 +385,21 @@ def _pair_mean_maps(a: Dataset, b: Dataset, spec: KernelSpec) -> tuple[MeanMap, 
 
     a and b must share their feature dimension. cdist(b, a) is exactly the
     transpose of cdist(a, b), so the row sums of the a x b blocks are the
-    column sums `mean_map(b, a)` would take. They are taken with cumsum,
-    which adds along a row in order as that column reduction does, where a
-    plain row sum would add pairwise.
+    column sums `mean_map(b, a)` would take. They are taken as the column
+    sums of the block's transpose, which add along a row in order as that
+    column reduction does, where a plain row sum would add pairwise. A
+    one-row block's transpose is one column, which numpy also sums
+    pairwise, so that block takes its sum with cumsum, which adds in order.
     """
     if not (_streams(a, spec) and _streams(b, spec)):
         return mean_map(a, b, spec), mean_map(b, a, spec)
     total, row_sums = None, []
     for block in _gaussian_blocks(a.values, b.values, spec.bandwidth):
-        # Taken before _add_rows overwrites block[0], and copied: a view of the
-        # last column would keep the chunk's whole cumsum alive.
-        row_sums.append(np.cumsum(block, axis=1)[:, -1].copy())
+        # Taken before _add_rows overwrites block[0].
+        if block.shape[0] > 1:
+            row_sums.append(np.add.reduce(np.ascontiguousarray(block.T), axis=0))
+        else:
+            row_sums.append(np.cumsum(block, axis=1)[:, -1].copy())
         total = _add_rows(total, block)
     return (MeanMap(entries=total / a.n, n1=a.n),
             MeanMap(entries=np.concatenate(row_sums) / b.n, n1=b.n))

@@ -19,7 +19,8 @@ import math
 import numpy as np
 
 from .errors import DegenerateDataError, GuardError, InputError, as_index, as_real
-from .kernel import Dataset, KernelMatrix, KernelSpec, MeanMap, kernel_matrix, mean_map
+from .kernel import (Dataset, GaussianGram, KernelMatrix, KernelSpec, MeanMap, kernel_matrix,
+                     mean_map)
 from .nnqp import (SolverConfig, SupportSet, WeightVector, as_solver, gradient, objective,
                    solve_restricted)
 from .selectors import SelectionConfig, proto_dash, proto_greedy
@@ -239,7 +240,8 @@ def finite_difference_check(K: KernelMatrix, mu: MeanMap, w: WeightVector,
 def random_gaussian_instance(rng: np.random.Generator,
                              max_n1: int = 15, max_n2: int = 10, max_m: int = 3,
                              sigma_range: tuple[float, float] = (0.5, 2.0),
-                             dims: tuple[int, ...] = (2, 3)) -> tuple[KernelMatrix, MeanMap, int, dict]:
+                             dims: tuple[int, ...] = (2, 3)
+                             ) -> tuple[GaussianGram, MeanMap, int, dict]:
     """Seeded random instance for verification sweeps.
 
     Draws sizes, a bandwidth, standard-normal data, and builds the Gram

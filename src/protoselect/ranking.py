@@ -49,6 +49,8 @@ class RankMatrix:
             raise InputError("objective and rank must be k x k")
         if rnk.dtype.kind not in "iu":
             raise InputError(f"rank must be integers, got {rnk.dtype} entries")
+        if np.any(np.diagonal(rnk)):
+            raise InputError("rank diagonal must be 0")
         for i in range(k):
             row = sorted(rnk[i, j] for j in range(k) if j != i)
             if row != list(range(1, k)):

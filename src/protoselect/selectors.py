@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError, SolverError, as_index, as_real, as_reals
+from .errors import InputError, SolverError, as_index, as_indices, as_real, as_reals
 from .kernel import KernelMatrix, MeanMap
 from .nnqp import (SolverConfig, SupportSet, WeightVector, _check_sizes, as_solver, gain_bounds,
                    gradient, objective, solve_restricted)
@@ -104,6 +104,7 @@ class CriticismResult:
     scores: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "indices", as_indices(self.indices, "criticism indices"))
         scores = as_reals(self.scores, "scores")
         if scores.shape != (len(self.indices),):
             raise InputError("scores must align with indices")

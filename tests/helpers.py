@@ -14,6 +14,11 @@ def gaussian_instance(rng, n1=8, n2=6, d=2, sigma=1.0, jitter=1e-10):
     return kernel_matrix(source, spec), mean_map(target, source, spec)
 
 
+def entries_of(K):
+    """Every entry of the Gram K, read through its readers as one n2 x n2 array."""
+    return K.block(np.arange(K.n2))
+
+
 def synthetic_instance(entries, mu_values, n1=1):
     """Instance with hand-picked Gram entries and mean map."""
     K = KernelMatrix(entries=np.asarray(entries, dtype=float))

@@ -18,7 +18,7 @@ from protoselect import (
 from protoselect import selectors
 from protoselect.nnqp import gain_bounds
 from protoselect.selectors import SelectionConfig, SelectionResult, proto_greedy, top_m_by_weight
-from helpers import gaussian_instance, synthetic_instance
+from helpers import entries_of, gaussian_instance, synthetic_instance
 
 
 def exhaustive_greedy(K, mu, cfg):
@@ -165,7 +165,7 @@ class TestGainBounds:
             bounds = gain_bounds(w, gradient(w, K, mu), K)
             for j in set(range(12)) - set(S.tolist()):
                 T = np.append(S, j)
-                unconstrained = np.linalg.solve(K.entries[np.ix_(T, T)], mu.entries[T])
+                unconstrained = np.linalg.solve(entries_of(K)[np.ix_(T, T)], mu.entries[T])
                 expected = 0.5 * mu.entries[T] @ unconstrained - f
                 assert bounds[j] == pytest.approx(expected, rel=1e-6, abs=1e-12)
                 solved = solve_restricted(K, mu, SupportSet(tuple(T)), warm_start=w)
@@ -175,7 +175,7 @@ class TestGainBounds:
         K, mu = gaussian_instance(rng, n1=5, n2=7)
         g = mu.entries.copy()
         bounds = gain_bounds(WeightVector.zeros(7), g, K)
-        np.testing.assert_allclose(bounds, g ** 2 / (2.0 * np.diagonal(K.entries)))
+        np.testing.assert_allclose(bounds, g ** 2 / (2.0 * np.diagonal(entries_of(K))))
 
     def test_untrusted_bounds_are_infinite(self):
         # rows 0 and 1 are duplicates under a 1e-10 jitter: the Schur complement

@@ -35,14 +35,14 @@ from protoselect.selectors import (
     random_w,
     top_m_by_weight,
 )
-from helpers import gaussian_instance
+from helpers import entries_of, gaussian_instance
 
 
 class ReadersOnly:
     """A dense Gram behind the reader interface and nothing else."""
 
     def __init__(self, K: KernelMatrix):
-        self._dense = K.entries.copy()
+        self._dense = entries_of(K)
         self.n2 = K.n2
 
     def _checked(self, idx):
@@ -134,9 +134,9 @@ def test_rows_are_the_columns():
     K, _ = _instances()[4]
     S = [5, 0, 2, 5]
     assert K.rows(S).flags.c_contiguous and K.block(S).flags.c_contiguous
-    np.testing.assert_array_equal(K.rows(S), K.entries[:, S].T)
-    np.testing.assert_array_equal(K.block(S), K.entries[np.ix_(S, S)])
-    np.testing.assert_array_equal(K.diag(), np.diagonal(K.entries))
+    np.testing.assert_array_equal(K.rows(S), entries_of(K)[:, S].T)
+    np.testing.assert_array_equal(K.block(S), entries_of(K)[np.ix_(S, S)])
+    np.testing.assert_array_equal(K.diag(), np.diagonal(entries_of(K)))
     assert K.rows([]).shape == (0, K.n2) and K.block([]).shape == (0, 0)
 
 

@@ -14,19 +14,19 @@ from protoselect import (
     objective,
     solve_restricted,
 )
-from helpers import gaussian_instance, identity_instance, synthetic_instance
+from helpers import entries_of, gaussian_instance, identity_instance, synthetic_instance
 
 
 def dense_objective(K, mu, w):
     w = np.asarray(w, dtype=float)
-    return float(w @ mu.entries - 0.5 * w @ (K.entries @ w))
+    return float(w @ mu.entries - 0.5 * w @ (entries_of(K) @ w))
 
 
 def grid_search_2d(K, mu, lo=0.0, hi=2.0, resolution=1e-3):
     """Dense grid maximum of the objective over [lo, hi]^2."""
     axis = np.arange(lo, hi + resolution / 2, resolution)
     W1, W2 = np.meshgrid(axis, axis, indexing="ij")
-    k11, k12, k22 = K.entries[0, 0], K.entries[0, 1], K.entries[1, 1]
+    k11, k12, k22 = entries_of(K)[0, 0], entries_of(K)[0, 1], entries_of(K)[1, 1]
     vals = (
         W1 * mu.entries[0]
         + W2 * mu.entries[1]
@@ -54,7 +54,7 @@ class TestObjective:
         for i in range(4):
             manual += dense[i] * mu.entries[i]
             for j in range(4):
-                manual -= 0.5 * dense[i] * K.entries[i, j] * dense[j]
+                manual -= 0.5 * dense[i] * entries_of(K)[i, j] * dense[j]
         assert objective(w, K, mu) == pytest.approx(manual, rel=1e-12)
 
 
@@ -176,7 +176,7 @@ class TestSolveRestricted:
             k = 3
             mins, maxes = [], []
             for combo in itertools.combinations(range(6), k):
-                eig = np.linalg.eigvalsh(K.entries[np.ix_(combo, combo)])
+                eig = np.linalg.eigvalsh(entries_of(K)[np.ix_(combo, combo)])
                 mins.append(eig[0])
                 maxes.append(eig[-1])
             c, C = min(mins), max(maxes)
@@ -190,7 +190,7 @@ class TestSolveRestricted:
                 gap = (
                     dense_objective(K, mu, y)
                     - dense_objective(K, mu, x)
-                    - float((mu.entries - K.entries @ x) @ diff)
+                    - float((mu.entries - entries_of(K) @ x) @ diff)
                 )
                 nrm = float(diff @ diff)
                 assert -C * nrm / 2 - 1e-9 <= gap <= -c * nrm / 2 + 1e-9

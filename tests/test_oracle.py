@@ -32,7 +32,7 @@ from protoselect.selectors import (
     proto_greedy,
     random_w,
 )
-from helpers import gaussian_instance, identity_instance, synthetic_instance
+from helpers import entries_of, gaussian_instance, identity_instance, synthetic_instance
 
 
 class TestExhaustiveOptimal:
@@ -154,7 +154,7 @@ class TestRscRsmBounds:
         c, C = rsc_rsm_bounds(K, 3)
         mins, maxes = [], []
         for combo in itertools.combinations(range(6), 3):
-            eig = np.linalg.eigvalsh(K.entries[np.ix_(combo, combo)])
+            eig = np.linalg.eigvalsh(entries_of(K)[np.ix_(combo, combo)])
             mins.append(eig[0])
             maxes.append(eig[-1])
         assert c == pytest.approx(min(mins), rel=1e-12)
@@ -163,7 +163,7 @@ class TestRscRsmBounds:
     def test_full_spectrum_path(self, rng):
         K, _ = gaussian_instance(rng, n1=4, n2=5, sigma=1.0)
         c, C = rsc_rsm_bounds(K, 5)
-        eig = np.linalg.eigvalsh(K.entries)
+        eig = np.linalg.eigvalsh(entries_of(K))
         assert c == pytest.approx(float(eig[0]))
         assert C == pytest.approx(float(eig[-1]))
 

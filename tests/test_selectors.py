@@ -21,14 +21,14 @@ from protoselect.selectors import (
     random_w,
     top_m_by_weight,
 )
-from helpers import gaussian_instance, identity_instance, synthetic_instance
+from helpers import entries_of, gaussian_instance, identity_instance, synthetic_instance
 
 
 def brute_force_singleton(K, mu):
     """Independent oracle: best single-index support and its objective."""
     best_j, best_f = None, 0.0
     for j in range(K.n2):
-        f = max(mu.entries[j], 0.0) ** 2 / (2.0 * K.entries[j, j])
+        f = max(mu.entries[j], 0.0) ** 2 / (2.0 * entries_of(K)[j, j])
         if f > best_f:
             best_j, best_f = j, f
     return best_j, best_f
@@ -39,7 +39,7 @@ def uniform_value(K, mu, subset):
     t = len(subset)
     w = np.zeros(K.n2)
     w[list(subset)] = 1.0 / t
-    return float(w @ mu.entries - 0.5 * w @ (K.entries @ w))
+    return float(w @ mu.entries - 0.5 * w @ (entries_of(K) @ w))
 
 
 def brute_force_l2c(K, mu, m):
@@ -126,7 +126,7 @@ class TestProtoDash:
             for step, j0 in enumerate(res.indices):
                 g = gradient(w, K, mu)
                 scores = {
-                    j: g[j] ** 2 / (2.0 * K.entries[j, j])
+                    j: g[j] ** 2 / (2.0 * entries_of(K)[j, j])
                     for j in range(8)
                     if j not in partial and g[j] >= 0.0
                 }
@@ -349,7 +349,7 @@ class TestCriticisms:
         crit = criticisms(res, K, mu, 4)
         dense = res.weights.dense()
         manual = {
-            j: abs(mu.entries[j] - float(K.entries[j] @ dense))
+            j: abs(mu.entries[j] - float(entries_of(K)[j] @ dense))
             for j in range(9)
             if j not in res.indices
         }

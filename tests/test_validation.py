@@ -42,6 +42,13 @@ def _result_on_four_rows():
     return proto_dash(K, mu, SelectionConfig(m=3))
 
 
+def _asymmetric(n, i, j):
+    """An n x n identity whose entry (i, j) alone differs from (j, i)."""
+    entries = np.eye(n)
+    entries[i, j] = 0.5
+    return entries
+
+
 def _rank_matrix():
     rank = np.array([[0, 1, 2], [1, 0, 2], [1, 2, 0]])
     return RankMatrix(names=("a", "b", "c"), objective=np.zeros((3, 3)), rank=rank)
@@ -302,6 +309,8 @@ def _one_prototype():
         (lambda K, mu: KernelSpec("cosine"), InputError, "unknown kernel family"),
         (lambda K, mu: KernelSpec("linear", bandwidth=1.0), InputError, "only applies"),
         (lambda K, mu: KernelMatrix(np.ones((2, 3))), InputError, "square"),
+        (lambda K, mu: KernelMatrix(_asymmetric(2, 0, 1)), InputError, "exactly symmetric"),
+        (lambda K, mu: KernelMatrix(_asymmetric(600, 299, 3)), InputError, "exactly symmetric"),
         (lambda K, mu: MeanMap(np.ones((2, 2)), n1=1), InputError, "1-D"),
         (lambda K, mu: MeanMap(np.ones(2), n1=0), InputError, "n1 must be at least 1"),
         (lambda K, mu: kernel_eval([np.inf], [1.0], KernelSpec("linear")), NumericError,
@@ -309,6 +318,7 @@ def _one_prototype():
         (lambda K, mu: kernel_eval([1e200], [1e200], KernelSpec("linear")), NumericError,
          "non-finite"),
         (lambda K, mu: kernel_eval([np.inf], [np.inf], _SPEC), NumericError, "non-finite"),
+        (lambda K, mu: kernel_eval([np.inf], [1.0], _SPEC), NumericError, "non-finite"),
         (lambda K, mu: SupportSet((0, -1)), InputError, "non-negative"),
         (lambda K, mu: WeightVector(SupportSet((0,)), np.ones(2), 3), InputError, "aligned"),
         (lambda K, mu: WeightVector(SupportSet((0,)), [np.nan], 3), InputError, "non-finite"),
@@ -338,6 +348,8 @@ def _one_prototype():
          InputError, "rank must be integers"),
         (lambda K, mu: RankMatrix(("a", "b"), np.zeros((2, 2)), [[0, 1], [1]]), InputError,
          "k x k"),
+        (lambda K, mu: RankMatrix(("a", "b"), np.zeros((2, 2)), [[5, 1], [1, 7]]), InputError,
+         "diagonal must be 0"),
         (lambda K, mu: AverageRanks(("a", "b"), [1.0]), InputError, "align"),
         (lambda K, mu: rank_sources(_datasets(), m=2, spec=_SPEC, names=["a", "a", "b"]),
          InputError, "unique"),
@@ -356,6 +368,7 @@ def _one_prototype():
          "must be a WeightVector"),
         (lambda K, mu: CriticismResult((0, 1), [1.0]), InputError, "align"),
         (lambda K, mu: CriticismResult((0, 1), [1.0, 2.0]), InputError, "non-increasing"),
+        (lambda K, mu: CriticismResult((0.5,), [1.0]), InputError, "criticism indices must be int"),
         (lambda K, mu: proto_dash(K, MeanMap(np.ones(5), n1=1), SelectionConfig(m=2)),
          InputError, "sizes disagree"),
         (lambda K, mu: l2c_equal(K, mu, SelectionConfig(m=2, oversample_factor=2)), InputError,
@@ -373,18 +386,20 @@ def _one_prototype():
          "solver must be a Solver"),
     ],
     ids=["dataset_1d", "dataset_empty", "kernel_family", "linear_bandwidth", "kernel_not_square",
-         "mean_map_2d", "mean_map_n1_zero", "kernel_eval_non_finite", "kernel_eval_overflow",
-         "kernel_eval_infinite_difference", "support_negative", "weights_misaligned",
-         "weights_non_finite", "weights_index_beyond_dimension", "kkt_tolerance_zero",
-         "max_iterations_zero", "warm_start_outside_L", "exhaustive_m_zero",
+         "kernel_asymmetric", "kernel_asymmetric_off_diagonal_tile", "mean_map_2d",
+         "mean_map_n1_zero", "kernel_eval_non_finite", "kernel_eval_overflow",
+         "kernel_eval_infinite_difference", "kernel_eval_infinite_argument", "support_negative",
+         "weights_misaligned", "weights_non_finite", "weights_index_beyond_dimension",
+         "kkt_tolerance_zero", "max_iterations_zero", "warm_start_outside_L", "exhaustive_m_zero",
          "exhaustive_m_beyond_n2", "rsc_k_zero", "rsc_k_beyond_n2", "submodularity_r_zero",
          "gamma_no_prefix_gains", "rank_matrix_shape", "rank_real", "rank_integral_real",
-         "rank_strings", "rank_bools", "rank_ragged", "average_ranks_alignment",
+         "rank_strings", "rank_bools", "rank_ragged", "rank_diagonal", "average_ranks_alignment",
          "rank_duplicate_names", "m_negative", "epsilon_zero", "oversample_zero",
          "selection_result_trace", "selection_result_indices", "selection_result_order",
          "selection_result_weights_type", "criticism_alignment", "criticism_order",
-         "selector_mu_size", "l2c_oversampling", "random_w_epsilon_mode", "selection_solver",
-         "solve_restricted_cfg", "top_m_solver", "verify_solver", "rank_solver"],
+         "criticism_index_non_integer", "selector_mu_size", "l2c_oversampling",
+         "random_w_epsilon_mode", "selection_solver", "solve_restricted_cfg", "top_m_solver",
+         "verify_solver", "rank_solver"],
 )
 def test_each_check_raises_its_error(rng, call, error, match):
     K, mu = gaussian_instance(rng, n1=5, n2=6)
