@@ -343,16 +343,6 @@ def kernel_matrix(source: Dataset, spec: KernelSpec) -> KernelMatrix | GaussianG
     return _jittered(_cross_kernel(source.values, source.values, spec), spec)
 
 
-def _gram_and_self_mean_map(source: Dataset, spec: KernelSpec) -> tuple[KernelMatrix, MeanMap]:
-    """`kernel_matrix(source)` and `mean_map(source, source)` from one kernel pass.
-
-    The mean map is the column mean of the Gram before the jitter goes on.
-    """
-    entries = _cross_kernel(source.values, source.values, spec)
-    mu = MeanMap(entries=entries.mean(axis=0), n1=source.n)
-    return _jittered(entries, spec), mu
-
-
 def _streams(source: Dataset, spec: KernelSpec) -> bool:
     # Chunked sums are bit-equal to one block's only where the block's column
     # reduction runs row by row: a one-column block is reduced pairwise. Linear

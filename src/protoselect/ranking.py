@@ -14,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, as_index, as_reals
-from .kernel import Dataset, KernelSpec, _gram_and_self_mean_map, _pair_mean_maps
-# Not called here; bound because perfbench's tracer test wraps and restores
-# ranking.kernel_matrix and ranking.mean_map (perfbench/tests/test_perfbench.py).
-from .kernel import kernel_matrix, mean_map  # noqa: F401
+from .kernel import Dataset, KernelSpec, _pair_mean_maps, kernel_matrix, mean_map
 from .nnqp import SolverConfig, as_solver, objective, solve_restricted
 from .selectors import SelectionConfig, proto_dash
 
@@ -100,11 +97,16 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
     target, `reweight=False` keeps the self-fit weights frozen instead.
     Ranks within each target row break ties by dataset order.
 
-    The kernel is computed once per dataset, for its Gram matrix and its
-    own mean map, and once per unordered pair {i, j}, for the mean maps of
-    i at j's rows and of j at i's rows. With `threads` > 1, datasets and
-    then pairs are spread over a thread pool.
+    Each dataset's Gram comes from `kernel_matrix`, so a gaussian Gram
+    computes only the rows the selection reads; its own mean map comes from
+    `mean_map`, one streamed pass for the gaussian family. Each unordered
+    pair {i, j} takes one more pass, for the mean maps of i at j's rows and
+    of j at i's rows. With `threads` > 1, datasets and then pairs are spread
+    over a thread pool.
     """
+    if not isinstance(datasets, (list, tuple)) or not all(isinstance(ds, Dataset)
+                                                          for ds in datasets):
+        raise InputError("datasets must be a list or tuple of Dataset")
     k = len(datasets)
     if k < 2:
         raise InputError("ranking needs at least two datasets")
@@ -114,13 +116,15 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
         raise InputError("datasets must share a feature dimension")
     if names is None:
         names = [f"dataset_{i}" for i in range(k)]
-    if len(names) != k or not all(isinstance(n, str) for n in names) or len(set(names)) != k:
-        raise InputError("names must be unique strings and align with datasets")
+    if (not isinstance(names, (list, tuple)) or len(names) != k
+            or not all(isinstance(n, str) for n in names) or len(set(names)) != k):
+        raise InputError("names must be a list or tuple of unique strings aligned with datasets")
     solver = as_solver(solver)
 
     def self_select(j: int):
-        K, mu_self = _gram_and_self_mean_map(datasets[j], spec)
-        res = proto_dash(K, mu_self, SelectionConfig(m=min(m, datasets[j].n), solver=solver))
+        ds = datasets[j]
+        K = kernel_matrix(ds, spec)
+        res = proto_dash(K, mean_map(ds, ds, spec), SelectionConfig(m=min(m, ds.n), solver=solver))
         return K, res
 
     def score(i: int, j: int, mu_i) -> float:

@@ -353,6 +353,14 @@ def _one_prototype():
         (lambda K, mu: AverageRanks(("a", "b"), [1.0]), InputError, "align"),
         (lambda K, mu: rank_sources(_datasets(), m=2, spec=_SPEC, names=["a", "a", "b"]),
          InputError, "unique"),
+        (lambda K, mu: rank_sources(_datasets(), m=2, spec=_SPEC, names=5), InputError,
+         "names must be a list or tuple"),
+        (lambda K, mu: rank_sources(_datasets(), m=2, spec=_SPEC, names=(n for n in "abc")),
+         InputError, "names must be a list or tuple"),
+        (lambda K, mu: rank_sources([ds.values for ds in _datasets()], m=2, spec=_SPEC),
+         InputError, "datasets must be a list or tuple of Dataset"),
+        (lambda K, mu: rank_sources(iter(_datasets()), m=2, spec=_SPEC), InputError,
+         "datasets must be a list or tuple of Dataset"),
         (lambda K, mu: SelectionConfig(m=-1), InputError, "m must be at least 0"),
         (lambda K, mu: SelectionConfig(epsilon=0.0), InputError, "epsilon must be positive"),
         (lambda K, mu: SelectionConfig(m=2, oversample_factor=0), InputError,
@@ -394,7 +402,8 @@ def _one_prototype():
          "exhaustive_m_beyond_n2", "rsc_k_zero", "rsc_k_beyond_n2", "submodularity_r_zero",
          "gamma_no_prefix_gains", "rank_matrix_shape", "rank_real", "rank_integral_real",
          "rank_strings", "rank_bools", "rank_ragged", "rank_diagonal", "average_ranks_alignment",
-         "rank_duplicate_names", "m_negative", "epsilon_zero", "oversample_zero",
+         "rank_duplicate_names", "rank_names_int", "rank_names_generator", "rank_raw_arrays",
+         "rank_datasets_iterator", "m_negative", "epsilon_zero", "oversample_zero",
          "selection_result_trace", "selection_result_indices", "selection_result_order",
          "selection_result_weights_type", "criticism_alignment", "criticism_order",
          "criticism_index_non_integer", "selector_mu_size", "l2c_oversampling",
