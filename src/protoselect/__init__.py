@@ -27,10 +27,14 @@ from .nnqp import (
     objective,
     solve_restricted,
 )
+from .ranking import rank_sources
+from .selectors import (CriticismResult, SelectionConfig, SelectionResult, criticisms, l2c_equal,
+                        proto_dash, proto_greedy, random_w, top_m_by_weight)
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "CriticismResult",
     "Dataset",
     "DegenerateDataError",
     "GuardError",
@@ -40,17 +44,26 @@ __all__ = [
     "MeanMap",
     "NumericError",
     "ProtoSelectError",
+    "SelectionConfig",
+    "SelectionResult",
     "SolverConfig",
     "SolverError",
     "SupportSet",
     "WeightVector",
+    "criticisms",
     "gradient",
     "kernel_eval",
     "kernel_matrix",
     "kkt_residual",
+    "l2c_equal",
     "mean_map",
     "median_bandwidth",
     "objective",
+    "proto_dash",
+    "proto_greedy",
+    "random_w",
+    "rank_sources",
     "solve_restricted",
+    "top_m_by_weight",
     "__version__",
 ]

@@ -3,7 +3,9 @@
 The selection objective works entirely on two precomputed quantities: the
 Gram matrix K over the source rows and the vector of average kernel
 evaluations between every target row and each source row (the empirical
-mean map). Both are built here.
+mean map). Both are built here, and `_cross_kernel` computes every kernel
+value in them: it warns of no float error, and a result that is not finite
+is refused with NumericError.
 """
 
 from __future__ import annotations
@@ -98,11 +100,9 @@ def _checked(idx, n2: int) -> np.ndarray:
 class KernelMatrix:
     """Symmetric Gram matrix over the source rows, jitter already applied.
 
-    Only this module reads `entries`: the package reads the Gram through
-    `n2`, `diag()`, `rows(idx)` and `block(idx)`, which is all that
-    `GaussianGram`, the Gram `kernel_matrix` builds for the gaussian family,
-    has. Entries are C-contiguous and exactly symmetric, so a row read is a
-    contiguous copy equal to those columns.
+    Only this module reads `entries`; the package reads every `Gram` through
+    its readers alone. Entries are C-contiguous and exactly symmetric, so a
+    row read is a contiguous copy equal to those columns.
     """
 
     entries: np.ndarray
@@ -139,9 +139,9 @@ class GaussianGram:
     """Gaussian Gram over the source rows, each row computed when first read.
 
     It has the readers of KernelMatrix and gives the same bits: row i is
-    cdist(X[[i]], X), entry for entry that row of cdist(X, X), with 1 + jitter
-    on the diagonal. Rows go into a buffer that grows as they are read, so m
-    prototypes cost m rows of time and memory, not n2.
+    _cross_kernel(X[[i]], X), entry for entry that row of the whole block,
+    with 1 + jitter on the diagonal. Rows go into a buffer that grows as they
+    are read, so m prototypes cost m rows of time and memory, not n2.
 
     A row is checked when it is computed: it must be finite and agree with
     every row computed before it at their shared entries, so each pair of
@@ -155,8 +155,7 @@ class GaussianGram:
         # A copy, so later writes to the caller's array change no row.
         self._X = np.array(source.values, order="C")
         n2 = self._X.shape[0]
-        # Taken now, so an overflowing bandwidth warns here as the dense Gram does.
-        self._scale = _gaussian_scale(spec.bandwidth)
+        self._spec = spec
         self._diag = np.full(n2, 1.0 + spec.jitter)
         self._diag.flags.writeable = False
         self._slot = np.full(n2, -1, dtype=np.intp)  # buffer row of each source row, -1 if unread
@@ -211,8 +210,7 @@ class GaussianGram:
             grown[:start] = self._buf[:start]
             self._buf = grown
         new = self._buf[start:stop]
-        cdist(self._X[missing], self._X, "sqeuclidean", out=new)
-        _gaussian_in_place(new, self._scale)
+        _cross_kernel(self._X[missing], self._X, self._spec, out=new)
         new[np.arange(missing.size), missing] = self._diag[0]
         if not np.all(np.isfinite(new)):
             raise NumericError("kernel matrix contains non-finite entries")
@@ -223,6 +221,10 @@ class GaussianGram:
             raise InputError("kernel matrix must be exactly symmetric")
         self._slot[missing] = np.arange(start, stop)
         self._filled = stop
+
+
+# A Gram of either family, read only through n2, diag(), rows(idx) and block(idx).
+Gram = KernelMatrix | GaussianGram
 
 
 @dataclass(frozen=True)
@@ -247,22 +249,19 @@ class MeanMap:
 
 
 def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
-    """Evaluate the kernel on a single pair of feature vectors."""
-    x = as_reals(x, "kernel arguments").ravel()
-    y = as_reals(y, "kernel arguments").ravel()
-    if x.shape != y.shape:
-        raise InputError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-    # An infinite argument would make the gaussian kernel a finite 0 below.
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise NumericError("kernel arguments contain non-finite values")
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
-        if spec.family == GAUSSIAN:
-            diff = x - y
-            value = float(np.exp(-(diff @ diff) / (2.0 * np.float64(spec.bandwidth) ** 2)))
-        else:
-            value = float(x @ y)
-    if not np.isfinite(value):
-        raise NumericError("kernel evaluation produced a non-finite value")
+    """The kernel between two 1-D feature vectors: `_cross_kernel` on one row each.
+
+    A gaussian value equals the Gram's entry bit for bit; a linear one can
+    differ from it in the last bits, because BLAS tiles X @ X.T by its shape.
+    """
+    x, y = as_reals(x, "kernel arguments"), as_reals(y, "kernel arguments")
+    if x.ndim != 1 or x.size == 0 or x.shape != y.shape:
+        raise InputError(f"kernel arguments must be 1-D vectors of one length with at least "
+                         f"one entry, got shapes {x.shape} and {y.shape}")
+    value = float(_cross_kernel(x[None], y[None], spec)[0, 0])
+    # An infinite argument can give a finite gaussian 0, so the arguments are checked too.
+    if not (np.isfinite(value) and np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise NumericError("kernel evaluation met a non-finite argument or value")
     return value
 
 
@@ -270,39 +269,34 @@ def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
 _CHUNK_ROWS = 64
 
 
-def _gaussian_scale(bandwidth: float) -> np.float64:
-    """-2 bandwidth^2, the divisor of the gaussian exponent."""
-    return -2.0 * np.float64(bandwidth) ** 2
+def _cross_kernel(left: np.ndarray, right: np.ndarray, spec: KernelSpec,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The kernel between the rows of `left` and of `right`; a gaussian one fills `out`.
+
+    Float errors are not warned: an overflow, or a bandwidth whose square
+    overflows or underflows, gives inf, 0 or NaN, which every caller refuses.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if spec.family == GAUSSIAN:
+            out = cdist(left, right, "sqeuclidean", out=out)
+            np.divide(out, -2.0 * np.float64(spec.bandwidth) ** 2, out=out)
+            return np.exp(out, out=out)
+        return left @ right.T
 
 
-def _gaussian_in_place(sq_dist: np.ndarray, scale: np.float64) -> np.ndarray:
-    """exp(sq_dist / scale), written over sq_dist; scale comes from _gaussian_scale."""
-    np.divide(sq_dist, scale, out=sq_dist)
-    return np.exp(sq_dist, out=sq_dist)
-
-
-def _cross_kernel(left: np.ndarray, right: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    if spec.family == GAUSSIAN:
-        sq_dist = cdist(left, right, "sqeuclidean")
-        return _gaussian_in_place(sq_dist, _gaussian_scale(spec.bandwidth))
-    return left @ right.T
-
-
-def _gaussian_blocks(left: np.ndarray, right: np.ndarray, bandwidth: float):
+def _gaussian_blocks(left: np.ndarray, right: np.ndarray, spec: KernelSpec):
     """Yield the gaussian kernel between `left` and `right`, _CHUNK_ROWS rows at a time.
 
     Each block is C-contiguous and entry for entry bit-equal to the same
-    rows of `_cross_kernel`: cdist computes every pair on its own. The blocks
-    share one buffer, so a consumer is done with a block, and free to
-    overwrite it, once it asks for the next.
+    rows of `_cross_kernel(left, right)`: cdist computes every pair on its
+    own. The blocks share one buffer, so a consumer is done with a block,
+    and free to overwrite it, once it asks for the next.
     """
     right = np.ascontiguousarray(right)
-    scale = _gaussian_scale(bandwidth)
     buf = np.empty((min(left.shape[0], _CHUNK_ROWS), right.shape[0]))
     for start in range(0, left.shape[0], _CHUNK_ROWS):
         block = buf[: min(_CHUNK_ROWS, left.shape[0] - start)]
-        cdist(left[start:start + _CHUNK_ROWS], right, "sqeuclidean", out=block)
-        yield _gaussian_in_place(block, scale)
+        yield _cross_kernel(left[start:start + _CHUNK_ROWS], right, spec, out=block)
 
 
 def _add_rows(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
@@ -317,15 +311,7 @@ def _add_rows(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
     return np.add.reduce(block, axis=0)
 
 
-def _jittered(entries: np.ndarray, spec: KernelSpec) -> KernelMatrix:
-    if spec.family == GAUSSIAN:
-        np.fill_diagonal(entries, 1.0 + spec.jitter)
-    else:
-        np.fill_diagonal(entries, np.diagonal(entries) + spec.jitter)
-    return KernelMatrix(entries=entries)
-
-
-def kernel_matrix(source: Dataset, spec: KernelSpec) -> KernelMatrix | GaussianGram:
+def kernel_matrix(source: Dataset, spec: KernelSpec) -> Gram:
     """Gram matrix over the source rows.
 
     The gaussian Gram is a GaussianGram, which computes a row when it is
@@ -340,7 +326,9 @@ def kernel_matrix(source: Dataset, spec: KernelSpec) -> KernelMatrix | GaussianG
     """
     if spec.family == GAUSSIAN:
         return GaussianGram(source, spec)
-    return _jittered(_cross_kernel(source.values, source.values, spec), spec)
+    entries = _cross_kernel(source.values, source.values, spec)
+    np.fill_diagonal(entries, np.diagonal(entries) + spec.jitter)
+    return KernelMatrix(entries=entries)
 
 
 def _streams(source: Dataset, spec: KernelSpec) -> bool:
@@ -362,10 +350,11 @@ def mean_map(target: Dataset, source: Dataset, spec: KernelSpec) -> MeanMap:
     if target.d != source.d:
         raise InputError(f"feature dimension mismatch: target {target.d}, source {source.d}")
     if not _streams(source, spec):
-        return MeanMap(entries=_cross_kernel(target.values, source.values, spec).mean(axis=0),
-                       n1=target.n)
+        with np.errstate(over="ignore", invalid="ignore"):  # a linear sum can overflow
+            entries = _cross_kernel(target.values, source.values, spec).mean(axis=0)
+        return MeanMap(entries=entries, n1=target.n)
     total = None
-    for block in _gaussian_blocks(target.values, source.values, spec.bandwidth):
+    for block in _gaussian_blocks(target.values, source.values, spec):
         total = _add_rows(total, block)
     return MeanMap(entries=total / target.n, n1=target.n)
 
@@ -384,7 +373,7 @@ def _pair_mean_maps(a: Dataset, b: Dataset, spec: KernelSpec) -> tuple[MeanMap, 
     if not (_streams(a, spec) and _streams(b, spec)):
         return mean_map(a, b, spec), mean_map(b, a, spec)
     total, row_sums = None, []
-    for block in _gaussian_blocks(a.values, b.values, spec.bandwidth):
+    for block in _gaussian_blocks(a.values, b.values, spec):
         # Taken before _add_rows overwrites block[0].
         if block.shape[0] > 1:
             row_sums.append(np.add.reduce(np.ascontiguousarray(block.T), axis=0))

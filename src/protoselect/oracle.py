@@ -19,10 +19,8 @@ import math
 import numpy as np
 
 from .errors import DegenerateDataError, GuardError, InputError, as_index, as_real
-from .kernel import (Dataset, GaussianGram, KernelMatrix, KernelSpec, MeanMap, kernel_matrix,
-                     mean_map)
-from .nnqp import (SolverConfig, SupportSet, WeightVector, as_solver, gradient, objective,
-                   solve_restricted)
+from .kernel import Dataset, GaussianGram, Gram, KernelSpec, MeanMap, kernel_matrix, mean_map
+from .nnqp import SolverConfig, SupportSet, as_solver, objective, solve_restricted
 from .selectors import SelectionConfig, proto_dash, proto_greedy
 
 ENUMERATION_CAP = 1_000_000
@@ -41,7 +39,7 @@ def _guard_subsets(n2: int, count: int):
 class _SetFunction:
     """Memoized evaluation of the restricted-optimum set function."""
 
-    def __init__(self, K: KernelMatrix, mu: MeanMap, solver: SolverConfig | None):
+    def __init__(self, K: Gram, mu: MeanMap, solver: SolverConfig | None):
         self.K = K
         self.mu = mu
         self.solver = as_solver(solver)
@@ -57,7 +55,7 @@ class _SetFunction:
         return got
 
 
-def exhaustive_optimal(K: KernelMatrix, mu: MeanMap, m: int,
+def exhaustive_optimal(K: Gram, mu: MeanMap, m: int,
                        solver: SolverConfig | None = None,
                        _fn: _SetFunction | None = None) -> tuple[SupportSet, float]:
     """Best support of size at most m by full enumeration.
@@ -80,7 +78,7 @@ def exhaustive_optimal(K: KernelMatrix, mu: MeanMap, m: int,
     return SupportSet(best_set), best_val
 
 
-def submodularity_ratio(K: KernelMatrix, mu: MeanMap, L: SupportSet, r: int,
+def submodularity_ratio(K: Gram, mu: MeanMap, L: SupportSet, r: int,
                         solver: SolverConfig | None = None,
                         _fn: _SetFunction | None = None) -> float:
     """Minimum over disjoint candidate sets S, |S| <= r, of the ratio of
@@ -111,7 +109,7 @@ def submodularity_ratio(K: KernelMatrix, mu: MeanMap, L: SupportSet, r: int,
     return float(best)
 
 
-def gamma_over_prefixes(K: KernelMatrix, mu: MeanMap, selection: SupportSet, r: int,
+def gamma_over_prefixes(K: Gram, mu: MeanMap, selection: SupportSet, r: int,
                         solver: SolverConfig | None = None,
                         _fn: _SetFunction | None = None) -> float:
     """Submodularity ratio minimized over all prefixes of a selection order.
@@ -137,7 +135,7 @@ def gamma_over_prefixes(K: KernelMatrix, mu: MeanMap, selection: SupportSet, r: 
     return float(best)
 
 
-def rsc_rsm_bounds(K: KernelMatrix, k: int) -> tuple[float, float]:
+def rsc_rsm_bounds(K: Gram, k: int) -> tuple[float, float]:
     """Extreme eigenvalues over all size-k principal submatrices.
 
     Returns (c, C) where c is the smallest eigenvalue over the minors and C
@@ -162,7 +160,7 @@ def rsc_rsm_bounds(K: KernelMatrix, k: int) -> tuple[float, float]:
     return c, C
 
 
-def verify_instance(K: KernelMatrix, mu: MeanMap, m: int,
+def verify_instance(K: Gram, mu: MeanMap, m: int,
                     solver: SolverConfig | None = None) -> dict:
     """Check both selectors' guarantees on one enumerable instance.
 
@@ -207,36 +205,6 @@ def verify_instance(K: KernelMatrix, mu: MeanMap, m: int,
     }
 
 
-def finite_difference_check(K: KernelMatrix, mu: MeanMap, w: WeightVector,
-                            step: float) -> float:
-    """Largest disagreement between the gradient and central differences.
-
-    Checks the support coordinates, or every coordinate when the support
-    is empty. Coordinates whose gradient is within 1e-6 of zero report the
-    absolute error; the rest report relative error.
-    """
-    step = as_real(step, "step")
-    coords = list(w.support) if len(w.support) else list(range(K.n2))
-    dense = w.dense()
-    full, mu_entries = K.block(range(K.n2)), mu.entries
-
-    def value(v: np.ndarray) -> float:
-        return float(v @ mu_entries - 0.5 * v @ (full @ v))
-
-    g = gradient(w, K, mu)
-    worst = 0.0
-    for j in coords:
-        hi, lo = dense.copy(), dense.copy()
-        hi[j] += step
-        lo[j] -= step
-        fd = (value(hi) - value(lo)) / (2.0 * step)
-        err = abs(fd - g[j])
-        if abs(g[j]) >= 1e-6:
-            err /= abs(g[j])
-        worst = max(worst, err)
-    return worst
-
-
 def random_gaussian_instance(rng: np.random.Generator,
                              max_n1: int = 15, max_n2: int = 10, max_m: int = 3,
                              sigma_range: tuple[float, float] = (0.5, 2.0),
@@ -270,13 +238,3 @@ def random_gaussian_instance(rng: np.random.Generator,
     mu = mean_map(target, source, spec)
     return K, mu, m, {"n1": n1, "n2": n2, "d": d, "m": m, "sigma": sigma}
 
-
-def identity_kernel_instance(rng: np.random.Generator, max_n2: int = 10,
-                             max_m: int = 3) -> tuple[KernelMatrix, MeanMap, int, dict]:
-    """Modular test instance: identity Gram matrix, positive mean map."""
-    max_n2, max_m = as_index(max_n2, "max_n2", least=2), as_index(max_m, "max_m", least=1)
-    n2 = int(rng.integers(2, max_n2 + 1))
-    m = int(rng.integers(1, min(max_m, n2) + 1))
-    K = KernelMatrix(entries=np.eye(n2))
-    mu = MeanMap(entries=rng.uniform(0.2, 1.0, size=n2), n1=1)
-    return K, mu, m, {"n1": 1, "n2": n2, "m": m, "kernel": "identity"}

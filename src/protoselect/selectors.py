@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InputError, SolverError, as_index, as_indices, as_real, as_reals
-from .kernel import KernelMatrix, MeanMap
+from .kernel import Gram, MeanMap
 from .nnqp import (SolverConfig, SupportSet, WeightVector, _check_sizes, as_solver, gain_bounds,
                    gradient, objective, solve_restricted)
 
@@ -113,7 +113,7 @@ class CriticismResult:
         object.__setattr__(self, "scores", scores)
 
 
-def _check_instance(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig):
+def _check_instance(K: Gram, mu: MeanMap, cfg: SelectionConfig):
     if mu.n2 != K.n2:
         raise InputError("kernel matrix and mean map sizes disagree")
     if cfg.m is not None:
@@ -173,7 +173,7 @@ def _largest_gradient(g, weights, f, extend):
     return extend(j) if masked[j] > 0.0 else None
 
 
-def _largest_gain(K: KernelMatrix):
+def _largest_gain(K: Gram):
     """ProtoGreedy: take the candidate whose solve gains the most.
 
     Candidates with a non-positive gradient leave the objective unchanged
@@ -230,7 +230,7 @@ def _with_oversampling(method, K, mu, cfg: SelectionConfig, pick) -> SelectionRe
     return top_m_by_weight(full, cfg.m, K, mu, cfg.solver)
 
 
-def proto_dash(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:
+def proto_dash(K: Gram, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:
     """Select prototypes by repeatedly taking the largest-gradient candidate.
 
     Each step appends the index maximizing the current gradient of the
@@ -242,7 +242,7 @@ def proto_dash(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionR
     return _with_oversampling(PROTODASH, K, mu, cfg, _largest_gradient)
 
 
-def proto_greedy(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:
+def proto_greedy(K: Gram, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:
     """Select prototypes by taking the candidate with the largest realized gain.
 
     Each step appends the index whose restricted weight solve raises the
@@ -264,7 +264,7 @@ def proto_greedy(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> Selectio
     return _with_oversampling(PROTOGREEDY, K, mu, cfg, _largest_gain(K))
 
 
-def l2c_equal(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:
+def l2c_equal(K: Gram, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:
     """Greedy baseline with fixed uniform weights instead of learned ones.
 
     Every selected index carries weight 1/|L|; each step adds the candidate
@@ -303,7 +303,7 @@ def l2c_equal(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionRe
     return _result(L2C_EQUAL, weights, obj, grad, times, early=False)
 
 
-def random_w(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:
+def random_w(K: Gram, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:
     """Uniformly sample m distinct prototypes, then learn their weights."""
     if cfg.m is None:
         raise InputError("random_w supports m-termination only")
@@ -315,7 +315,7 @@ def random_w(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionRes
     return _with_oversampling(RANDOM_W, K, mu, cfg, _in_order(order))
 
 
-def top_m_by_weight(result: SelectionResult, m: int, K: KernelMatrix, mu: MeanMap,
+def top_m_by_weight(result: SelectionResult, m: int, K: Gram, mu: MeanMap,
                     solver: SolverConfig | None = None) -> SelectionResult:
     """Keep the m largest-weight prototypes and re-solve on the kept support.
 
@@ -333,7 +333,7 @@ def top_m_by_weight(result: SelectionResult, m: int, K: KernelMatrix, mu: MeanMa
     return replace(res, early_stopped=result.early_stopped)
 
 
-def criticisms(result: SelectionResult, K: KernelMatrix, mu: MeanMap,
+def criticisms(result: SelectionResult, K: Gram, mu: MeanMap,
                c: int) -> CriticismResult:
     """Rank non-prototypes by witness deviation |mu_j - K_j.w|.
 

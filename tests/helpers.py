@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from protoselect import Dataset, KernelSpec, kernel_matrix, mean_map
+from protoselect import Dataset, KernelSpec, gradient, kernel_matrix, mean_map
 from protoselect.kernel import KernelMatrix, MeanMap
 
 
@@ -29,3 +29,38 @@ def synthetic_instance(entries, mu_values, n1=1):
 def identity_instance(mu_values, n1=1):
     n = len(mu_values)
     return synthetic_instance(np.eye(n), mu_values, n1=n1)
+
+
+def identity_kernel_instance(rng, max_n2=10, max_m=3):
+    """Modular instance of 2 to max_n2 rows: identity Gram, positive mean map, and an m."""
+    n2 = int(rng.integers(2, max_n2 + 1))
+    m = int(rng.integers(1, min(max_m, n2) + 1))
+    return (*identity_instance(rng.uniform(0.2, 1.0, size=n2)), m)
+
+
+def finite_difference_check(K, mu, w, step):
+    """Largest disagreement between the gradient and central differences.
+
+    Checks the support coordinates, or every coordinate when the support
+    is empty. Coordinates whose gradient is within 1e-6 of zero report the
+    absolute error; the rest report relative error.
+    """
+    coords = list(w.support) if len(w.support) else list(range(K.n2))
+    dense = w.dense()
+    full, mu_entries = K.block(range(K.n2)), mu.entries
+
+    def value(v):
+        return float(v @ mu_entries - 0.5 * v @ (full @ v))
+
+    g = gradient(w, K, mu)
+    worst = 0.0
+    for j in coords:
+        hi, lo = dense.copy(), dense.copy()
+        hi[j] += step
+        lo[j] -= step
+        fd = (value(hi) - value(lo)) / (2.0 * step)
+        err = abs(fd - g[j])
+        if abs(g[j]) >= 1e-6:
+            err /= abs(g[j])
+        worst = max(worst, err)
+    return worst

@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 
 from protoselect import (Dataset, InputError, KernelSpec, MeanMap, SolverConfig, SupportSet,
                          WeightVector)
-from protoselect.oracle import (exhaustive_optimal, finite_difference_check,
-                                identity_kernel_instance, random_gaussian_instance,
-                                rsc_rsm_bounds, submodularity_ratio)
+from protoselect.oracle import (exhaustive_optimal, random_gaussian_instance, rsc_rsm_bounds,
+                                submodularity_ratio)
 from protoselect.ranking import RankMatrix, export_graph, rank_sources
 from protoselect.selectors import (SelectionConfig, criticisms, proto_dash, random_w,
                                    top_m_by_weight)
@@ -83,10 +82,6 @@ COUNTS = {
         lambda v: random_gaussian_instance(_rng(), max_m=v), 1, None, False),
     "random_gaussian_instance dims": (
         lambda v: random_gaussian_instance(_rng(), dims=(v,)), 1, None, False),
-    "identity_kernel_instance max_n2": (
-        lambda v: identity_kernel_instance(_rng(), max_n2=v), 2, None, False),
-    "identity_kernel_instance max_m": (
-        lambda v: identity_kernel_instance(_rng(), max_m=v), 1, None, False),
 }
 
 # name: (call with the value, zero allowed, None is valid or refused by another rule)
@@ -95,9 +90,6 @@ REALS = {
     "SolverConfig.kkt_tolerance": (lambda v: SolverConfig(kkt_tolerance=v), False, False),
     "KernelSpec.bandwidth": (lambda v: KernelSpec("gaussian", bandwidth=v), False, False),
     "KernelSpec.jitter": (lambda v: KernelSpec("linear", jitter=v), True, False),
-    "finite_difference_check step": (
-        lambda v: finite_difference_check(*_instance()[:2], WeightVector.zeros(N2), v),
-        False, False),
     "random_gaussian_instance sigma low": (
         lambda v: random_gaussian_instance(_rng(), sigma_range=(v, 2.0)), False, False),
     "random_gaussian_instance sigma high": (

@@ -2,9 +2,9 @@
 
 `kernel_matrix` returns a GaussianGram for the gaussian family. In whatever
 order its rows are read, every read must equal, byte for byte, the same read
-of the dense Gram built whole (`_jittered(_cross_kernel(...))`); each row is
-checked for finiteness and symmetry once, when it is computed; and a
-selection holds only the rows it reads.
+of the dense Gram built whole (`dense_gram`); each row is checked for
+finiteness and symmetry once, when it is computed; and a selection holds only
+the rows it reads.
 """
 
 import sys
@@ -16,9 +16,16 @@ import pytest
 
 from protoselect import Dataset, InputError, KernelSpec, NumericError, kernel_matrix, mean_map
 from protoselect import kernel
-from protoselect.kernel import GaussianGram, KernelMatrix, _cross_kernel, _jittered
+from protoselect.kernel import GaussianGram, KernelMatrix, _cross_kernel
 from protoselect.selectors import SelectionConfig, criticisms, l2c_equal, proto_dash, proto_greedy
 from helpers import entries_of
+
+
+def dense_gram(X, spec):
+    """The gaussian Gram built whole, with 1 + jitter on the diagonal."""
+    entries = _cross_kernel(X, X, spec)
+    np.fill_diagonal(entries, 1.0 + spec.jitter)
+    return KernelMatrix(entries=entries)
 
 
 def source_rows(n, seed, duplicates=False):
@@ -49,7 +56,7 @@ def read_orders(n, seed):
 def test_reads_equal_the_dense_gram(n, jitter, duplicates):
     X = source_rows(n, seed=n, duplicates=duplicates)
     spec = KernelSpec("gaussian", bandwidth=1.1, jitter=jitter)
-    dense = _jittered(_cross_kernel(X, X, spec), spec)
+    dense = dense_gram(X, spec)
     for order, reads in read_orders(n, seed=n).items():
         K = kernel_matrix(Dataset(X), spec)
         assert isinstance(K, GaussianGram) and K.n2 == n
@@ -79,8 +86,7 @@ def test_selections_equal_those_on_the_dense_gram():
                     res.objective_trace.tobytes(), res.gradient_trace.tobytes()]
         return out
 
-    assert run(kernel_matrix(source, spec)) == run(_jittered(_cross_kernel(
-        source.values, source.values, spec), spec))
+    assert run(kernel_matrix(source, spec)) == run(dense_gram(source.values, spec))
 
 
 def test_rows_read_in_pick_order_are_a_read_only_view():
@@ -97,21 +103,21 @@ def test_rows_read_in_pick_order_are_a_read_only_view():
 
 def corrupt_once(monkeypatch, damage):
     """Make the next computed block of rows come out damaged."""
-    original = kernel._gaussian_in_place
+    original = kernel._cross_kernel
 
-    def damaged(sq_dist, scale):
-        out = original(sq_dist, scale)
+    def damaged(*args, **kwargs):
+        out = original(*args, **kwargs)
         damage(out)
-        monkeypatch.setattr(kernel, "_gaussian_in_place", original)
+        monkeypatch.setattr(kernel, "_cross_kernel", original)
         return out
 
-    monkeypatch.setattr(kernel, "_gaussian_in_place", damaged)
+    monkeypatch.setattr(kernel, "_cross_kernel", damaged)
 
 
 def test_checks_fire_on_a_corrupted_buffer(monkeypatch):
     X = source_rows(10, seed=4)
     spec = KernelSpec("gaussian", bandwidth=1.0)
-    dense = _jittered(_cross_kernel(X, X, spec), spec)
+    dense = dense_gram(X, spec)
     K = kernel_matrix(Dataset(X), spec)
 
     # a stored row changed after it was checked, seen by the next row computed
@@ -157,7 +163,7 @@ def test_proto_dash_holds_only_the_rows_it_reads():
 def test_threads_share_one_gram():
     X = source_rows(120, seed=5, duplicates=True)
     spec = KernelSpec("gaussian", bandwidth=0.9)
-    dense = _jittered(_cross_kernel(X, X, spec), spec)
+    dense = dense_gram(X, spec)
     K = kernel_matrix(Dataset(X), spec)
 
     def reader(seed):

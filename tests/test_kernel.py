@@ -15,6 +15,7 @@ from protoselect import (
     kkt_residual,
     mean_map,
     median_bandwidth,
+    rank_sources,
 )
 from protoselect.selectors import SelectionConfig, proto_dash
 from helpers import entries_of
@@ -22,6 +23,11 @@ from helpers import entries_of
 
 def gauss(sigma=1.0, jitter=0.0):
     return KernelSpec("gaussian", bandwidth=sigma, jitter=jitter)
+
+
+def closed_form(x, y, sigma):
+    """exp(-|x - y|^2 / (2 sigma^2)), written out apart from the package's formula."""
+    return float(np.exp(-np.sum((x - y) ** 2) / (2.0 * sigma ** 2)))
 
 
 class TestKernelEval:
@@ -53,6 +59,14 @@ class TestKernelEval:
             b = kernel_eval(x + shift, y + shift, gauss(sigma=1.7))
             assert a == pytest.approx(b, rel=1e-12)
 
+    def test_gaussian_equals_the_gram_entry(self):
+        # one formula: every entry bit for bit, off the diagonal too
+        X = np.random.default_rng(11).normal(size=(60, 7))
+        spec = gauss(sigma=1.3)
+        want = entries_of(kernel_matrix(Dataset(X), spec))
+        got = np.array([[kernel_eval(x, y, spec) for y in X] for x in X])
+        assert np.array_equal(got, want)
+
 
 class TestKernelMatrix:
     def test_identical_rows_all_ones(self):
@@ -65,14 +79,14 @@ class TestKernelMatrix:
         np.testing.assert_allclose(entries_of(K), expected, rtol=1e-12)
 
     def test_matches_per_entry_oracle(self):
-        # independent oracle: evaluate every entry through kernel_eval
+        # independent oracle: the closed form, entry by entry
         rng = np.random.default_rng(1)
         X = rng.normal(size=(3, 4))
         spec = gauss(sigma=1.3)
         K = kernel_matrix(Dataset(X), spec)
         for i in range(3):
             for j in range(3):
-                want = kernel_eval(X[i], X[j], spec)
+                want = closed_form(X[i], X[j], 1.3)
                 if i == j:
                     want = 1.0
                 assert entries_of(K)[i, j] == pytest.approx(want, abs=1e-12)
@@ -115,11 +129,10 @@ class TestKernelMatrix:
         source = Dataset(rng.normal(size=(5, 3)) * 1e200)
         target = Dataset(rng.normal(size=(4, 3)) * 1e200)
         spec = KernelSpec("linear")
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError):
-                kernel_matrix(source, spec)
-            with pytest.raises(NumericError):
-                mean_map(target, source, spec)
+        with pytest.raises(NumericError):
+            kernel_matrix(source, spec)
+        with pytest.raises(NumericError):
+            mean_map(target, source, spec)
 
 
 class TestMeanMap:
@@ -142,7 +155,7 @@ class TestMeanMap:
         spec = gauss(sigma=0.9)
         mu = mean_map(Dataset(T), Dataset(S), spec)
         for j in range(4):
-            want = sum(kernel_eval(T[i], S[j], spec) for i in range(5)) / 5.0
+            want = sum(closed_form(T[i], S[j], 0.9) for i in range(5)) / 5.0
             assert mu.entries[j] == pytest.approx(want, abs=1e-12)
 
     def test_gaussian_range(self):
@@ -204,18 +217,28 @@ class TestValidation:
         spec = KernelSpec("gaussian", bandwidth=1e200, jitter=1e-10)
         rng = np.random.default_rng(3)
         source, target = Dataset(rng.normal(size=(5, 2))), Dataset(rng.normal(size=(4, 2)))
-        with np.errstate(over="ignore"):
-            K = kernel_matrix(source, spec)
-            mu = mean_map(target, source, spec)
-            value = kernel_eval(source.values[0], target.values[0], spec)
+        K = kernel_matrix(source, spec)
+        mu = mean_map(target, source, spec)
+        value = kernel_eval(source.values[0], target.values[0], spec)
         np.testing.assert_array_equal(entries_of(K), np.ones((5, 5)) + 1e-10 * np.eye(5))
         np.testing.assert_array_equal(mu.entries, np.ones(5))
         assert value == 1.0
+        assert rank_sources([source, target], m=2, spec=spec).rank.shape == (2, 2)
         try:
             res = proto_dash(K, mu, SelectionConfig(m=3))
         except ProtoSelectError:
             return
         assert kkt_residual(res.weights, K, mu, res.indices) <= SolverConfig().kkt_tolerance
+
+    def test_tiny_bandwidth_saturates_to_zeros(self):
+        # bandwidth**2 underflows to 0; distinct rows give 0, neither a warning nor an error
+        spec = KernelSpec("gaussian", bandwidth=1e-200, jitter=1e-10)
+        rng = np.random.default_rng(3)
+        source, target = Dataset(rng.normal(size=(5, 2))), Dataset(rng.normal(size=(4, 2)))
+        K = kernel_matrix(source, spec)
+        np.testing.assert_array_equal(K.rows(range(5)), (1.0 + 1e-10) * np.eye(5))
+        np.testing.assert_array_equal(mean_map(target, source, spec).entries, np.zeros(5))
+        assert kernel_eval(source.values[0], target.values[0], spec) == 0.0
 
     def test_spec_rejects_negative_jitter(self):
         with pytest.raises(InputError):

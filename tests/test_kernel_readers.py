@@ -24,7 +24,7 @@ from protoselect import (
     solve_restricted,
 )
 from protoselect.nnqp import gain_bounds
-from protoselect.oracle import finite_difference_check, verify_instance
+from protoselect.oracle import verify_instance
 from protoselect.selectors import (
     SelectionConfig,
     SelectionResult,
@@ -116,9 +116,6 @@ def _calls(K, mu):
         "gain_bounds": gain_bounds(w, gradient(w, K, mu), K),
         "gain_bounds_empty": gain_bounds(WeightVector.zeros(K.n2), mu.entries, K),
         "verify_instance": verify_instance(K, mu, 2),
-        "finite_difference_check": finite_difference_check(K, mu, w, 1e-6),
-        "finite_difference_check_empty":
-            finite_difference_check(K, mu, WeightVector.zeros(K.n2), 1e-6),
     }
 
 

@@ -1,11 +1,14 @@
-"""The package declares only what its code keeps: every console script imports, and
-every module uses each name it imports."""
+"""The package declares only what its code keeps: every console script imports, every
+exported name resolves, every module uses each name it imports, and the kernel formula
+is written in one place."""
 
 import ast
 import importlib
 from pathlib import Path
 
 import pytest
+
+import protoselect
 
 _PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 _MODULES = sorted(p for p in (_PYPROJECT.parent / "src" / "protoselect").glob("*.py")
@@ -33,3 +36,38 @@ def test_every_imported_name_is_used(path):
             imported |= {(alias.asname or alias.name).partition(".")[0] for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, f"{path.name} imports unused {sorted(imported - used)}"
+
+
+def test_every_exported_name_resolves():
+    assert len(set(protoselect.__all__)) == len(protoselect.__all__)
+    assert not [name for name in protoselect.__all__ if not hasattr(protoselect, name)]
+
+
+# The one function that may call each kernel primitive: a second copy of the formula fails.
+_ONLY_CALLER = {"cdist": "kernel._cross_kernel", "exp": "kernel._cross_kernel",
+                "pdist": "kernel.median_bandwidth"}
+
+
+def _calls(node, where):
+    """(callee name, enclosing module.function) of every call below node."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}"
+        elif isinstance(child, ast.Call):
+            func = child.func
+            if isinstance(func, ast.Attribute):
+                # math.exp of a scalar (the oracle's bounds) is not a kernel
+                owner = getattr(func.value, "id", None)
+                yield (None if owner == "math" else func.attr), where
+            else:
+                yield getattr(func, "id", None), where
+        yield from _calls(child, inner)
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_kernel_primitives_have_one_caller(path):
+    calls = _calls(ast.parse(path.read_text()), path.stem)
+    stray = [(name, where) for name, where in calls
+             if name in _ONLY_CALLER and where != _ONLY_CALLER[name]]
+    assert not stray, f"{path.name} calls kernel primitives outside their one caller: {stray}"

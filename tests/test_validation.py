@@ -14,14 +14,16 @@ from protoselect import (
     WeightVector,
     gradient,
     kernel_eval,
+    kernel_matrix,
     kkt_residual,
+    mean_map,
     objective,
     solve_restricted,
 )
 from protoselect.errors import DegenerateDataError, NumericError
+from protoselect.kernel import _pair_mean_maps
 from protoselect.nnqp import gain_bounds
-from protoselect.oracle import (exhaustive_optimal, finite_difference_check, gamma_over_prefixes,
-                                identity_kernel_instance, random_gaussian_instance,
+from protoselect.oracle import (exhaustive_optimal, gamma_over_prefixes, random_gaussian_instance,
                                 rsc_rsm_bounds, submodularity_ratio, verify_instance)
 from protoselect.ranking import AverageRanks, RankMatrix, export_graph, rank_sources
 from protoselect.selectors import (CriticismResult, SelectionConfig, SelectionResult, criticisms,
@@ -30,6 +32,8 @@ from helpers import gaussian_instance, synthetic_instance
 
 
 _SPEC = KernelSpec("gaussian", bandwidth=1.0)
+_LINEAR = KernelSpec("linear")
+_TINY = KernelSpec("gaussian", bandwidth=1e-200)  # its square underflows to 0
 
 
 def _datasets():
@@ -191,10 +195,8 @@ def test_non_real_values_rejected(call):
         lambda rng: random_gaussian_instance(rng, max_n1=1),
         lambda rng: random_gaussian_instance(rng, max_n2=1),
         lambda rng: random_gaussian_instance(rng, max_m=0),
-        lambda rng: identity_kernel_instance(rng, max_n2=1),
-        lambda rng: identity_kernel_instance(rng, max_m=0),
     ],
-    ids=["gaussian_n1", "gaussian_n2", "gaussian_m", "identity_n2", "identity_m"],
+    ids=["gaussian_n1", "gaussian_n2", "gaussian_m"],
 )
 def test_instance_maxima_too_small_rejected(rng, call):
     with pytest.raises(InputError, match="at least"):
@@ -230,13 +232,6 @@ def test_numpy_reals_accepted():
     assert SelectionConfig(epsilon=np.float32(0.5)).epsilon == 0.5
     assert KernelSpec("gaussian", bandwidth=np.int64(2), jitter=np.float64(0.0)).bandwidth == 2.0
     assert type(SolverConfig(kkt_tolerance=np.float64(1e-9)).kkt_tolerance) is float
-
-
-@pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1e-6, "1e-6"])
-def test_finite_difference_step_must_be_positive_and_finite(rng, step):
-    K, mu = gaussian_instance(rng, n1=5, n2=6)
-    with pytest.raises(InputError, match="step"):
-        finite_difference_check(K, mu, WeightVector.zeros(6), step)
 
 
 def test_gain_bounds_reads_a_list_gradient(rng):
@@ -319,6 +314,26 @@ def _one_prototype():
          "non-finite"),
         (lambda K, mu: kernel_eval([np.inf], [np.inf], _SPEC), NumericError, "non-finite"),
         (lambda K, mu: kernel_eval([np.inf], [1.0], _SPEC), NumericError, "non-finite"),
+        (lambda K, mu: kernel_eval(np.ones((2, 3)), np.ones(6), _SPEC), InputError, "1-D"),
+        (lambda K, mu: kernel_eval([], [], _SPEC), InputError, "at least one entry"),
+        (lambda K, mu: kernel_eval([1.0], [1.0], _TINY), NumericError, "non-finite"),
+        (lambda K, mu: kernel_matrix(Dataset([[1e200], [2e200]]), _LINEAR), NumericError,
+         "non-finite"),
+        (lambda K, mu: kernel_matrix(Dataset([[1.0], [1.0], [2.0]]), _TINY).rows([0, 1, 2]),
+         NumericError, "non-finite"),
+        (lambda K, mu: mean_map(Dataset([[1e200], [2e200]]), Dataset([[1e200], [2e200]]),
+                                _LINEAR), NumericError, "non-finite"),
+        (lambda K, mu: mean_map(Dataset([[1e200], [-1e200]]), Dataset([[1e200], [2.0]]),
+                                _LINEAR), NumericError, "non-finite"),
+        (lambda K, mu: mean_map(Dataset([[1e154], [1e154]]), Dataset([[1e154]]), _LINEAR),
+         NumericError, "non-finite"),
+        (lambda K, mu: mean_map(Dataset([[0.0], [1.0]]), Dataset([[1.0], [3.0]]), _TINY),
+         NumericError, "non-finite"),
+        (lambda K, mu: _pair_mean_maps(Dataset([[1e200], [-1e200]]), Dataset([[1e200], [2.0]]),
+                                       _LINEAR), NumericError, "non-finite"),
+        (lambda K, mu: rank_sources([Dataset([[1e200], [2e200]]), Dataset([[1.0], [2.0]])], m=1,
+                                    spec=_LINEAR), NumericError, "non-finite"),
+        (lambda K, mu: rank_sources(_datasets(), m=2, spec=_TINY), NumericError, "non-finite"),
         (lambda K, mu: SupportSet((0, -1)), InputError, "non-negative"),
         (lambda K, mu: WeightVector(SupportSet((0,)), np.ones(2), 3), InputError, "aligned"),
         (lambda K, mu: WeightVector(SupportSet((0,)), [np.nan], 3), InputError, "non-finite"),
@@ -396,7 +411,12 @@ def _one_prototype():
     ids=["dataset_1d", "dataset_empty", "kernel_family", "linear_bandwidth", "kernel_not_square",
          "kernel_asymmetric", "kernel_asymmetric_off_diagonal_tile", "mean_map_2d",
          "mean_map_n1_zero", "kernel_eval_non_finite", "kernel_eval_overflow",
-         "kernel_eval_infinite_difference", "kernel_eval_infinite_argument", "support_negative",
+         "kernel_eval_infinite_difference", "kernel_eval_infinite_argument",
+         "kernel_eval_matrix", "kernel_eval_empty", "kernel_eval_tiny_bandwidth_same_point",
+         "kernel_matrix_linear_overflow", "kernel_matrix_tiny_bandwidth_duplicate_rows",
+         "mean_map_linear_overflow", "mean_map_linear_mixed_signs", "mean_map_linear_sum_overflow",
+         "mean_map_tiny_bandwidth_coinciding_rows", "pair_mean_maps_linear_mixed_signs",
+         "rank_linear_overflow", "rank_tiny_bandwidth", "support_negative",
          "weights_misaligned", "weights_non_finite", "weights_index_beyond_dimension",
          "kkt_tolerance_zero", "max_iterations_zero", "warm_start_outside_L", "exhaustive_m_zero",
          "exhaustive_m_beyond_n2", "rsc_k_zero", "rsc_k_beyond_n2", "submodularity_r_zero",
