@@ -18,8 +18,8 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateDataError, GuardError, InputError, as_index, as_real
-from .kernel import Dataset, GaussianGram, Gram, KernelSpec, MeanMap, kernel_matrix, mean_map
+from .errors import DegenerateDataError, GuardError, as_index
+from .kernel import Gram, MeanMap
 from .nnqp import SolverConfig, SupportSet, as_solver, objective, solve_restricted
 from .selectors import SelectionConfig, proto_dash, proto_greedy
 
@@ -203,38 +203,3 @@ def verify_instance(K: Gram, mu: MeanMap, m: int,
         "greedy_bound": greedy_bound,
         "greedy_satisfied": bool(f_greedy >= greedy_bound - _SLACK),
     }
-
-
-def random_gaussian_instance(rng: np.random.Generator,
-                             max_n1: int = 15, max_n2: int = 10, max_m: int = 3,
-                             sigma_range: tuple[float, float] = (0.5, 2.0),
-                             dims: tuple[int, ...] = (2, 3)
-                             ) -> tuple[GaussianGram, MeanMap, int, dict]:
-    """Seeded random instance for verification sweeps.
-
-    Draws sizes, a bandwidth, standard-normal data, and builds the Gram
-    matrix plus mean map; returns them with the drawn sparsity level and a
-    metadata dict describing the draw.
-    """
-    max_n1, max_n2 = as_index(max_n1, "max_n1", least=2), as_index(max_n2, "max_n2", least=2)
-    max_m = as_index(max_m, "max_m", least=1)
-    try:
-        low, high = sigma_range
-        dims = tuple(as_index(d, "dims entries", least=1) for d in dims)
-    except (TypeError, ValueError):
-        raise InputError("sigma_range must be a (low, high) pair and dims a sequence") from None
-    low, high = as_real(low, "sigma_range low"), as_real(high, "sigma_range high")
-    if not dims:
-        raise InputError("dims must name at least one feature dimension")
-    d = int(rng.choice(dims))
-    n1 = int(rng.integers(2, max_n1 + 1))
-    n2 = int(rng.integers(2, max_n2 + 1))
-    m = int(rng.integers(1, min(max_m, n2) + 1))
-    sigma = float(rng.uniform(low, high))
-    spec = KernelSpec("gaussian", bandwidth=sigma)
-    source = Dataset(rng.normal(size=(n2, d)))
-    target = Dataset(rng.normal(size=(n1, d)))
-    K = kernel_matrix(source, spec)
-    mu = mean_map(target, source, spec)
-    return K, mu, m, {"n1": n1, "n2": n2, "d": d, "m": m, "sigma": sigma}
-

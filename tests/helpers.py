@@ -1,9 +1,13 @@
 """Instance builders shared by the test modules."""
 
 import numpy as np
+from hypothesis import settings
 
 from protoselect import Dataset, KernelSpec, gradient, kernel_matrix, mean_map
 from protoselect.kernel import KernelMatrix, MeanMap
+
+# Derandomized and capped, so a property test runs the same way, and quickly, every time.
+RULES = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 
 
 def gaussian_instance(rng, n1=8, n2=6, d=2, sigma=1.0, jitter=1e-10):
@@ -12,6 +16,22 @@ def gaussian_instance(rng, n1=8, n2=6, d=2, sigma=1.0, jitter=1e-10):
     source = Dataset(rng.normal(size=(n2, d)))
     target = Dataset(rng.normal(size=(n1, d)))
     return kernel_matrix(source, spec), mean_map(target, source, spec)
+
+
+def random_gaussian_instance(rng, max_n1=15, max_n2=10, max_m=3):
+    """Seeded enumerable instance: gaussian Gram, mean map over 2 to max_n2 rows, and an m.
+
+    Draws the feature dimension (2 or 3), n1, n2, m and a bandwidth in [0.5, 2],
+    then standard-normal source and target rows, in that order.
+    """
+    d = int(rng.choice((2, 3)))
+    n1 = int(rng.integers(2, max_n1 + 1))
+    n2 = int(rng.integers(2, max_n2 + 1))
+    m = int(rng.integers(1, min(max_m, n2) + 1))
+    spec = KernelSpec("gaussian", bandwidth=float(rng.uniform(0.5, 2.0)))
+    source = Dataset(rng.normal(size=(n2, d)))
+    target = Dataset(rng.normal(size=(n1, d)))
+    return kernel_matrix(source, spec), mean_map(target, source, spec), m
 
 
 def entries_of(K):

@@ -11,19 +11,18 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from protoselect import (Dataset, InputError, KernelSpec, MeanMap, SolverConfig, SupportSet,
                          WeightVector)
-from protoselect.oracle import (exhaustive_optimal, random_gaussian_instance, rsc_rsm_bounds,
-                                submodularity_ratio)
+from protoselect.oracle import (exhaustive_optimal, rsc_rsm_bounds, submodularity_ratio,
+                                verify_instance)
 from protoselect.ranking import RankMatrix, export_graph, rank_sources
 from protoselect.selectors import (SelectionConfig, criticisms, proto_dash, random_w,
                                    top_m_by_weight)
-from helpers import gaussian_instance
+from helpers import RULES, gaussian_instance
 
-RULES = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 N2, M = 6, 3  # the shared instance: six source rows, three prototypes
 
 
@@ -43,10 +42,6 @@ def _datasets():
 def _rank_matrix():
     rank = np.array([[0, 1, 2], [1, 0, 2], [1, 2, 0]])
     return RankMatrix(names=("a", "b", "c"), objective=np.zeros((3, 3)), rank=rank)
-
-
-def _rng():
-    return np.random.default_rng(0)
 
 
 # name: (call with the value, least, most, None is valid or refused by another rule)
@@ -74,14 +69,7 @@ COUNTS = {
     "rank_sources threads": (lambda v: rank_sources(_datasets(), 2, KernelSpec(bandwidth=1.0),
                                                     threads=v), 1, None, False),
     "export_graph top_t": (lambda v: export_graph(_rank_matrix(), v), 1, 2, False),
-    "random_gaussian_instance max_n1": (
-        lambda v: random_gaussian_instance(_rng(), max_n1=v), 2, None, False),
-    "random_gaussian_instance max_n2": (
-        lambda v: random_gaussian_instance(_rng(), max_n2=v), 2, None, False),
-    "random_gaussian_instance max_m": (
-        lambda v: random_gaussian_instance(_rng(), max_m=v), 1, None, False),
-    "random_gaussian_instance dims": (
-        lambda v: random_gaussian_instance(_rng(), dims=(v,)), 1, None, False),
+    "verify_instance m": (lambda v: verify_instance(*_instance()[:2], v), 1, N2, True),
 }
 
 # name: (call with the value, zero allowed, None is valid or refused by another rule)
@@ -90,10 +78,6 @@ REALS = {
     "SolverConfig.kkt_tolerance": (lambda v: SolverConfig(kkt_tolerance=v), False, False),
     "KernelSpec.bandwidth": (lambda v: KernelSpec("gaussian", bandwidth=v), False, False),
     "KernelSpec.jitter": (lambda v: KernelSpec("linear", jitter=v), True, False),
-    "random_gaussian_instance sigma low": (
-        lambda v: random_gaussian_instance(_rng(), sigma_range=(v, 2.0)), False, False),
-    "random_gaussian_instance sigma high": (
-        lambda v: random_gaussian_instance(_rng(), sigma_range=(0.5, v)), False, False),
 }
 
 # A stored field, read back from what the call returns.

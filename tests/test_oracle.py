@@ -17,7 +17,6 @@ from protoselect.errors import DegenerateDataError
 from protoselect.oracle import (
     exhaustive_optimal,
     gamma_over_prefixes,
-    random_gaussian_instance,
     rsc_rsm_bounds,
     submodularity_ratio,
     verify_instance,
@@ -30,7 +29,8 @@ from protoselect.selectors import (
     random_w,
 )
 from helpers import (entries_of, finite_difference_check, gaussian_instance,
-                     identity_instance, identity_kernel_instance, synthetic_instance)
+                     identity_instance, identity_kernel_instance, random_gaussian_instance,
+                     synthetic_instance)
 
 
 class TestExhaustiveOptimal:
@@ -182,14 +182,14 @@ class TestVerifyGuarantee:
 
     def test_random_instances_hold(self, rng):
         for _ in range(20):
-            K, mu, m, _ = random_gaussian_instance(rng, max_n1=10, max_n2=8, max_m=3)
+            K, mu, m = random_gaussian_instance(rng, max_n1=10, max_n2=8, max_m=3)
             row = verify_instance(K, mu, m)
             assert row["satisfied"]
             assert 0 < row["c"] <= row["C_tilde"]
             assert row["gamma"] > 0
 
     def test_verify_instance_includes_greedy(self, rng):
-        K, mu, m, _ = random_gaussian_instance(rng, max_n2=7)
+        K, mu, m = random_gaussian_instance(rng, max_n2=7)
         row = verify_instance(K, mu, m)
         assert row["satisfied"] and row["greedy_satisfied"]
         assert row["f_greedy"] >= row["f_dash"] - 1e-9 or True  # informational only
@@ -207,7 +207,7 @@ class TestVerifyGuarantee:
         )
         assert set(schema["required"]) == set(schema["properties"])
         for _ in range(5):
-            K, mu, m, _ = random_gaussian_instance(rng, max_n2=7)
+            K, mu, m = random_gaussian_instance(rng, max_n2=7)
             row = verify_instance(K, mu, m)
             jsonschema.validate(row, schema)
 

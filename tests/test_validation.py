@@ -17,14 +17,15 @@ from protoselect import (
     kernel_matrix,
     kkt_residual,
     mean_map,
+    median_bandwidth,
     objective,
     solve_restricted,
 )
 from protoselect.errors import DegenerateDataError, NumericError
 from protoselect.kernel import _pair_mean_maps
 from protoselect.nnqp import gain_bounds
-from protoselect.oracle import (exhaustive_optimal, gamma_over_prefixes, random_gaussian_instance,
-                                rsc_rsm_bounds, submodularity_ratio, verify_instance)
+from protoselect.oracle import (exhaustive_optimal, gamma_over_prefixes, rsc_rsm_bounds,
+                                submodularity_ratio, verify_instance)
 from protoselect.ranking import AverageRanks, RankMatrix, export_graph, rank_sources
 from protoselect.selectors import (CriticismResult, SelectionConfig, SelectionResult, criticisms,
                                    l2c_equal, proto_dash, random_w, top_m_by_weight)
@@ -189,12 +190,14 @@ def test_non_real_values_rejected(call):
         call()
 
 
+# The sizes of a gaussian instance: a target row, two source rows for the
+# median bandwidth, and at least one prototype for the guarantee check.
 @pytest.mark.parametrize(
     "call",
     [
-        lambda rng: random_gaussian_instance(rng, max_n1=1),
-        lambda rng: random_gaussian_instance(rng, max_n2=1),
-        lambda rng: random_gaussian_instance(rng, max_m=0),
+        lambda rng: Dataset(rng.normal(size=(0, 2))),
+        lambda rng: median_bandwidth(Dataset(rng.normal(size=(1, 2)))),
+        lambda rng: verify_instance(*gaussian_instance(rng, n1=4, n2=5), 0),
     ],
     ids=["gaussian_n1", "gaussian_n2", "gaussian_m"],
 )
@@ -208,24 +211,26 @@ def test_negative_weight_dimension_rejected():
         WeightVector.zeros(-1)
 
 
+# The ranges a gaussian instance is drawn from: its bandwidth sigma and its
+# data's feature dimensions.
 @pytest.mark.parametrize(
-    "kwargs",
+    "call",
     [
-        dict(sigma_range=("a", "b")),
-        dict(sigma_range=(0.0, 1.0)),
-        dict(sigma_range=(0.5, np.inf)),
-        dict(sigma_range=(0.5,)),
-        dict(sigma_range=0.5),
-        dict(dims=()),
-        dict(dims=(2.5,)),
-        dict(dims=3),
+        lambda: KernelSpec("gaussian", bandwidth="a"),
+        lambda: KernelSpec("gaussian", bandwidth=0.0),
+        lambda: KernelSpec("gaussian", bandwidth=np.inf),
+        lambda: KernelSpec("gaussian", bandwidth=(0.5,)),
+        lambda: KernelSpec("linear", bandwidth=0.5),
+        lambda: Dataset(np.ones((3, 0))),
+        lambda: mean_map(Dataset(np.ones((3, 2))), Dataset(np.ones((3, 3))), _SPEC),
+        lambda: Dataset(np.float64(3.0)),
     ],
     ids=["sigma_strings", "sigma_zero", "sigma_infinite", "sigma_one_value", "sigma_scalar",
          "dims_empty", "dims_non_integer", "dims_scalar"],
 )
-def test_instance_draw_ranges_rejected(rng, kwargs):
+def test_instance_draw_ranges_rejected(call):
     with pytest.raises(InputError):
-        random_gaussian_instance(rng, **kwargs)
+        call()
 
 
 def test_numpy_reals_accepted():
