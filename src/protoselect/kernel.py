@@ -6,6 +6,9 @@ evaluations between every target row and each source row (the empirical
 mean map). Both are built here, and `_cross_kernel` computes every kernel
 value in them: it warns of no float error, and a result that is not finite
 is refused with NumericError.
+
+Every Gram is a KernelMatrix, read through n2, diag(), rows(idx) and
+block(idx) alone; the gaussian one is its subclass GaussianGram.
 """
 
 from __future__ import annotations
@@ -73,15 +76,8 @@ class KernelSpec:
         object.__setattr__(self, "jitter", as_real(self.jitter, "jitter", allow_zero=True))
 
 
-# Side of the square tiles the symmetry check compares with their mirror images.
-_TILE = 256
-
-
-def _exactly_symmetric(arr: np.ndarray) -> bool:
-    """arr == arr.T, compared one tile and its mirror tile at a time."""
-    n = arr.shape[0]
-    return all(np.array_equal(arr[i:i + _TILE, j:j + _TILE], arr[j:j + _TILE, i:i + _TILE].T)
-               for i in range(0, n, _TILE) for j in range(i, n, _TILE))
+# Rows computed, summed or checked at a time: 64 x 5000 floats is 2.5 MB.
+_CHUNK_ROWS = 64
 
 
 def _checked(idx, n2: int) -> np.ndarray:
@@ -96,87 +92,50 @@ def _checked(idx, n2: int) -> np.ndarray:
     return idx
 
 
-@dataclass(frozen=True)
 class KernelMatrix:
     """Symmetric Gram matrix over the source rows, jitter already applied.
 
-    Only this module reads `entries`; the package reads every `Gram` through
-    its readers alone. Entries are C-contiguous and exactly symmetric, so a
-    row read is a contiguous copy equal to those columns.
+    Its rows live in one C-contiguous buffer, which each enters through
+    `_admit`: that refuses a row that is not finite or that differs from a
+    held row at their shared entries, so a row read equals those columns.
+    Rows are admitted under a lock and never change after, so threads may
+    share a Gram. KernelMatrix(entries) holds a copy of entries, so later
+    writes to the caller's array change no entry.
     """
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(as_reals(self.entries, "kernel matrix entries"))
+    def __init__(self, entries):
+        arr = np.array(as_reals(entries, "kernel matrix entries"), order="C")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InputError("kernel matrix must be square")
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("kernel matrix contains non-finite entries")
-        if not _exactly_symmetric(arr):
-            raise InputError("kernel matrix must be exactly symmetric")
-        object.__setattr__(self, "entries", arr)
+        self._hold(arr, np.diagonal(arr).copy())
 
-    @property
-    def n2(self) -> int:
-        return self.entries.shape[0]
-
-    def diag(self) -> np.ndarray:
-        """The n2 diagonal entries, read-only."""
-        return np.diagonal(self.entries)
-
-    def rows(self, idx) -> np.ndarray:
-        """The |idx| x n2 kernel values of the source rows idx, C-contiguous."""
-        return self.entries[_checked(idx, self.n2)]
-
-    def block(self, idx) -> np.ndarray:
-        """The principal |idx| x |idx| block on idx, in that order, C-contiguous."""
-        idx = _checked(idx, self.n2)
-        return self.entries[idx[:, None], idx]
-
-
-class GaussianGram:
-    """Gaussian Gram over the source rows, each row computed when first read.
-
-    It has the readers of KernelMatrix and gives the same bits: row i is
-    _cross_kernel(X[[i]], X), entry for entry that row of the whole block,
-    with 1 + jitter on the diagonal. Rows go into a buffer that grows as they
-    are read, so m prototypes cost m rows of time and memory, not n2.
-
-    A row is checked when it is computed: it must be finite and agree with
-    every row computed before it at their shared entries, so each pair of
-    rows is checked for symmetry once. Rows are filled under a lock and never
-    change after, so threads may share the Gram.
-    """
-
-    def __init__(self, source: Dataset, spec: KernelSpec):
-        if spec.family != GAUSSIAN:
-            raise InputError("GaussianGram needs a gaussian kernel spec")
-        # A copy, so later writes to the caller's array change no row.
-        self._X = np.array(source.values, order="C")
-        n2 = self._X.shape[0]
-        self._spec = spec
-        self._diag = np.full(n2, 1.0 + spec.jitter)
-        self._diag.flags.writeable = False
-        self._slot = np.full(n2, -1, dtype=np.intp)  # buffer row of each source row, -1 if unread
+    def _hold(self, buf: np.ndarray, diag: np.ndarray):
+        """Take `buf`, which no one else holds, as the buffer and `diag` as the diagonal.
+        The rows of buf, source rows 0, 1, ..., are admitted _CHUNK_ROWS at a time."""
+        n2 = diag.shape[0]
+        diag.flags.writeable = False
+        self._diag = diag
+        self._slot = np.full(n2, -1, dtype=np.intp)  # buffer row of each source row, -1 if unheld
         self._held = np.empty(n2, dtype=np.intp)  # source row in each filled buffer row
         self._filled = 0
-        self._buf = np.empty((0, n2))
+        self._buf = buf
         self._lock = threading.Lock()
+        for start in range(0, buf.shape[0], _CHUNK_ROWS):
+            self._admit(np.arange(start, min(start + _CHUNK_ROWS, buf.shape[0])))
 
     @property
     def n2(self) -> int:
         return self._slot.shape[0]
 
     def diag(self) -> np.ndarray:
-        """The n2 diagonal entries, all 1 + jitter, read-only."""
+        """The n2 diagonal entries, read-only."""
         return self._diag
 
     def rows(self, idx) -> np.ndarray:
         """The |idx| x n2 kernel values of the source rows idx, C-contiguous.
 
-        Rows first read in this order, as a growing support reads them, come
-        back as a read-only view of the buffer.
+        Rows held in this order, as a growing support reads them, come back
+        as a read-only view of the buffer.
         """
         slots = self._slots(_checked(idx, self.n2))
         if slots.size and np.all(np.diff(slots) == 1):
@@ -192,7 +151,7 @@ class GaussianGram:
         return self._buf[slots[:, None], idx]
 
     def _slots(self, idx: np.ndarray) -> np.ndarray:
-        """The buffer rows holding the source rows idx, computing those not yet read."""
+        """The buffer rows holding the source rows idx, filling those not yet held."""
         slots = self._slot[idx]
         if self._filled < self.n2 and slots.size and slots.min() < 0:
             with self._lock:
@@ -200,7 +159,39 @@ class GaussianGram:
             slots = self._slot[idx]
         return slots
 
+    def _admit(self, rows: np.ndarray):
+        """Hold the source rows `rows`, just written to the buffer after the held ones.
+        They must be finite and equal every held row, and each other, where they meet."""
+        start, stop = self._filled, self._filled + rows.size
+        new = self._buf[start:stop]
+        if not np.all(np.isfinite(new)):
+            raise NumericError("kernel matrix contains non-finite entries")
+        self._held[start:stop] = rows
+        if not np.array_equal(new[:, self._held[:stop]], self._buf[:stop, rows].T):
+            raise InputError("kernel matrix must be exactly symmetric")
+        self._slot[rows] = np.arange(start, stop)
+        self._filled = stop
+
+
+class GaussianGram(KernelMatrix):
+    """Gaussian Gram over the source rows, each row computed when first read.
+
+    Row i is _cross_kernel(X[[i]], X), entry for entry that row of the
+    whole block, with 1 + jitter on the diagonal. The buffer grows as rows
+    are read, so m prototypes cost m rows of time and memory, not n2.
+    """
+
+    def __init__(self, source: Dataset, spec: KernelSpec):
+        if spec.family != GAUSSIAN:
+            raise InputError("GaussianGram needs a gaussian kernel spec")
+        # A copy, so later writes to the caller's array change no row.
+        self._X = np.array(source.values, order="C")
+        self._spec = spec
+        n2 = self._X.shape[0]
+        self._hold(np.empty((0, n2)), np.full(n2, 1.0 + spec.jitter))
+
     def _fill(self, idx: np.ndarray):
+        """Compute and admit the rows of idx not yet held."""
         missing = np.array(list(dict.fromkeys(idx[self._slot[idx] < 0].tolist())), dtype=np.intp)
         start, stop = self._filled, self._filled + missing.size
         if start == stop:  # another thread filled them while this one waited for the lock
@@ -212,19 +203,7 @@ class GaussianGram:
         new = self._buf[start:stop]
         _cross_kernel(self._X[missing], self._X, self._spec, out=new)
         new[np.arange(missing.size), missing] = self._diag[0]
-        if not np.all(np.isfinite(new)):
-            raise NumericError("kernel matrix contains non-finite entries")
-        # The new rows at every filled row and at each other, against those columns.
-        self._held[start:stop] = missing
-        held = self._held[:stop]
-        if not np.array_equal(new[:, held], self._buf[:stop, missing].T):
-            raise InputError("kernel matrix must be exactly symmetric")
-        self._slot[missing] = np.arange(start, stop)
-        self._filled = stop
-
-
-# A Gram of either family, read only through n2, diag(), rows(idx) and block(idx).
-Gram = KernelMatrix | GaussianGram
+        self._admit(missing)
 
 
 @dataclass(frozen=True)
@@ -235,7 +214,9 @@ class MeanMap:
     n1: int
 
     def __post_init__(self):
-        arr = as_reals(self.entries, "mean map entries")
+        # A read-only copy, so no write, the caller's or a reader's, changes an entry.
+        arr = np.array(as_reals(self.entries, "mean map entries"))
+        arr.flags.writeable = False
         if arr.ndim != 1:
             raise InputError("mean map must be a 1-D vector")
         if not np.all(np.isfinite(arr)):
@@ -263,10 +244,6 @@ def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
     if not (np.isfinite(value) and np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise NumericError("kernel evaluation met a non-finite argument or value")
     return value
-
-
-# Rows of the cross kernel computed at a time: 64 x 5000 floats is 2.5 MB.
-_CHUNK_ROWS = 64
 
 
 def _cross_kernel(left: np.ndarray, right: np.ndarray, spec: KernelSpec,
@@ -311,24 +288,28 @@ def _add_rows(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
     return np.add.reduce(block, axis=0)
 
 
-def kernel_matrix(source: Dataset, spec: KernelSpec) -> Gram:
+def kernel_matrix(source: Dataset, spec: KernelSpec) -> KernelMatrix:
     """Gram matrix over the source rows.
 
     The gaussian Gram is a GaussianGram, which computes a row when it is
-    first read. The linear Gram is built whole as a KernelMatrix, because
-    rows of X[idx] @ X.T can differ in the last bits from those of X @ X.T.
+    first read. The linear Gram is built whole, because rows of
+    X[idx] @ X.T can differ in the last bits from those of X @ X.T, and
+    held as its buffer without a copy.
 
     Either is exactly symmetric as computed: the pairwise distances do the
     same arithmetic for (i, j) and (j, i), and numpy forms X @ X.T as one
-    triangle mirrored. Both reject any asymmetry and any non-finite entry.
-    Jitter is added to the diagonal only; for the gaussian family the
-    diagonal is exactly 1 + jitter.
+    triangle mirrored. KernelMatrix._admit still refuses any asymmetry and
+    any non-finite entry. Jitter is added to the diagonal only; for the
+    gaussian family the diagonal is exactly 1 + jitter.
     """
     if spec.family == GAUSSIAN:
         return GaussianGram(source, spec)
     entries = _cross_kernel(source.values, source.values, spec)
-    np.fill_diagonal(entries, np.diagonal(entries) + spec.jitter)
-    return KernelMatrix(entries=entries)
+    diag = np.diagonal(entries) + spec.jitter
+    np.fill_diagonal(entries, diag)
+    K = KernelMatrix.__new__(KernelMatrix)
+    K._hold(entries, diag)
+    return K
 
 
 def _streams(source: Dataset, spec: KernelSpec) -> bool:

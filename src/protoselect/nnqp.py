@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky, solve_triangular
 
 from .errors import InputError, SolverError, as_index, as_indices, as_real, as_reals
-from .kernel import Gram, MeanMap
+from .kernel import KernelMatrix, MeanMap
 
 # Relative size below which a Schur complement has lost its digits to cancellation.
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
@@ -112,7 +112,7 @@ def as_solver(cfg) -> SolverConfig:
     return cfg
 
 
-def _check_sizes(K: Gram, v: np.ndarray, w: WeightVector | None = None):
+def _check_sizes(K: KernelMatrix, v: np.ndarray, w: WeightVector | None = None):
     """InputError unless the vector v (a mean map's entries or a gradient) and w fit K."""
     if np.shape(v) != (K.n2,):
         raise InputError(f"vector of shape {np.shape(v)} does not fit a kernel matrix of {K.n2} rows")
@@ -120,7 +120,7 @@ def _check_sizes(K: Gram, v: np.ndarray, w: WeightVector | None = None):
         raise InputError(f"weight vector has dimension {w.dimension}, kernel matrix has {K.n2}")
 
 
-def objective(w: WeightVector, K: Gram, mu: MeanMap) -> float:
+def objective(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> float:
     """Value of w'mu - w'Kw/2 using only the support coordinates."""
     _check_sizes(K, mu.entries, w)
     s = w.support.as_array()
@@ -128,13 +128,13 @@ def objective(w: WeightVector, K: Gram, mu: MeanMap) -> float:
     return float(ws @ mu.entries[s] - 0.5 * ws @ (K.block(s) @ ws))
 
 
-def gradient(w: WeightVector, K: Gram, mu: MeanMap) -> np.ndarray:
+def gradient(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> np.ndarray:
     """Full-length gradient mu - Kw."""
     _check_sizes(K, mu.entries, w)
     return mu.entries - w.weights @ K.rows(w.support.as_array())
 
 
-def kkt_residual(w: WeightVector, K: Gram, mu: MeanMap, L: SupportSet) -> float:
+def kkt_residual(w: WeightVector, K: KernelMatrix, mu: MeanMap, L: SupportSet) -> float:
     """Largest first-order optimality violation of w on the support L.
 
     Per coordinate j in L this is |grad_j| where w_j > 0 and max(grad_j, 0)
@@ -147,7 +147,7 @@ def kkt_residual(w: WeightVector, K: Gram, mu: MeanMap, L: SupportSet) -> float:
     return _residual_of(K.block(idx), mu.entries[idx], w.dense()[idx])
 
 
-def gain_bounds(w: WeightVector, g: np.ndarray, K: Gram) -> np.ndarray:
+def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
     """Upper bound on the objective gain of adding each index to w's support.
 
     With S the support of w, g = mu - Kw its gradient and U(T) the
@@ -264,13 +264,13 @@ def _active_set_max(A: np.ndarray, b: np.ndarray, w0: np.ndarray | None,
             raise _ActiveSetFailure(w, _residual_of(A, b, w))
 
 
-def solve_restricted(K: Gram, mu: MeanMap, L: SupportSet,
+def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
                      cfg: SolverConfig | None = None,
                      warm_start: WeightVector | None = None) -> WeightVector:
     """Maximize l over non-negative weights supported on L.
 
     Args:
-        K: Gram matrix over the source rows.
+        K: KernelMatrix matrix over the source rows.
         mu: target mean map.
         L: allowed support; an empty L returns the zero vector.
         cfg: solver tolerances; defaults to SolverConfig().

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateDataError, GuardError, as_index
-from .kernel import Gram, MeanMap
+from .kernel import KernelMatrix, MeanMap
 from .nnqp import SolverConfig, SupportSet, as_solver, objective, solve_restricted
 from .selectors import SelectionConfig, proto_dash, proto_greedy
 
@@ -39,7 +39,7 @@ def _guard_subsets(n2: int, count: int):
 class _SetFunction:
     """Memoized evaluation of the restricted-optimum set function."""
 
-    def __init__(self, K: Gram, mu: MeanMap, solver: SolverConfig | None):
+    def __init__(self, K: KernelMatrix, mu: MeanMap, solver: SolverConfig | None):
         self.K = K
         self.mu = mu
         self.solver = as_solver(solver)
@@ -55,7 +55,7 @@ class _SetFunction:
         return got
 
 
-def exhaustive_optimal(K: Gram, mu: MeanMap, m: int,
+def exhaustive_optimal(K: KernelMatrix, mu: MeanMap, m: int,
                        solver: SolverConfig | None = None,
                        _fn: _SetFunction | None = None) -> tuple[SupportSet, float]:
     """Best support of size at most m by full enumeration.
@@ -78,7 +78,7 @@ def exhaustive_optimal(K: Gram, mu: MeanMap, m: int,
     return SupportSet(best_set), best_val
 
 
-def submodularity_ratio(K: Gram, mu: MeanMap, L: SupportSet, r: int,
+def submodularity_ratio(K: KernelMatrix, mu: MeanMap, L: SupportSet, r: int,
                         solver: SolverConfig | None = None,
                         _fn: _SetFunction | None = None) -> float:
     """Minimum over disjoint candidate sets S, |S| <= r, of the ratio of
@@ -109,7 +109,7 @@ def submodularity_ratio(K: Gram, mu: MeanMap, L: SupportSet, r: int,
     return float(best)
 
 
-def gamma_over_prefixes(K: Gram, mu: MeanMap, selection: SupportSet, r: int,
+def gamma_over_prefixes(K: KernelMatrix, mu: MeanMap, selection: SupportSet, r: int,
                         solver: SolverConfig | None = None,
                         _fn: _SetFunction | None = None) -> float:
     """Submodularity ratio minimized over all prefixes of a selection order.
@@ -135,7 +135,7 @@ def gamma_over_prefixes(K: Gram, mu: MeanMap, selection: SupportSet, r: int,
     return float(best)
 
 
-def rsc_rsm_bounds(K: Gram, k: int) -> tuple[float, float]:
+def rsc_rsm_bounds(K: KernelMatrix, k: int) -> tuple[float, float]:
     """Extreme eigenvalues over all size-k principal submatrices.
 
     Returns (c, C) where c is the smallest eigenvalue over the minors and C
@@ -160,7 +160,7 @@ def rsc_rsm_bounds(K: Gram, k: int) -> tuple[float, float]:
     return c, C
 
 
-def verify_instance(K: Gram, mu: MeanMap, m: int,
+def verify_instance(K: KernelMatrix, mu: MeanMap, m: int,
                     solver: SolverConfig | None = None) -> dict:
     """Check both selectors' guarantees on one enumerable instance.
 

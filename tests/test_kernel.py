@@ -8,6 +8,7 @@ from protoselect import (
     InputError,
     KernelMatrix,
     KernelSpec,
+    MeanMap,
     NumericError,
     ProtoSelectError,
     SolverConfig,
@@ -19,7 +20,7 @@ from protoselect import (
     rank_sources,
 )
 from protoselect.selectors import SelectionConfig, proto_dash
-from helpers import entries_of
+from helpers import entries_of, gaussian_instance
 
 
 def gauss(sigma=1.0, jitter=0.0):
@@ -123,7 +124,7 @@ class TestKernelMatrix:
     def test_linear_family(self):
         X = np.array([[1.0, 0.0], [0.0, 2.0]])
         K = kernel_matrix(Dataset(X), KernelSpec("linear", jitter=0.0))
-        np.testing.assert_allclose(K.entries, np.array([[1.0, 0.0], [0.0, 4.0]]))
+        np.testing.assert_allclose(entries_of(K), np.array([[1.0, 0.0], [0.0, 4.0]]))
 
     def test_overflow_raises_numeric_error(self):
         rng = np.random.default_rng(8)
@@ -243,3 +244,21 @@ class TestValidation:
         bad = np.array([[1.0, 0.2], [0.3, 1.0]])
         with pytest.raises(InputError):
             KernelMatrix(entries=bad)
+
+
+@pytest.mark.parametrize("written", ["kernel_matrix", "mean_map"])
+def test_later_writes_to_the_callers_array_change_nothing(written):
+    # each holds its own copy, so a NaN written after the checks reaches no selection
+    K, mu = gaussian_instance(np.random.default_rng(21), n1=12, n2=10)
+    entries, mu_entries = entries_of(K), mu.entries.copy()
+    cfg = SelectionConfig(m=4)
+    want = proto_dash(KernelMatrix(entries.copy()), MeanMap(mu_entries.copy(), n1=12), cfg)
+    K, mu = KernelMatrix(entries), MeanMap(mu_entries, n1=12)
+    if written == "kernel_matrix":
+        entries[3] = entries[:, 3] = np.nan
+    else:
+        mu_entries[3] = np.nan
+    got = proto_dash(K, mu, cfg)
+    assert got.indices.indices == want.indices.indices and len(got.indices) == 4
+    assert got.weights.weights.tobytes() == want.weights.weights.tobytes()
+    assert got.objective_trace.tobytes() == want.objective_trace.tobytes()

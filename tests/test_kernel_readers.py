@@ -139,7 +139,8 @@ def test_rows_are_the_columns():
 
 def test_fortran_ordered_entries_stored_row_major():
     K = KernelMatrix(np.asfortranarray(np.eye(3) + 0.5))
-    assert K.entries.flags.c_contiguous
+    for idx in ([0, 1, 2], [2], [2, 0]):
+        assert K.rows(idx).flags.c_contiguous and K.block(idx).flags.c_contiguous
 
 
 @pytest.mark.parametrize("reader", ["rows", "block"])

@@ -54,6 +54,13 @@ def _asymmetric(n, i, j):
     return entries
 
 
+def _with_nan(n, i, j):
+    """An n x n identity whose entry (i, j) alone is NaN."""
+    entries = np.eye(n)
+    entries[i, j] = np.nan
+    return entries
+
+
 def _rank_matrix():
     rank = np.array([[0, 1, 2], [1, 0, 2], [1, 2, 0]])
     return RankMatrix(names=("a", "b", "c"), objective=np.zeros((3, 3)), rank=rank)
@@ -311,6 +318,10 @@ def _one_prototype():
         (lambda K, mu: KernelMatrix(np.ones((2, 3))), InputError, "square"),
         (lambda K, mu: KernelMatrix(_asymmetric(2, 0, 1)), InputError, "exactly symmetric"),
         (lambda K, mu: KernelMatrix(_asymmetric(600, 299, 3)), InputError, "exactly symmetric"),
+        (lambda K, mu: KernelMatrix(_asymmetric(65, 63, 64)), InputError, "exactly symmetric"),
+        (lambda K, mu: KernelMatrix(_asymmetric(65, 0, 64)), InputError, "exactly symmetric"),
+        (lambda K, mu: KernelMatrix(_with_nan(65, 64, 0)), NumericError, "non-finite"),
+        (lambda K, mu: KernelMatrix(_with_nan(65, 40, 40)), NumericError, "non-finite"),
         (lambda K, mu: MeanMap(np.ones((2, 2)), n1=1), InputError, "1-D"),
         (lambda K, mu: MeanMap(np.ones(2), n1=0), InputError, "n1 must be at least 1"),
         (lambda K, mu: kernel_eval([np.inf], [1.0], KernelSpec("linear")), NumericError,
@@ -414,7 +425,9 @@ def _one_prototype():
          "solver must be a Solver"),
     ],
     ids=["dataset_1d", "dataset_empty", "kernel_family", "linear_bandwidth", "kernel_not_square",
-         "kernel_asymmetric", "kernel_asymmetric_off_diagonal_tile", "mean_map_2d",
+         "kernel_asymmetric", "kernel_asymmetric_off_diagonal_tile",
+         "kernel_asymmetric_across_chunk_edge", "kernel_asymmetric_first_row_past_chunk",
+         "kernel_nan_last_row", "kernel_nan_diagonal", "mean_map_2d",
          "mean_map_n1_zero", "kernel_eval_non_finite", "kernel_eval_overflow",
          "kernel_eval_infinite_difference", "kernel_eval_infinite_argument",
          "kernel_eval_matrix", "kernel_eval_empty", "kernel_eval_tiny_bandwidth_same_point",
