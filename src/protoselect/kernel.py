@@ -33,7 +33,9 @@ class Dataset:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = as_reals(self.values, "dataset values")
+        # A read-only, C-ordered copy, so no write, the caller's or a reader's, changes a value.
+        arr = np.array(as_reals(self.values, "dataset values"), order="C")
+        arr.flags.writeable = False
         if arr.ndim != 2:
             raise InputError("dataset must be a 2-D array of shape (n, d)")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -184,11 +186,9 @@ class GaussianGram(KernelMatrix):
     def __init__(self, source: Dataset, spec: KernelSpec):
         if spec.family != GAUSSIAN:
             raise InputError("GaussianGram needs a gaussian kernel spec")
-        # A copy, so later writes to the caller's array change no row.
-        self._X = np.array(source.values, order="C")
+        self._X = source.values
         self._spec = spec
-        n2 = self._X.shape[0]
-        self._hold(np.empty((0, n2)), np.full(n2, 1.0 + spec.jitter))
+        self._hold(np.empty((0, source.n)), np.full(source.n, 1.0 + spec.jitter))
 
     def _fill(self, idx: np.ndarray):
         """Compute and admit the rows of idx not yet held."""
@@ -269,7 +269,6 @@ def _gaussian_blocks(left: np.ndarray, right: np.ndarray, spec: KernelSpec):
     own. The blocks share one buffer, so a consumer is done with a block,
     and free to overwrite it, once it asks for the next.
     """
-    right = np.ascontiguousarray(right)
     buf = np.empty((min(left.shape[0], _CHUNK_ROWS), right.shape[0]))
     for start in range(0, left.shape[0], _CHUNK_ROWS):
         block = buf[: min(_CHUNK_ROWS, left.shape[0] - start)]
@@ -446,7 +445,7 @@ def median_bandwidth(data: Dataset) -> float:
     """
     if data.n < 2:
         raise InputError("median bandwidth needs at least two rows")
-    X = np.ascontiguousarray(data.values)
+    X = data.values
     total = data.n * (data.n - 1) // 2
     ranks = sorted({(total - 1) // 2, total // 2})  # the middle one or two order statistics
     sample = _pair_sample(X)

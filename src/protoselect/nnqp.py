@@ -2,10 +2,11 @@
 
 The solver is an active-set method in the Lawson-Hanson style: it grows a
 passive (free) set one coordinate at a time, solves the unconstrained
-subproblem on the passive set through a Cholesky factorization, and steps
-back to the feasible region whenever a passive weight would turn negative.
-On a positive definite Gram matrix it terminates finitely with an exact
-support, which the downstream KKT-based checks rely on.
+subproblem on the passive set through the one Cholesky factorization,
+`_factor`, which calls LAPACK directly, and steps back to the feasible
+region whenever a passive weight would turn negative. On a positive definite
+Gram matrix it terminates finitely with an exact support, which the
+downstream KKT-based checks rely on; a block that does not factor ends it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import lapack
 
 from .errors import InputError, SolverError, as_index, as_indices, as_real, as_reals
 from .kernel import KernelMatrix, MeanMap
@@ -169,14 +170,11 @@ def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
     s, h, base = diag, g, 0.0
     if len(w.support):
         idx = w.support.as_array()
-        try:
-            factor = cholesky(K.block(idx), lower=True, check_finite=False)
-        except LinAlgError:
+        factor = _factor(K.block(idx))
+        if factor is None or np.any(np.diagonal(factor) ** 2 <= _SQRT_EPS * diag[idx]):
             return np.full(K.n2, np.inf)
-        if np.any(np.diagonal(factor) ** 2 <= _SQRT_EPS * diag[idx]):
-            return np.full(K.n2, np.inf)
-        B = solve_triangular(factor, K.rows(idx), lower=True, check_finite=False)
-        r = solve_triangular(factor, g[idx], lower=True, check_finite=False)
+        B = lapack.dtrtrs(factor, K.rows(idx), lower=1)[0]
+        r = lapack.dtrtrs(factor, g[idx], lower=1)[0]
         s = diag - np.einsum("ij,ij->j", B, B)
         h = g - r @ B
         base = 0.5 * float(r @ r)
@@ -187,31 +185,35 @@ def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
     return bound
 
 
-class _ActiveSetFailure(Exception):
-    def __init__(self, weights: np.ndarray, residual: float):
-        self.weights = weights
-        self.residual = residual
+def _factor(A: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor of A, or None if A is not positive definite. Its upper
+    triangle keeps A's entries: dpotrs, dtrtrs and np.diagonal read only the lower."""
+    factor, info = lapack.dpotrf(A, lower=1, clean=0)
+    return factor if info == 0 else None
 
 
-def _subproblem(A: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray:
-    """Unconstrained maximizer restricted to the passive coordinates.
+def _subproblem(A: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray | None:
+    """Unconstrained maximizer on the passive coordinates; None if their block does not factor.
 
     One or two refinement passes keep the stationarity residual of the
     passive block near roundoff even for ill-conditioned Gram blocks.
     """
     z = np.zeros_like(b)
-    if not passive.any():
+    p = np.flatnonzero(passive)
+    if not p.size:
         return z
-    sub = A[np.ix_(passive, passive)]
-    rhs = b[passive]
-    factor = cho_factor(sub, lower=True, check_finite=False)
-    x = cho_solve(factor, rhs, check_finite=False)
+    sub = A[p[:, None], p]
+    rhs = b[p]
+    factor = _factor(sub)
+    if factor is None:
+        return None
+    x = lapack.dpotrs(factor, rhs, lower=1)[0]
     for _ in range(2):
         r = rhs - sub @ x
         if np.max(np.abs(r)) <= 1e-13 * max(1.0, np.max(np.abs(rhs))):
             break
-        x = x + cho_solve(factor, r, check_finite=False)
-    z[passive] = x
+        x = x + lapack.dpotrs(factor, r, lower=1)[0]
+    z[p] = x
     return z
 
 
@@ -222,7 +224,8 @@ def _residual_of(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
 
 
 def _active_set_max(A: np.ndarray, b: np.ndarray, w0: np.ndarray | None,
-                    tol: float, max_iter: int) -> np.ndarray:
+                    tol: float, max_iter: int) -> tuple[np.ndarray, bool]:
+    """(maximizer, True), or (last iterate, False) if a block does not factor or the cap passes."""
     p = b.shape[0]
     if w0 is None or not np.any(w0 > 0):
         w = np.zeros(p)
@@ -235,17 +238,16 @@ def _active_set_max(A: np.ndarray, b: np.ndarray, w0: np.ndarray | None,
         # Restore subproblem optimality on the current passive set; this also
         # absorbs warm starts that are feasible but not yet stationary.
         while True:
-            try:
-                z = _subproblem(A, b, passive)
-            except LinAlgError:
-                raise _ActiveSetFailure(w, _residual_of(A, b, w)) from None
+            z = _subproblem(A, b, passive)
+            if z is None:
+                return w, False
             negative = passive & (z < 0.0)
             if not negative.any():
                 w = z
                 break
             iters += 1
             if iters > max_iter:
-                raise _ActiveSetFailure(w, _residual_of(A, b, w))
+                return w, False
             ratios = np.full(p, np.inf)
             ratios[negative] = w[negative] / (w[negative] - z[negative])
             step = float(ratios.min())
@@ -257,11 +259,11 @@ def _active_set_max(A: np.ndarray, b: np.ndarray, w0: np.ndarray | None,
         masked = np.where(passive, -np.inf, g)
         entering = int(np.argmax(masked))
         if not np.isfinite(masked[entering]) or masked[entering] <= 0.5 * tol:
-            return w
+            return w, True
         passive[entering] = True
         iters += 1
         if iters > max_iter:
-            raise _ActiveSetFailure(w, _residual_of(A, b, w))
+            return w, False
 
 
 def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
@@ -270,7 +272,7 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
     """Maximize l over non-negative weights supported on L.
 
     Args:
-        K: KernelMatrix matrix over the source rows.
+        K: Gram matrix over the source rows.
         mu: target mean map.
         L: allowed support; an empty L returns the zero vector.
         cfg: solver tolerances; defaults to SolverConfig().
@@ -279,8 +281,8 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
             the warm start's.
 
     Raises:
-        SolverError: no convergence within the iteration cap; the error
-            carries the best iterate and its KKT residual.
+        SolverError: a block of K on L does not factor, or the iteration cap
+            runs out; the error carries the best iterate and its KKT residual.
     """
     cfg = as_solver(cfg)
     n2 = K.n2
@@ -295,13 +297,10 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
         if not set(warm_start.positive_support()).issubset(set(L)):
             raise InputError("warm start support must lie inside L")
         w0 = warm_start.dense()[idx]
-    try:
-        weights = _active_set_max(KL, muL, w0, cfg.kkt_tolerance, cfg.iteration_cap(len(L)))
-    except _ActiveSetFailure as fail:
-        best = WeightVector(support=L, weights=np.maximum(fail.weights, 0.0), dimension=n2)
-        raise SolverError(
-            f"weight solver did not converge on a support of size {len(L)} "
-            f"(residual {fail.residual:.3e})",
-            best_iterate=best, residual=fail.residual,
-        ) from None
+    weights, converged = _active_set_max(KL, muL, w0, cfg.kkt_tolerance, cfg.iteration_cap(len(L)))
+    if not converged:
+        residual = _residual_of(KL, muL, weights)
+        raise SolverError(f"weight solver did not converge on a support of size {len(L)} "
+                          f"(residual {residual:.3e})", residual=residual,
+                          best_iterate=WeightVector(L, np.maximum(weights, 0.0), n2))
     return WeightVector(support=L, weights=weights, dimension=n2)

@@ -20,7 +20,7 @@ from protoselect import (
     rank_sources,
 )
 from protoselect.selectors import SelectionConfig, proto_dash
-from helpers import entries_of, gaussian_instance
+from helpers import entries_of
 
 
 def gauss(sigma=1.0, jitter=0.0):
@@ -246,15 +246,22 @@ class TestValidation:
             KernelMatrix(entries=bad)
 
 
-@pytest.mark.parametrize("written", ["kernel_matrix", "mean_map"])
+@pytest.mark.parametrize("written", ["kernel_matrix", "mean_map", "dataset"])
 def test_later_writes_to_the_callers_array_change_nothing(written):
     # each holds its own copy, so a NaN written after the checks reaches no selection
-    K, mu = gaussian_instance(np.random.default_rng(21), n1=12, n2=10)
-    entries, mu_entries = entries_of(K), mu.entries.copy()
+    X = np.random.default_rng(0).standard_normal((20, 3))
+    source = Dataset(X.copy())
+    spec = gauss(median_bandwidth(source))
+    entries = entries_of(kernel_matrix(source, spec))
+    mu_entries = mean_map(source, source, spec).entries.copy()
     cfg = SelectionConfig(m=4)
-    want = proto_dash(KernelMatrix(entries.copy()), MeanMap(mu_entries.copy(), n1=12), cfg)
-    K, mu = KernelMatrix(entries), MeanMap(mu_entries, n1=12)
-    if written == "kernel_matrix":
+    want = proto_dash(KernelMatrix(entries.copy()), MeanMap(mu_entries.copy(), n1=20), cfg)
+    data, K, mu = Dataset(X), KernelMatrix(entries), MeanMap(mu_entries, n1=20)
+    if written == "dataset":
+        X[2, 1] = np.nan
+        assert median_bandwidth(data) == spec.bandwidth
+        K, mu = kernel_matrix(data, spec), mean_map(data, data, spec)
+    elif written == "kernel_matrix":
         entries[3] = entries[:, 3] = np.nan
     else:
         mu_entries[3] = np.nan

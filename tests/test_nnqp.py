@@ -196,11 +196,18 @@ class TestSolveRestricted:
                 assert -C * nrm / 2 - 1e-9 <= gap <= -c * nrm / 2 + 1e-9
 
     def test_solver_error_carries_best_iterate(self):
-        K, mu = synthetic_instance([[1.0, 0.9], [0.9, 1.0]], [1.0, 0.95])
-        with pytest.raises(SolverError) as err:
-            solve_restricted(K, mu, SupportSet((0, 1)), SolverConfig(max_iterations=1))
-        assert err.value.best_iterate is not None
-        assert err.value.residual is not None
+        # the iteration cap runs out; then a singular block: the third index to enter
+        # completes K's null vector (1, 1, -1)
+        cases = [(synthetic_instance([[1.0, 0.9], [0.9, 1.0]], [1.0, 0.95]), (0, 1),
+                  SolverConfig(max_iterations=1), [1.0, 0.0]),
+                 (synthetic_instance([[1, 0, 1], [0, 1, 1], [1, 1, 2]], [1, 1, 1.9]), (0, 1, 2),
+                  None, [0.1, 0.0, 0.9])]
+        for (K, mu), L, cfg, best in cases:
+            L = SupportSet(L)
+            with pytest.raises(SolverError) as err:
+                solve_restricted(K, mu, L, cfg)
+            np.testing.assert_allclose(err.value.best_iterate.dense(), best, atol=1e-12)
+            assert err.value.residual == kkt_residual(err.value.best_iterate, K, mu, L)
 
 
 class TestKktResidual:

@@ -1,6 +1,6 @@
 """The package declares only what its code keeps: every console script imports, every
 exported name resolves, every module uses each name it imports, and the kernel formula
-is written in one place."""
+and the Cholesky factorization are each written in one place."""
 
 import ast
 import importlib
@@ -43,11 +43,14 @@ def test_every_exported_name_resolves():
     assert not [name for name in protoselect.__all__ if not hasattr(protoselect, name)]
 
 
-# The functions that may call each kernel primitive: a second copy of the formula fails.
-# Distances are not kernel values, so the one function that computes the median
-# bandwidth's distances may call cdist too.
+# The functions that may call each primitive: a second copy of the kernel formula, or a
+# second way to factor a block, fails. Distances are not kernel values, so the one
+# function that computes the median bandwidth's distances may call cdist too. nnqp._factor
+# is the one Cholesky factorization, so scipy.linalg's wrappers have no caller at all.
 _ONLY_CALLER = {"cdist": {"kernel._cross_kernel", "kernel._triangle_distances"},
-                "exp": {"kernel._cross_kernel"}, "pdist": {"kernel._triangle_distances"}}
+                "exp": {"kernel._cross_kernel"}, "pdist": {"kernel._triangle_distances"},
+                "dpotrf": {"nnqp._factor"}, "cho_factor": set(), "cho_solve": set(),
+                "cholesky": set(), "solve_triangular": set()}
 
 
 def _calls(node, where):
@@ -72,4 +75,4 @@ def test_kernel_primitives_have_one_caller(path):
     calls = _calls(ast.parse(path.read_text()), path.stem)
     stray = [(name, where) for name, where in calls
              if name in _ONLY_CALLER and where not in _ONLY_CALLER[name]]
-    assert not stray, f"{path.name} calls kernel primitives outside their own callers: {stray}"
+    assert not stray, f"{path.name} calls primitives outside their own callers: {stray}"
