@@ -37,19 +37,22 @@ class GuardError(ProtoSelectError):
 
 
 class SolverError(ProtoSelectError):
-    """The weight solver did not converge.
+    """The weight solver stopped before it met the KKT tolerance.
 
     Attributes:
         best_iterate: best feasible weights seen before giving up, if any.
         residual: KKT residual of the best iterate.
         partial: partial selection result attached by selection routines.
+        reason: why the solve stopped: "not_positive_definite" (a support
+            block did not factor) or "iteration_cap" (the cap ran out).
     """
 
-    def __init__(self, message, best_iterate=None, residual=None, partial=None):
+    def __init__(self, message, best_iterate=None, residual=None, partial=None, reason=None):
         super().__init__(message)
         self.best_iterate = best_iterate
         self.residual = residual
         self.partial = partial
+        self.reason = reason
 
 
 def as_index(value, name: str, least: int | None = None, most: int | None = None) -> int:

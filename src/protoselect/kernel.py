@@ -311,13 +311,6 @@ def kernel_matrix(source: Dataset, spec: KernelSpec) -> KernelMatrix:
     return K
 
 
-def _streams(source: Dataset, spec: KernelSpec) -> bool:
-    # Chunked sums are bit-equal to one block's only where the block's column
-    # reduction runs row by row: a one-column block is reduced pairwise. Linear
-    # rows of A @ B.T depend on how BLAS tiles the product, so they stay one block.
-    return spec.family == GAUSSIAN and source.n > 1
-
-
 def mean_map(target: Dataset, source: Dataset, spec: KernelSpec) -> MeanMap:
     """Empirical mean-map vector of the target evaluated at the source rows.
 
@@ -329,7 +322,10 @@ def mean_map(target: Dataset, source: Dataset, spec: KernelSpec) -> MeanMap:
     """
     if target.d != source.d:
         raise InputError(f"feature dimension mismatch: target {target.d}, source {source.d}")
-    if not _streams(source, spec):
+    # Chunked sums are bit-equal to one block's only where the block's column
+    # reduction runs row by row: a one-column block is reduced pairwise. Linear
+    # rows of A @ B.T depend on how BLAS tiles the product, so they stay one block.
+    if spec.family != GAUSSIAN or source.n == 1:
         with np.errstate(over="ignore", invalid="ignore"):  # a linear sum can overflow
             entries = _cross_kernel(target.values, source.values, spec).mean(axis=0)
         return MeanMap(entries=entries, n1=target.n)
@@ -337,31 +333,6 @@ def mean_map(target: Dataset, source: Dataset, spec: KernelSpec) -> MeanMap:
     for block in _gaussian_blocks(target.values, source.values, spec):
         total = _add_rows(total, block)
     return MeanMap(entries=total / target.n, n1=target.n)
-
-
-def _pair_mean_maps(a: Dataset, b: Dataset, spec: KernelSpec) -> tuple[MeanMap, MeanMap]:
-    """`mean_map(a, b)` and `mean_map(b, a)` from one pass over the kernel between a and b.
-
-    a and b must share their feature dimension. cdist(b, a) is exactly the
-    transpose of cdist(a, b), so the row sums of the a x b blocks are the
-    column sums `mean_map(b, a)` would take. They are taken as the column
-    sums of the block's transpose, which add along a row in order as that
-    column reduction does, where a plain row sum would add pairwise. A
-    one-row block's transpose is one column, which numpy also sums
-    pairwise, so that block takes its sum with cumsum, which adds in order.
-    """
-    if not (_streams(a, spec) and _streams(b, spec)):
-        return mean_map(a, b, spec), mean_map(b, a, spec)
-    total, row_sums = None, []
-    for block in _gaussian_blocks(a.values, b.values, spec):
-        # Taken before _add_rows overwrites block[0].
-        if block.shape[0] > 1:
-            row_sums.append(np.add.reduce(np.ascontiguousarray(block.T), axis=0))
-        else:
-            row_sums.append(np.cumsum(block, axis=1)[:, -1].copy())
-        total = _add_rows(total, block)
-    return (MeanMap(entries=total / a.n, n1=a.n),
-            MeanMap(entries=np.concatenate(row_sums) / b.n, n1=b.n))
 
 
 # Rounds of the median's sample: each pairs every row with one other, so the

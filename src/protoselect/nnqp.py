@@ -21,6 +21,9 @@ from .kernel import KernelMatrix, MeanMap
 
 # Relative size below which a Schur complement has lost its digits to cancellation.
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+# Why a solve stopped short: its SolverError.reason.
+NOT_POSITIVE_DEFINITE = "not_positive_definite"
+ITERATION_CAP = "iteration_cap"
 
 
 @dataclass(frozen=True)
@@ -224,8 +227,9 @@ def _residual_of(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
 
 
 def _active_set_max(A: np.ndarray, b: np.ndarray, w0: np.ndarray | None,
-                    tol: float, max_iter: int) -> tuple[np.ndarray, bool]:
-    """(maximizer, True), or (last iterate, False) if a block does not factor or the cap passes."""
+                    tol: float, max_iter: int) -> tuple[np.ndarray, str | None]:
+    """(maximizer, None), or (last iterate, reason) if a block does not factor,
+    NOT_POSITIVE_DEFINITE, or the cap passes, ITERATION_CAP."""
     p = b.shape[0]
     if w0 is None or not np.any(w0 > 0):
         w = np.zeros(p)
@@ -240,14 +244,14 @@ def _active_set_max(A: np.ndarray, b: np.ndarray, w0: np.ndarray | None,
         while True:
             z = _subproblem(A, b, passive)
             if z is None:
-                return w, False
+                return w, NOT_POSITIVE_DEFINITE
             negative = passive & (z < 0.0)
             if not negative.any():
                 w = z
                 break
             iters += 1
             if iters > max_iter:
-                return w, False
+                return w, ITERATION_CAP
             ratios = np.full(p, np.inf)
             ratios[negative] = w[negative] / (w[negative] - z[negative])
             step = float(ratios.min())
@@ -259,11 +263,11 @@ def _active_set_max(A: np.ndarray, b: np.ndarray, w0: np.ndarray | None,
         masked = np.where(passive, -np.inf, g)
         entering = int(np.argmax(masked))
         if not np.isfinite(masked[entering]) or masked[entering] <= 0.5 * tol:
-            return w, True
+            return w, None
         passive[entering] = True
         iters += 1
         if iters > max_iter:
-            return w, False
+            return w, ITERATION_CAP
 
 
 def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
@@ -282,7 +286,8 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
 
     Raises:
         SolverError: a block of K on L does not factor, or the iteration cap
-            runs out; the error carries the best iterate and its KKT residual.
+            runs out; the error carries which as its reason, and the best
+            iterate and its KKT residual.
     """
     cfg = as_solver(cfg)
     n2 = K.n2
@@ -297,10 +302,13 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
         if not set(warm_start.positive_support()).issubset(set(L)):
             raise InputError("warm start support must lie inside L")
         w0 = warm_start.dense()[idx]
-    weights, converged = _active_set_max(KL, muL, w0, cfg.kkt_tolerance, cfg.iteration_cap(len(L)))
-    if not converged:
+    cap = cfg.iteration_cap(len(L))
+    weights, reason = _active_set_max(KL, muL, w0, cfg.kkt_tolerance, cap)
+    if reason is not None:
         residual = _residual_of(KL, muL, weights)
-        raise SolverError(f"weight solver did not converge on a support of size {len(L)} "
+        stop = ("met a block that is not positive definite" if reason == NOT_POSITIVE_DEFINITE
+                else f"reached its iteration cap of {cap}")
+        raise SolverError(f"weight solver {stop} on a support of size {len(L)} "
                           f"(residual {residual:.3e})", residual=residual,
-                          best_iterate=WeightVector(L, np.maximum(weights, 0.0), n2))
+                          best_iterate=WeightVector(L, np.maximum(weights, 0.0), n2), reason=reason)
     return WeightVector(support=L, weights=weights, dimension=n2)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, as_index, as_reals
-from .kernel import Dataset, KernelSpec, _pair_mean_maps, kernel_matrix, mean_map
-from .nnqp import SolverConfig, as_solver, objective, solve_restricted
+from .kernel import Dataset, KernelMatrix, KernelSpec, kernel_matrix, mean_map
+from .nnqp import SolverConfig, SupportSet, WeightVector, as_solver, objective, solve_restricted
 from .selectors import SelectionConfig, proto_dash
 
 
@@ -99,10 +99,12 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
 
     Each dataset's Gram comes from `kernel_matrix`, so a gaussian Gram
     computes only the rows the selection reads; its own mean map comes from
-    `mean_map`, one streamed pass for the gaussian family. Each unordered
-    pair {i, j} takes one more pass, for the mean maps of i at j's rows and
-    of j at i's rows. With `threads` > 1, datasets and then pairs are spread
-    over a thread pool.
+    `mean_map`, one streamed pass for the gaussian family. The objective on
+    a fixed support reads the target's mean map only there, so each ordered
+    pair takes one `mean_map` of target i at j's t prototypes: n_i x t
+    kernel values, not n_i x n_j. Its solve and objective read the
+    prototypes' block of j's Gram. With `threads` > 1, datasets and then
+    pairs are spread over a thread pool.
     """
     if not isinstance(datasets, (list, tuple)) or not all(isinstance(ds, Dataset)
                                                           for ds in datasets):
@@ -122,33 +124,38 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
     solver = as_solver(solver)
 
     def self_select(j: int):
+        """Dataset j's prototypes as rows, their Gram, their self-fit weights and objective."""
         ds = datasets[j]
         K = kernel_matrix(ds, spec)
         res = proto_dash(K, mean_map(ds, ds, spec), SelectionConfig(m=min(m, ds.n), solver=solver))
-        return K, res
+        idx = res.indices.as_array()
+        t = idx.size
+        protos = Dataset(ds.values[idx]) if t else None
+        weights = WeightVector(SupportSet(tuple(range(t))), res.weights.weights, t)
+        return protos, KernelMatrix(K.block(idx)), weights, res.final_objective
 
-    def score(i: int, j: int, mu_i) -> float:
-        """Dataset j's prototypes against target i, whose mean map at j's rows is mu_i."""
-        K, res = selections[j]
-        w = solve_restricted(K, mu_i, res.indices, solver) if reweight else res.weights
-        return objective(w, K, mu_i)
-
-    def pair_scores(pair):
+    def score(pair) -> float:
+        """Dataset j's prototypes against target i; an empty selection scores 0."""
         i, j = pair
-        mu_i, mu_j = _pair_mean_maps(datasets[i], datasets[j], spec)
-        return score(i, j, mu_i), score(j, i, mu_j)
+        protos, K, w, _ = selections[j]
+        if protos is None:
+            return 0.0
+        mu = mean_map(datasets[i], protos, spec)
+        if reweight:
+            w = solve_restricted(K, mu, w.support, solver)
+        return objective(w, K, mu)
 
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         run = pool.map if threads > 1 else map
         selections = list(run(self_select, range(k)))
-        scored = list(run(pair_scores, pairs))
+        scored = list(run(score, pairs))
 
     obj = np.zeros((k, k))
-    for (i, j), (ij, ji) in zip(pairs, scored):
-        obj[i, j], obj[j, i] = ij, ji
+    for (i, j), value in zip(pairs, scored):
+        obj[i, j] = value
     for j in range(k):
-        obj[j, j] = selections[j][1].final_objective
+        obj[j, j] = selections[j][3]
 
     rank = np.zeros((k, k), dtype=int)
     for i in range(k):

@@ -1,21 +1,22 @@
 """The chunked kernel passes give the bits of one unchunked kernel block.
 
-`mean_map` and the pair pass (`kernel._pair_mean_maps`) sum the kernel a
-chunk of rows at a time, and `rank_sources` takes one such pass per
-unordered pair of datasets. Every output must equal, byte for byte, the
-mean of the whole block written out below, and none may hold the whole
-n1 x n2 block on the gaussian path.
+`mean_map` sums the kernel a chunk of rows at a time. `rank_sources` takes
+one such pass per dataset against itself, and one per ordered pair of
+datasets at the source's prototypes alone. Every output must equal, byte for
+byte, the mean of the whole block written out below, and none may hold the
+whole n1 x n2 block on the gaussian path.
 """
 
 import itertools
+import operator
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from protoselect import Dataset, KernelSpec, MeanMap, kernel_matrix
-from protoselect.kernel import _CHUNK_ROWS, _pair_mean_maps, mean_map
+from protoselect import Dataset, KernelSpec, MeanMap, kernel, kernel_matrix
+from protoselect.kernel import _CHUNK_ROWS, mean_map
 from protoselect.nnqp import objective, solve_restricted
 from protoselect.ranking import rank_sources
 from protoselect.selectors import SelectionConfig, proto_dash
@@ -61,9 +62,7 @@ def test_mean_maps_equal_the_whole_block(family, n1, n2):
         a, b = Dataset(layout(A, left)), Dataset(layout(B, right))
         ab, ba = (block_mean(x.values, y.values, family).tobytes() for x, y in ((a, b), (b, a)))
         assert mean_map(a, b, spec).entries.tobytes() == ab
-        pair = _pair_mean_maps(a, b, spec)
-        assert (pair[0].entries.tobytes(), pair[1].entries.tobytes()) == (ab, ba)
-        assert (pair[0].n1, pair[1].n1) == (n1, n2)
+        assert mean_map(b, a, spec).entries.tobytes() == ba
 
 
 @pytest.mark.parametrize("family", SPECS)
@@ -110,6 +109,58 @@ def test_rank_sources_equals_per_pair_mean_maps(family, reweight, threads):
     obj, rank = reference_rank(datasets, 4, spec, reweight)
     assert rm.objective.tobytes() == obj.tobytes()
     assert rm.rank.tobytes() == rank.tobytes()
+
+
+def shifted_datasets():
+    """Five 3-feature datasets of 73, 1, 40, 128 and 2 rows, each shifted from the last."""
+    rng = np.random.default_rng(17)
+    sizes = [_CHUNK_ROWS + 9, 1, 40, 2 * _CHUNK_ROWS, 2]
+    return [Dataset(rng.standard_normal((n, 3)) + 0.4 * i) for i, n in enumerate(sizes)]
+
+
+@pytest.mark.parametrize("reweight", [True, False])
+def test_rank_sources_at_the_smallest_selections(reweight):
+    datasets = shifted_datasets()
+    # No prototypes: every score is 0, so each target ranks its sources by index.
+    rm = rank_sources(datasets, 0, SPECS["gaussian"], reweight=reweight)
+    assert rm.objective.tobytes() == np.zeros((5, 5)).tobytes()
+    assert rm.rank.tobytes() == reference_rank(datasets, 0, SPECS["gaussian"], reweight)[1].tobytes()
+    # The mean map at one prototype is one column, which numpy sums pairwise, not in
+    # row order as a column of the whole block: the scores agree to roundoff only.
+    for spec in SPECS.values():
+        rm = rank_sources(datasets, 1, spec, reweight=reweight)
+        obj, rank = reference_rank(datasets, 1, spec, reweight)
+        np.testing.assert_allclose(rm.objective, obj, rtol=1e-12, atol=0)
+        assert rm.rank.tobytes() == rank.tobytes()
+    # The mean map of [[1], [-1]] is 0 at both rows, so it selects nothing and scores 0.
+    datasets = [Dataset([[1.0], [-1.0]]), Dataset([[0.5], [2.0], [1.0]]), Dataset([[3.0]])]
+    rm = rank_sources(datasets, 2, SPECS["linear"], reweight=reweight)
+    assert not rm.objective[:, 0].any()
+    obj, rank = reference_rank(datasets, 2, SPECS["linear"], reweight)
+    assert (rm.objective.tobytes(), rm.rank.tobytes()) == (obj.tobytes(), rank.tobytes())
+
+
+@pytest.mark.parametrize("m", [0, 1, 4])
+def test_rank_sources_computes_the_scored_kernel_values_only(monkeypatch, m):
+    # Each self mean map is n_j x n_j, each Gram computes its t_j prototype rows, and each
+    # ordered pair computes target i at source j's t_j prototypes alone.
+    datasets = shifted_datasets()
+    sizes = [ds.n for ds in datasets]
+    spec = SPECS["gaussian"]
+    t = [len(proto_dash(kernel_matrix(ds, spec), mean_map(ds, ds, spec),
+                        SelectionConfig(m=min(m, ds.n))).indices) for ds in datasets]
+    computed = []
+
+    def counted(*args, **kwargs):
+        values = cross_kernel(*args, **kwargs)
+        computed.append(values.size)
+        return values
+
+    cross_kernel = kernel._cross_kernel
+    monkeypatch.setattr(kernel, "_cross_kernel", counted)
+    rank_sources(datasets, m, spec)
+    pairs = sum(n_i * t_j for i, n_i in enumerate(sizes) for j, t_j in enumerate(t) if i != j)
+    assert sum(computed) == sum(n * n for n in sizes) + sum(map(operator.mul, t, sizes)) + pairs
 
 
 def peak_bytes(call):

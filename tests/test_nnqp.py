@@ -199,15 +199,16 @@ class TestSolveRestricted:
         # the iteration cap runs out; then a singular block: the third index to enter
         # completes K's null vector (1, 1, -1)
         cases = [(synthetic_instance([[1.0, 0.9], [0.9, 1.0]], [1.0, 0.95]), (0, 1),
-                  SolverConfig(max_iterations=1), [1.0, 0.0]),
+                  SolverConfig(max_iterations=1), [1.0, 0.0], "iteration_cap"),
                  (synthetic_instance([[1, 0, 1], [0, 1, 1], [1, 1, 2]], [1, 1, 1.9]), (0, 1, 2),
-                  None, [0.1, 0.0, 0.9])]
-        for (K, mu), L, cfg, best in cases:
+                  None, [0.1, 0.0, 0.9], "not_positive_definite")]
+        for (K, mu), L, cfg, best, reason in cases:
             L = SupportSet(L)
             with pytest.raises(SolverError) as err:
                 solve_restricted(K, mu, L, cfg)
             np.testing.assert_allclose(err.value.best_iterate.dense(), best, atol=1e-12)
             assert err.value.residual == kkt_residual(err.value.best_iterate, K, mu, L)
+            assert err.value.reason == reason
 
 
 class TestKktResidual:

@@ -1,6 +1,7 @@
 """The package declares only what its code keeps: every console script imports, every
-exported name resolves, every module uses each name it imports, and the kernel formula
-and the Cholesky factorization are each written in one place."""
+exported name resolves, every module uses each name it imports, the kernel formula
+and the Cholesky factorization are each written in one place, and ranking computes
+kernel values only through the kernel module's public passes."""
 
 import ast
 import importlib
@@ -76,3 +77,13 @@ def test_kernel_primitives_have_one_caller(path):
     stray = [(name, where) for name, where in calls
              if name in _ONLY_CALLER and where not in _ONLY_CALLER[name]]
     assert not stray, f"{path.name} calls primitives outside their own callers: {stray}"
+
+
+def test_ranking_imports_no_private_kernel_name():
+    # Then every kernel pass rank_sources takes is a mean_map or kernel_matrix call,
+    # which perfbench's spans wrap and time as kernel work.
+    tree = ast.parse((_PYPROJECT.parent / "src" / "protoselect" / "ranking.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "kernel"
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"ranking.py imports private kernel names {private}"

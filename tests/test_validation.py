@@ -22,7 +22,6 @@ from protoselect import (
     solve_restricted,
 )
 from protoselect.errors import DegenerateDataError, NumericError
-from protoselect.kernel import _pair_mean_maps
 from protoselect.nnqp import gain_bounds
 from protoselect.oracle import (exhaustive_optimal, gamma_over_prefixes, rsc_rsm_bounds,
                                 submodularity_ratio, verify_instance)
@@ -345,8 +344,6 @@ def _one_prototype():
          NumericError, "non-finite"),
         (lambda K, mu: mean_map(Dataset([[0.0], [1.0]]), Dataset([[1.0], [3.0]]), _TINY),
          NumericError, "non-finite"),
-        (lambda K, mu: _pair_mean_maps(Dataset([[1e200], [-1e200]]), Dataset([[1e200], [2.0]]),
-                                       _LINEAR), NumericError, "non-finite"),
         (lambda K, mu: rank_sources([Dataset([[1e200], [2e200]]), Dataset([[1.0], [2.0]])], m=1,
                                     spec=_LINEAR), NumericError, "non-finite"),
         (lambda K, mu: rank_sources(_datasets(), m=2, spec=_TINY), NumericError, "non-finite"),
@@ -433,8 +430,8 @@ def _one_prototype():
          "kernel_eval_matrix", "kernel_eval_empty", "kernel_eval_tiny_bandwidth_same_point",
          "kernel_matrix_linear_overflow", "kernel_matrix_tiny_bandwidth_duplicate_rows",
          "mean_map_linear_overflow", "mean_map_linear_mixed_signs", "mean_map_linear_sum_overflow",
-         "mean_map_tiny_bandwidth_coinciding_rows", "pair_mean_maps_linear_mixed_signs",
-         "rank_linear_overflow", "rank_tiny_bandwidth", "support_negative",
+         "mean_map_tiny_bandwidth_coinciding_rows", "rank_linear_overflow", "rank_tiny_bandwidth",
+         "support_negative",
          "weights_misaligned", "weights_non_finite", "weights_index_beyond_dimension",
          "kkt_tolerance_zero", "max_iterations_zero", "warm_start_outside_L", "exhaustive_m_zero",
          "exhaustive_m_beyond_n2", "rsc_k_zero", "rsc_k_beyond_n2", "submodularity_r_zero",
