@@ -5,7 +5,9 @@ An index or count is a Python or numpy integer, never a bool or a float
 positive unless the caller allows zero. Arrays of reals are data, so a bool
 array is valid (binary questionnaire features, say). A value that breaks a
 rule raises InputError naming its argument; a valid one comes back as a
-Python int or float.
+Python int or float. An object argument (a Dataset, a KernelSpec, a config
+or a result) must be of its class; the Gram is read only through its
+readers, so any object that has them will do.
 """
 
 from __future__ import annotations
@@ -106,3 +108,10 @@ def as_reals(values, what: str) -> np.ndarray:
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise InputError(f"{what} must be real numbers") from None
+
+
+def as_instance(value, cls: type, name: str):
+    """`value` if it is a `cls`; InputError naming the argument otherwise."""
+    if not isinstance(value, cls):
+        raise InputError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .errors import DegenerateDataError, InputError, NumericError, as_index, as_real, as_reals
+from .errors import (DegenerateDataError, InputError, NumericError, as_index, as_instance, as_real,
+                     as_reals)
 
 GAUSSIAN = "gaussian"
 LINEAR = "linear"
@@ -301,6 +302,8 @@ def kernel_matrix(source: Dataset, spec: KernelSpec) -> KernelMatrix:
     any non-finite entry. Jitter is added to the diagonal only; for the
     gaussian family the diagonal is exactly 1 + jitter.
     """
+    as_instance(source, Dataset, "source")
+    as_instance(spec, KernelSpec, "spec")
     if spec.family == GAUSSIAN:
         return GaussianGram(source, spec)
     entries = _cross_kernel(source.values, source.values, spec)
@@ -320,6 +323,9 @@ def mean_map(target: Dataset, source: Dataset, spec: KernelSpec) -> MeanMap:
     the sums are bit-equal to averaging the whole n1 x n2 block. The linear
     kernel, and a source of one row, still build the whole block.
     """
+    as_instance(target, Dataset, "target")
+    as_instance(source, Dataset, "source")
+    as_instance(spec, KernelSpec, "spec")
     if target.d != source.d:
         raise InputError(f"feature dimension mismatch: target {target.d}, source {source.d}")
     # Chunked sums are bit-equal to one block's only where the block's column
@@ -414,6 +420,7 @@ def median_bandwidth(data: Dataset) -> float:
     about 1/sqrt(n) of all the distances where the sample brackets well,
     so 1.4 MB at n = 5000 and 45 MB at n = 50 000, against pdist's 10 GB.
     """
+    as_instance(data, Dataset, "data")
     if data.n < 2:
         raise InputError("median bandwidth needs at least two rows")
     X = data.values

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import InputError, SolverError, as_index, as_indices, as_real, as_reals
+from .errors import InputError, SolverError, as_index, as_indices, as_instance, as_real, as_reals
 from .kernel import KernelMatrix, MeanMap
 
 # Relative size below which a Schur complement has lost its digits to cancellation.
@@ -85,10 +85,6 @@ class WeightVector:
             out[self.support.as_array()] = self.weights
         return out
 
-    def positive_support(self) -> SupportSet:
-        kept = tuple(j for j, w in zip(self.support, self.weights) if w > 0)
-        return SupportSet(kept)
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -109,11 +105,7 @@ class SolverConfig:
 
 def as_solver(cfg) -> SolverConfig:
     """`cfg`, or the default SolverConfig for None; InputError for anything else."""
-    if cfg is None:
-        return SolverConfig()
-    if not isinstance(cfg, SolverConfig):
-        raise InputError(f"solver must be a SolverConfig, got {cfg!r}")
-    return cfg
+    return SolverConfig() if cfg is None else as_instance(cfg, SolverConfig, "solver")
 
 
 def _check_sizes(K: KernelMatrix, v: np.ndarray, w: WeightVector | None = None):
@@ -145,10 +137,12 @@ def kkt_residual(w: WeightVector, K: KernelMatrix, mu: MeanMap, L: SupportSet) -
     where w_j = 0; weights are never negative.
     """
     _check_sizes(K, mu.entries, w)
-    if not set(w.positive_support()).issubset(set(L)):
-        raise InputError("weight support must lie inside L")
     idx = L.as_array()
-    return _residual_of(K.block(idx), mu.entries[idx], w.dense()[idx])
+    KL, wL = K.block(idx), w.dense()[idx]  # the block first: it refuses an index out of range
+    # weights are non-negative, so L gathers them all exactly when it gathers every positive one
+    if np.count_nonzero(wL) != np.count_nonzero(w.weights):
+        raise InputError("weight support must lie inside L")
+    return _residual_of(KL, mu.entries[idx], wL)
 
 
 def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
@@ -299,9 +293,9 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
     muL = mu.entries[idx]
     w0 = None
     if warm_start is not None:
-        if not set(warm_start.positive_support()).issubset(set(L)):
-            raise InputError("warm start support must lie inside L")
         w0 = warm_start.dense()[idx]
+        if np.count_nonzero(w0) != np.count_nonzero(warm_start.weights):
+            raise InputError("warm start support must lie inside L")
     cap = cfg.iteration_cap(len(L))
     weights, reason = _active_set_max(KL, muL, w0, cfg.kkt_tolerance, cap)
     if reason is not None:

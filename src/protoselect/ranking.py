@@ -3,17 +3,19 @@
 For k datasets over a shared feature space, each dataset selects its own
 prototypes; those prototypes are then scored against every other dataset
 by the selection objective, giving a directed "who represents whom"
-structure exportable as a DOT graph with a JSON mirror.
+structure. The ranks are derived from the objective matrix, and the
+exported graph's DOT text from its JSON-ready data, so each fact is held
+once.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, as_index, as_reals
+from .errors import InputError, as_index, as_instance, as_reals
 from .kernel import Dataset, KernelMatrix, KernelSpec, kernel_matrix, mean_map
 from .nnqp import SolverConfig, SupportSet, WeightVector, as_solver, objective, solve_restricted
 from .selectors import SelectionConfig, proto_dash
@@ -21,39 +23,38 @@ from .selectors import SelectionConfig, proto_dash
 
 @dataclass(frozen=True)
 class RankMatrix:
-    """Pairwise representation scores and their per-target ranks.
+    """Pairwise representation scores and the per-target ranks they give.
 
     objective[i, j] is the objective value of dataset j's prototypes
     evaluated against target dataset i; the diagonal holds each dataset's
     self-fit, which never participates in ranking. rank[i, j] ranks j among
-    the representers of i (1 is best); the diagonal is 0.
+    the representers of i (1 is best) and is derived from the objective:
+    row i orders the other datasets j by (-objective[i, j], j), so ties go
+    to dataset order. The diagonal is 0. The objective is held as a
+    read-only copy and must be finite, so the ranks always match it.
     """
 
     names: tuple[str, ...]
     objective: np.ndarray
-    rank: np.ndarray
+    rank: np.ndarray = field(init=False)
 
     def __post_init__(self):
         k = len(self.names)
         if not all(isinstance(name, str) for name in self.names):
             raise InputError("names must be strings")
-        obj = as_reals(self.objective, "objective")
-        try:
-            rnk = np.asarray(self.rank)
-        except ValueError:  # ragged rows
-            rnk = None
-        if obj.shape != (k, k) or rnk is None or rnk.shape != (k, k):
-            raise InputError("objective and rank must be k x k")
-        if rnk.dtype.kind not in "iu":
-            raise InputError(f"rank must be integers, got {rnk.dtype} entries")
-        if np.any(np.diagonal(rnk)):
-            raise InputError("rank diagonal must be 0")
-        for i in range(k):
-            row = sorted(rnk[i, j] for j in range(k) if j != i)
-            if row != list(range(1, k)):
-                raise InputError(f"rank row {i} is not a permutation of 1..{k - 1}")
+        obj = np.array(as_reals(self.objective, "objective"))
+        obj.flags.writeable = False
+        if obj.shape != (k, k):
+            raise InputError(f"objective must be k x k for k = {k} names, got shape {obj.shape}")
+        if not np.all(np.isfinite(obj)):
+            raise InputError("objective contains non-finite entries")
+        # A stable sort keeps dataset order among ties; the diagonal sorts last.
+        order = np.argsort(np.where(np.eye(k, dtype=bool), np.inf, -obj), axis=1, kind="stable")
+        rank = np.zeros((k, k), dtype=int)
+        np.put_along_axis(rank, order, np.arange(1, k + 1), axis=1)
+        np.fill_diagonal(rank, 0)
         object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "rank", rnk.astype(int, copy=False))
+        object.__setattr__(self, "rank", rank)
 
     @property
     def k(self) -> int:
@@ -78,10 +79,22 @@ class AverageRanks:
 
 @dataclass(frozen=True)
 class GraphExport:
-    """DOT text plus the equivalent JSON structure."""
+    """The graph as JSON-ready data, {"nodes": names, "edges": [...]}, and its DOT text.
 
-    dot: str
+    `dot` is rendered from `data` on each read: one line per node, then one
+    per edge `from -> to` labeled with its rank, in the order of `data`.
+    """
+
     data: dict
+
+    @property
+    def dot(self) -> str:
+        q = _dot_quote
+        lines = ["digraph ranking {"]
+        lines += [f"  {q(name)} [label={q(name)}];" for name in self.data["nodes"]]
+        lines += [f"  {q(e['from'])} -> {q(e['to'])} [label=\"{e['rank']}\"];"
+                  for e in self.data["edges"]]
+        return "\n".join(lines + ["}"]) + "\n"
 
 
 def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
@@ -95,7 +108,7 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
     itself). For every target i != j the fixed support is scored against
     target i's mean map; by default the weights are re-solved for that
     target, `reweight=False` keeps the self-fit weights frozen instead.
-    Ranks within each target row break ties by dataset order.
+    The returned RankMatrix derives its ranks from these scores.
 
     Each dataset's Gram comes from `kernel_matrix`, so a gaussian Gram
     computes only the rows the selection reads; its own mean map comes from
@@ -109,6 +122,7 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
     if not isinstance(datasets, (list, tuple)) or not all(isinstance(ds, Dataset)
                                                           for ds in datasets):
         raise InputError("datasets must be a list or tuple of Dataset")
+    as_instance(spec, KernelSpec, "spec")
     k = len(datasets)
     if k < 2:
         raise InputError("ranking needs at least two datasets")
@@ -156,14 +170,7 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
         obj[i, j] = value
     for j in range(k):
         obj[j, j] = selections[j][3]
-
-    rank = np.zeros((k, k), dtype=int)
-    for i in range(k):
-        others = [j for j in range(k) if j != i]
-        ordered = sorted(others, key=lambda j: (-obj[i, j], j))
-        for pos, j in enumerate(ordered, start=1):
-            rank[i, j] = pos
-    return RankMatrix(names=tuple(names), objective=obj, rank=rank)
+    return RankMatrix(names=tuple(names), objective=obj)
 
 
 def average_ranks(rm: RankMatrix) -> AverageRanks:
@@ -209,15 +216,4 @@ def export_graph(rm: RankMatrix, top_t: int) -> GraphExport:
                     "objective": float(rm.objective[i, j]),
                 }
             )
-    lines = ["digraph ranking {"]
-    for name in rm.names:
-        lines.append(f"  {_dot_quote(name)} [label={_dot_quote(name)}];")
-    for e in edges:
-        lines.append(
-            f"  {_dot_quote(e['from'])} -> {_dot_quote(e['to'])} [label=\"{e['rank']}\"];"
-        )
-    lines.append("}")
-    return GraphExport(
-        dot="\n".join(lines) + "\n",
-        data={"nodes": list(rm.names), "edges": edges},
-    )
+    return GraphExport(data={"nodes": list(rm.names), "edges": edges})

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError, SolverError, as_index, as_indices, as_real, as_reals
+from .errors import InputError, SolverError, as_index, as_indices, as_instance, as_real, as_reals
 from .kernel import KernelMatrix, MeanMap
 from .nnqp import (SolverConfig, SupportSet, WeightVector, _check_sizes, as_solver, gain_bounds,
                    gradient, objective, solve_restricted)
@@ -71,10 +71,14 @@ class SelectionConfig:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Ordered prototype indices with weights, traces, and per-step timings."""
+    """Prototype weights, with traces and timings per step.
+
+    The prototypes are the support of `weights`, in selection order; the
+    property `indices` reads that support. Each trace holds one entry per
+    prototype.
+    """
 
     method: str
-    indices: SupportSet
     weights: WeightVector
     objective_trace: np.ndarray
     gradient_trace: np.ndarray
@@ -82,14 +86,17 @@ class SelectionResult:
     early_stopped: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.weights, WeightVector) or self.indices != self.weights.support:
-            raise InputError("weights must be a WeightVector whose support is indices, in order")
+        as_instance(self.weights, WeightVector, "weights")
         t = len(self.indices)
         for name in ("objective_trace", "gradient_trace", "wall_times"):
             arr = as_reals(getattr(self, name), name)
             if arr.shape != (t,):
                 raise InputError(f"{name} must have one entry per selected index")
             object.__setattr__(self, name, arr)
+
+    @property
+    def indices(self) -> SupportSet:
+        return self.weights.support
 
     @property
     def final_objective(self) -> float:
@@ -114,14 +121,11 @@ class CriticismResult:
 
 
 def _check_instance(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig):
-    if mu.n2 != K.n2:
-        raise InputError("kernel matrix and mean map sizes disagree")
+    as_instance(mu, MeanMap, "mu")
+    as_instance(cfg, SelectionConfig, "cfg")
+    _check_sizes(K, mu.entries)
     if cfg.m is not None:
         as_index(cfg.m, "m", most=K.n2)
-
-
-def _result(method, weights, obj, grad, times, early) -> SelectionResult:
-    return SelectionResult(method, weights.support, weights, obj, grad, times, early)
 
 
 def _grow(method, K, mu, cfg: SelectionConfig, pick) -> SelectionResult:
@@ -150,7 +154,7 @@ def _grow(method, K, mu, cfg: SelectionConfig, pick) -> SelectionResult:
         try:
             picked = pick(g, weights, f, extend)
         except SolverError as err:
-            err.partial = _result(method, weights, obj, grad, times, early)
+            err.partial = SelectionResult(method, weights, obj, grad, times, early)
             raise
         if picked is None:
             early = True
@@ -162,7 +166,7 @@ def _grow(method, K, mu, cfg: SelectionConfig, pick) -> SelectionResult:
         obj.append(f)
         grad.append(g[j])
         times.append(time.perf_counter() - start)
-    return _result(method, weights, obj, grad, times, early)
+    return SelectionResult(method, weights, obj, grad, times, early)
 
 
 def _largest_gradient(g, weights, f, extend):
@@ -300,16 +304,16 @@ def l2c_equal(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionRe
         times.append(time.perf_counter() - start)
     m = len(sel)
     weights = WeightVector(SupportSet(tuple(sel)), np.full(m, 1.0 / m) if m else np.zeros(0), n2)
-    return _result(L2C_EQUAL, weights, obj, grad, times, early=False)
+    return SelectionResult(L2C_EQUAL, weights, obj, grad, times)
 
 
 def random_w(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:
     """Uniformly sample m distinct prototypes, then learn their weights."""
+    _check_instance(K, mu, cfg)
     if cfg.m is None:
         raise InputError("random_w supports m-termination only")
     if cfg.seed is None:
         raise InputError("random_w needs a seed")
-    _check_instance(K, mu, cfg)
     rng = np.random.default_rng(cfg.seed)
     order = rng.choice(K.n2, size=_grown_config(cfg, K.n2).m, replace=False)
     return _with_oversampling(RANDOM_W, K, mu, cfg, _in_order(order))
@@ -323,6 +327,8 @@ def top_m_by_weight(result: SelectionResult, m: int, K: KernelMatrix, mu: MeanMa
     their selection order and the objective trace is recomputed over the
     kept prefixes.
     """
+    as_instance(result, SelectionResult, "result")
+    as_instance(mu, MeanMap, "mu")
     _check_sizes(K, mu.entries, result.weights)
     t = len(result.indices)
     m = as_index(m, "m", least=0, most=t)
@@ -341,6 +347,8 @@ def criticisms(result: SelectionResult, K: KernelMatrix, mu: MeanMap,
     weights; large values mark points the weighted prototypes represent
     poorly. Returns the c largest, descending, ties toward the lower index.
     """
+    as_instance(result, SelectionResult, "result")
+    as_instance(mu, MeanMap, "mu")
     n2 = K.n2
     c = as_index(c, "c", least=1, most=n2 - len(result.indices))
     g = gradient(result.weights, K, mu)

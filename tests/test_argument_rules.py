@@ -41,7 +41,7 @@ def _datasets():
 
 def _rank_matrix():
     rank = np.array([[0, 1, 2], [1, 0, 2], [1, 2, 0]])
-    return RankMatrix(names=("a", "b", "c"), objective=np.zeros((3, 3)), rank=rank)
+    return RankMatrix(names=("a", "b", "c"), objective=-rank)  # objectives that give these ranks
 
 
 # name: (call with the value, least, most, None is valid or refused by another rule)

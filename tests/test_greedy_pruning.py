@@ -34,8 +34,7 @@ def exhaustive_greedy(K, mu, cfg):
     obj, grad, early = [], [], False
 
     def result():
-        return SelectionResult("protogreedy", weights.support, weights, obj, grad,
-                               np.zeros(len(obj)), early)
+        return SelectionResult("protogreedy", weights, obj, grad, np.zeros(len(obj)), early)
 
     while len(weights.support) < target:
         g = gradient(weights, K, mu)

@@ -232,6 +232,13 @@ class TestKktResidual:
         w = WeightVector(SupportSet((0,)), np.array([0.5]), 2)
         with pytest.raises(InputError):
             kkt_residual(w, K, mu, SupportSet((1,)))
+        with pytest.raises(InputError, match="warm start"):
+            solve_restricted(K, mu, SupportSet((1,)), warm_start=w)
+        # a zero weight outside L is not support: only the positive weights must lie in L
+        zero_outside = WeightVector(SupportSet((1, 0)), np.array([0.5, 0.0]), 2)
+        assert kkt_residual(zero_outside, K, mu, SupportSet((1,))) == pytest.approx(0.3)
+        solved = solve_restricted(K, mu, SupportSet((1,)), warm_start=zero_outside)
+        np.testing.assert_allclose(solved.weights, [0.2])
 
 
 class TestTypes:
@@ -251,4 +258,4 @@ class TestTypes:
     def test_weight_vector_dense_and_positive_support(self):
         w = WeightVector(SupportSet((2, 0)), np.array([0.5, 0.0]), 3)
         np.testing.assert_array_equal(w.dense(), [0.0, 0.0, 0.5])
-        assert w.positive_support().indices == (2,)
+        np.testing.assert_array_equal(np.flatnonzero(w.dense()), [2])

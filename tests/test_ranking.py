@@ -3,7 +3,8 @@ import pytest
 
 from protoselect import Dataset, InputError, KernelSpec, kernel_matrix, mean_map
 from protoselect.nnqp import objective, solve_restricted
-from protoselect.ranking import AverageRanks, RankMatrix, average_ranks, export_graph, rank_sources
+from protoselect.ranking import (AverageRanks, GraphExport, RankMatrix, average_ranks, export_graph,
+                                 rank_sources)
 
 
 def cluster(rng, center, n=20, std=0.05):
@@ -95,8 +96,8 @@ class TestAverageRanks:
                 [3, 1, 2, 0],
             ]
         )
-        obj = np.zeros((4, 4))
-        rm = RankMatrix(names=("a", "b", "c", "d"), objective=obj, rank=rank)
+        rm = RankMatrix(names=("a", "b", "c", "d"), objective=-rank)
+        np.testing.assert_array_equal(rm.rank, rank)
         avg = average_ranks(rm)
         means = {n: v for n, v in zip(avg.names, avg.values)}
         assert means["b"] == pytest.approx(1.0)
@@ -139,6 +140,19 @@ class TestExportGraph:
         assert a.dot == b.dot
         assert a.data == b.data
 
+    def test_dot_text(self):
+        rm = RankMatrix(names=("a", 'say "b"', "c"), objective=[[0, 2, 1], [1, 0, 1], [3, 2, 0]])
+        g = export_graph(rm, 1)
+        assert g.dot == ('digraph ranking {\n'
+                         '  "a" [label="a"];\n'
+                         '  "say \\"b\\"" [label="say \\"b\\""];\n'
+                         '  "c" [label="c"];\n'
+                         '  "say \\"b\\"" -> "a" [label="1"];\n'
+                         '  "a" -> "say \\"b\\"" [label="1"];\n'
+                         '  "a" -> "c" [label="1"];\n'
+                         '}\n')
+        assert g == GraphExport(data=g.data)
+
     def test_dot_structure(self, rng):
         datasets = [Dataset(rng.normal(size=(8, 2))) for _ in range(2)]
         rm = rank_sources(datasets, 2, SPEC, names=["left", "right"])
@@ -158,11 +172,43 @@ class TestExportGraph:
             export_graph(rm, 3)
 
 
+def reference_ranks(objective):
+    """Row i ranks every j != i by (-objective[i, j], j), 1 first; the diagonal is 0."""
+    k = objective.shape[0]
+    rank = np.zeros((k, k), dtype=int)
+    for i in range(k):
+        ordered = sorted((j for j in range(k) if j != i), key=lambda j: (-objective[i, j], j))
+        for pos, j in enumerate(ordered, start=1):
+            rank[i, j] = pos
+    return rank
+
+
 class TestRankMatrixValidation:
-    def test_rejects_bad_permutation(self):
-        rank = np.array([[0, 1], [2, 0]])
-        with pytest.raises(InputError):
-            RankMatrix(names=("a", "b"), objective=np.zeros((2, 2)), rank=rank)
+    def test_tied_objectives_rank_in_dataset_order(self):
+        rm = RankMatrix(names=("a", "b", "c", "d"), objective=np.zeros((4, 4)))
+        np.testing.assert_array_equal(rm.rank, [[0, 1, 2, 3], [1, 0, 2, 3], [1, 2, 0, 3],
+                                                [1, 2, 3, 0]])
+        # a tie between -0.0 and 0.0, and a tie below a larger score
+        rm = RankMatrix(names=("a", "b", "c"), objective=[[9.0, -0.0, 0.0], [5.0, 0.0, 5.0],
+                                                          [1.0, 2.0, -7.0]])
+        np.testing.assert_array_equal(rm.rank, [[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_ranks_follow_the_objective(self, k):
+        rng = np.random.default_rng(k)
+        for objective in (rng.integers(-2, 3, size=(k, k)).astype(float), rng.normal(size=(k, k))):
+            rm = RankMatrix(names=tuple(map(str, range(k))), objective=objective)
+            assert rm.rank.dtype == np.dtype(int)
+            np.testing.assert_array_equal(rm.rank, reference_ranks(objective))
+
+    def test_objective_is_a_read_only_copy(self):
+        objective = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 1.0, 0.0]])
+        rm = RankMatrix(names=("a", "b", "c"), objective=objective)
+        objective[0, 1] = 5.0
+        assert rm.objective[0, 1] == 1.0 and rm.rank[0, 1] == 2
+        with pytest.raises(ValueError):
+            rm.objective[0, 1] = 5.0
+
 
     def test_average_ranks_requires_sorted(self):
         with pytest.raises(InputError):

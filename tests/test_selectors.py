@@ -271,7 +271,6 @@ class TestTopMByWeight:
         base = proto_dash(K, mu, SelectionConfig(m=3))
         fake = base.__class__(
             method=base.method,
-            indices=SupportSet((5, 1, 3)),
             weights=WeightVector(SupportSet((5, 1, 3)), np.array([0.5, 0.0, 0.3]), 6),
             objective_trace=np.zeros(3),
             gradient_trace=np.zeros(3),

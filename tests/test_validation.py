@@ -27,7 +27,7 @@ from protoselect.oracle import (exhaustive_optimal, gamma_over_prefixes, rsc_rsm
                                 submodularity_ratio, verify_instance)
 from protoselect.ranking import AverageRanks, RankMatrix, export_graph, rank_sources
 from protoselect.selectors import (CriticismResult, SelectionConfig, SelectionResult, criticisms,
-                                   l2c_equal, proto_dash, random_w, top_m_by_weight)
+                                   l2c_equal, proto_dash, proto_greedy, random_w, top_m_by_weight)
 from helpers import gaussian_instance, synthetic_instance
 
 
@@ -62,7 +62,7 @@ def _with_nan(n, i, j):
 
 def _rank_matrix():
     rank = np.array([[0, 1, 2], [1, 0, 2], [1, 2, 0]])
-    return RankMatrix(names=("a", "b", "c"), objective=np.zeros((3, 3)), rank=rank)
+    return RankMatrix(names=("a", "b", "c"), objective=-rank)  # objectives that give these ranks
 
 
 @pytest.fixture
@@ -181,9 +181,9 @@ def test_non_numeric_dataset_rejected():
         lambda: WeightVector(SupportSet((0,)), ["a"], 2),
         lambda: WeightVector(SupportSet((0,)), [1.0 + 1.0j], 2),
         lambda: gain_bounds(WeightVector.zeros(2), ["a", "b"], KernelMatrix(np.eye(2))),
-        lambda: SelectionResult("x", SupportSet(), WeightVector.zeros(2), ["a"], [], []),
+        lambda: SelectionResult("x", WeightVector.zeros(2), ["a"], [], []),
         lambda: CriticismResult((0,), ["a"]),
-        lambda: RankMatrix(("a", "b"), [["x", "y"], ["z", "w"]], [[0, 1], [1, 0]]),
+        lambda: RankMatrix(("a", "b"), [["x", "y"], ["z", "w"]]),
         lambda: AverageRanks(("a",), ["x"]),
     ],
     ids=["dataset_complex", "kernel_eval_strings", "kernel_matrix_complex",
@@ -255,8 +255,7 @@ def test_gain_bounds_reads_a_list_gradient(rng):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: RankMatrix(names=("a", 1, "c"), objective=np.zeros((3, 3)),
-                           rank=_rank_matrix().rank),
+        lambda: RankMatrix(names=("a", 1, "c"), objective=np.zeros((3, 3))),
         lambda: rank_sources(_datasets(), m=2, spec=_SPEC, names=["a", 1, "c"]),
         lambda: rank_sources(_datasets(), m=2, spec=_SPEC, names=["a", ["b"], "c"]),
     ],
@@ -304,7 +303,7 @@ def _no_gain_instance():
 
 
 def _one_prototype():
-    return SupportSet((0,)), WeightVector(SupportSet((0,)), np.ones(1), 2)
+    return WeightVector(SupportSet((0,)), np.ones(1), 2)
 
 
 @pytest.mark.parametrize(
@@ -364,20 +363,11 @@ def _one_prototype():
          "r must be at least 1"),
         (lambda K, mu: gamma_over_prefixes(*_no_gain_instance(), SupportSet((0,)), 1),
          DegenerateDataError, "any prefix"),
-        (lambda K, mu: RankMatrix(("a", "b"), np.zeros((3, 3)), np.zeros((3, 3))), InputError,
-         "k x k"),
-        (lambda K, mu: RankMatrix(("a", "b"), np.zeros((2, 2)), [[0, 1.5], [1, 0]]), InputError,
-         "rank must be integers"),
-        (lambda K, mu: RankMatrix(("a", "b"), np.zeros((2, 2)), [[0.0, 1.0], [1.0, 0.0]]),
-         InputError, "rank must be integers"),
-        (lambda K, mu: RankMatrix(("a", "b"), np.zeros((2, 2)), [["0", "1"], ["1", "0"]]),
-         InputError, "rank must be integers"),
-        (lambda K, mu: RankMatrix(("a", "b"), np.zeros((2, 2)), [[False, True], [True, False]]),
-         InputError, "rank must be integers"),
-        (lambda K, mu: RankMatrix(("a", "b"), np.zeros((2, 2)), [[0, 1], [1]]), InputError,
-         "k x k"),
-        (lambda K, mu: RankMatrix(("a", "b"), np.zeros((2, 2)), [[5, 1], [1, 7]]), InputError,
-         "diagonal must be 0"),
+        (lambda K, mu: RankMatrix(("a", "b"), np.zeros((3, 3))), InputError, "k x k"),
+        (lambda K, mu: RankMatrix(("a", "b"), [[0.0, np.nan], [1.0, 0.0]]), InputError,
+         "objective contains non-finite"),
+        (lambda K, mu: RankMatrix(("a", "b"), [[np.inf, 1.0], [1.0, 0.0]]), InputError,
+         "objective contains non-finite"),
         (lambda K, mu: AverageRanks(("a", "b"), [1.0]), InputError, "align"),
         (lambda K, mu: rank_sources(_datasets(), m=2, spec=_SPEC, names=["a", "a", "b"]),
          InputError, "unique"),
@@ -393,20 +383,15 @@ def _one_prototype():
         (lambda K, mu: SelectionConfig(epsilon=0.0), InputError, "epsilon must be positive"),
         (lambda K, mu: SelectionConfig(m=2, oversample_factor=0), InputError,
          "oversample_factor must be at least 1"),
-        (lambda K, mu: SelectionResult("x", *_one_prototype(), [1.0, 2.0], [1.0], [0.0]),
+        (lambda K, mu: SelectionResult("x", _one_prototype(), [1.0, 2.0], [1.0], [0.0]),
          InputError, "one entry per selected index"),
-        (lambda K, mu: SelectionResult("x", SupportSet((1,)), _one_prototype()[1], [1.0], [1.0],
-                                       [0.0]), InputError, "support is indices"),
-        (lambda K, mu: SelectionResult("x", SupportSet((1, 0)), WeightVector(SupportSet((0, 1)),
-                                       np.ones(2), 2), [1.0, 2.0], [1.0, 0.5], [0.0, 0.0]),
-         InputError, "support is indices"),
-        (lambda K, mu: SelectionResult("x", SupportSet(), np.zeros(0), [], [], []), InputError,
+        (lambda K, mu: SelectionResult("x", np.zeros(0), [], [], []), InputError,
          "must be a WeightVector"),
         (lambda K, mu: CriticismResult((0, 1), [1.0]), InputError, "align"),
         (lambda K, mu: CriticismResult((0, 1), [1.0, 2.0]), InputError, "non-increasing"),
         (lambda K, mu: CriticismResult((0.5,), [1.0]), InputError, "criticism indices must be int"),
         (lambda K, mu: proto_dash(K, MeanMap(np.ones(5), n1=1), SelectionConfig(m=2)),
-         InputError, "sizes disagree"),
+         InputError, "does not fit a kernel matrix"),
         (lambda K, mu: l2c_equal(K, mu, SelectionConfig(m=2, oversample_factor=2)), InputError,
          "meaningless"),
         (lambda K, mu: random_w(K, mu, SelectionConfig(epsilon=0.1, seed=1)), InputError,
@@ -420,6 +405,35 @@ def _one_prototype():
          "solver must be a Solver"),
         (lambda K, mu: rank_sources(_datasets(), m=2, spec=_SPEC, solver="x"), InputError,
          "solver must be a Solver"),
+        (lambda K, mu: criticisms(K, mu, proto_dash(K, mu, SelectionConfig(m=2)), 3), InputError,
+         "result must be a SelectionResult, got GaussianGram"),
+        (lambda K, mu: proto_dash(mu, K, SelectionConfig(m=2)), InputError,
+         "mu must be a MeanMap, got GaussianGram"),
+        (lambda K, mu: mean_map(_datasets()[0].values, _datasets()[0], _SPEC), InputError,
+         "target must be a Dataset, got ndarray"),
+        (lambda K, mu: kernel_matrix(_datasets()[0].values, _SPEC), InputError,
+         "source must be a Dataset, got ndarray"),
+        (lambda K, mu: rank_sources(_datasets()[:2], 2, "gaussian"), InputError,
+         "spec must be a KernelSpec, got str"),
+        (lambda K, mu: kernel_matrix(_datasets()[0], "gaussian"), InputError,
+         "spec must be a KernelSpec"),
+        (lambda K, mu: mean_map(_datasets()[0], _datasets()[1].values, _SPEC), InputError,
+         "source must be a Dataset"),
+        (lambda K, mu: mean_map(_datasets()[0], _datasets()[1], None), InputError,
+         "spec must be a KernelSpec"),
+        (lambda K, mu: median_bandwidth(_datasets()[0].values), InputError,
+         "data must be a Dataset"),
+        (lambda K, mu: proto_greedy(K, mu.entries, SelectionConfig(m=2)), InputError,
+         "mu must be a MeanMap"),
+        (lambda K, mu: proto_dash(K, mu, 2), InputError, "cfg must be a SelectionConfig"),
+        (lambda K, mu: l2c_equal(K, mu, {"m": 2}), InputError, "cfg must be a SelectionConfig"),
+        (lambda K, mu: random_w(K, mu, None), InputError, "cfg must be a SelectionConfig"),
+        (lambda K, mu: top_m_by_weight(proto_dash(K, mu, SelectionConfig(m=2)).weights, 1, K, mu),
+         InputError, "result must be a SelectionResult"),
+        (lambda K, mu: top_m_by_weight(proto_dash(K, mu, SelectionConfig(m=2)), 1, K, mu.entries),
+         InputError, "mu must be a MeanMap"),
+        (lambda K, mu: criticisms(proto_dash(K, mu, SelectionConfig(m=2)), K, mu.entries, 1),
+         InputError, "mu must be a MeanMap"),
     ],
     ids=["dataset_1d", "dataset_empty", "kernel_family", "linear_bandwidth", "kernel_not_square",
          "kernel_asymmetric", "kernel_asymmetric_off_diagonal_tile",
@@ -435,17 +449,22 @@ def _one_prototype():
          "weights_misaligned", "weights_non_finite", "weights_index_beyond_dimension",
          "kkt_tolerance_zero", "max_iterations_zero", "warm_start_outside_L", "exhaustive_m_zero",
          "exhaustive_m_beyond_n2", "rsc_k_zero", "rsc_k_beyond_n2", "submodularity_r_zero",
-         "gamma_no_prefix_gains", "rank_matrix_shape", "rank_real", "rank_integral_real",
-         "rank_strings", "rank_bools", "rank_ragged", "rank_diagonal", "average_ranks_alignment",
+         "gamma_no_prefix_gains", "rank_matrix_shape", "rank_objective_nan",
+         "rank_objective_infinite", "average_ranks_alignment",
          "rank_duplicate_names", "rank_names_int", "rank_names_generator", "rank_raw_arrays",
          "rank_datasets_iterator", "m_negative", "epsilon_zero", "oversample_zero",
-         "selection_result_trace", "selection_result_indices", "selection_result_order",
-         "selection_result_weights_type", "criticism_alignment", "criticism_order",
+         "selection_result_trace", "selection_result_weights_type", "criticism_alignment", "criticism_order",
          "criticism_index_non_integer", "selector_mu_size", "l2c_oversampling",
          "random_w_epsilon_mode", "selection_solver", "solve_restricted_cfg", "top_m_solver",
-         "verify_solver", "rank_solver"],
+         "verify_solver", "rank_solver", "criticisms_arguments_out_of_order",
+         "proto_dash_arguments_out_of_order", "mean_map_raw_target", "kernel_matrix_raw_source",
+         "rank_sources_family_name", "kernel_matrix_spec", "mean_map_raw_source",
+         "mean_map_spec_none", "median_bandwidth_raw_data", "selector_raw_mu", "selector_cfg_int",
+         "l2c_cfg_dict", "random_w_cfg_none", "top_m_weights_for_result", "top_m_raw_mu",
+         "criticisms_raw_mu"],
 )
 def test_each_check_raises_its_error(rng, call, error, match):
     K, mu = gaussian_instance(rng, n1=5, n2=6)
     with pytest.raises(error, match=match):
         call(K, mu)
+
