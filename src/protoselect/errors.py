@@ -8,6 +8,10 @@ rule raises InputError naming its argument; a valid one comes back as a
 Python int or float. An object argument (a Dataset, a KernelSpec, a config
 or a result) must be of its class; the Gram is read only through its
 readers, so any object that has them will do.
+
+A value class holds each array as `as_held` returns it, a read-only float
+copy of its shape with finite entries, so no later write can change what the
+class checked; the class checks only what is its own (signs, order, ranges).
 """
 
 from __future__ import annotations
@@ -115,3 +119,25 @@ def as_instance(value, cls: type, name: str):
     if not isinstance(value, cls):
         raise InputError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
     return value
+
+
+def as_held(values, what: str, shape: tuple, error: type = InputError) -> np.ndarray:
+    """A read-only, C-ordered float copy of `values`, the one way a value class holds an array.
+
+    InputError unless it has `shape`, where None matches any length; `error` for a
+    non-finite entry.
+    """
+    arr = np.array(as_reals(values, what), order="C")
+    if arr.shape != shape and (arr.ndim != len(shape) or any(
+            want is not None and got != want for got, want in zip(arr.shape, shape))):
+        raise InputError(f"{what} must have shape {str(shape).replace('None', 'any')}, "
+                         f"got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise error(f"{what} contains non-finite entries")
+    return read_only(arr)
+
+
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """`arr`, which no one else holds, with writes refused."""
+    arr.flags.writeable = False
+    return arr

@@ -19,30 +19,24 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .errors import (DegenerateDataError, InputError, NumericError, as_index, as_instance, as_real,
-                     as_reals)
+from .errors import (DegenerateDataError, InputError, NumericError, as_held, as_index, as_instance,
+                     as_real, as_reals)
 
 GAUSSIAN = "gaussian"
 LINEAR = "linear"
 DEFAULT_JITTER = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Dense real matrix, rows are instances and columns are features."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        # A read-only, C-ordered copy, so no write, the caller's or a reader's, changes a value.
-        arr = np.array(as_reals(self.values, "dataset values"), order="C")
-        arr.flags.writeable = False
-        if arr.ndim != 2:
-            raise InputError("dataset must be a 2-D array of shape (n, d)")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
+        arr = as_held(self.values, "dataset", (None, None))
+        if arr.size == 0:
             raise InputError("dataset needs at least one row and one feature")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("dataset contains non-finite entries")
         object.__setattr__(self, "values", arr)
 
     @property
@@ -207,7 +201,7 @@ class GaussianGram(KernelMatrix):
         self._admit(missing)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanMap:
     """Average kernel evaluation of every target row at each source row."""
 
@@ -215,15 +209,9 @@ class MeanMap:
     n1: int
 
     def __post_init__(self):
-        # A read-only copy, so no write, the caller's or a reader's, changes an entry.
-        arr = np.array(as_reals(self.entries, "mean map entries"))
-        arr.flags.writeable = False
-        if arr.ndim != 1:
-            raise InputError("mean map must be a 1-D vector")
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("mean map contains non-finite entries")
+        entries = as_held(self.entries, "mean map", (None,), NumericError)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "n1", as_index(self.n1, "n1", least=1))
-        object.__setattr__(self, "entries", arr)
 
     @property
     def n2(self) -> int:
@@ -236,6 +224,7 @@ def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
     A gaussian value equals the Gram's entry bit for bit; a linear one can
     differ from it in the last bits, because BLAS tiles X @ X.T by its shape.
     """
+    as_instance(spec, KernelSpec, "spec")
     x, y = as_reals(x, "kernel arguments"), as_reals(y, "kernel arguments")
     if x.ndim != 1 or x.size == 0 or x.shape != y.shape:
         raise InputError(f"kernel arguments must be 1-D vectors of one length with at least "

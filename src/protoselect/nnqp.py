@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import InputError, SolverError, as_index, as_indices, as_instance, as_real, as_reals
+from .errors import (InputError, SolverError, as_held, as_index, as_indices, as_instance, as_real,
+                     as_reals)
 from .kernel import KernelMatrix, MeanMap
 
 # Relative size below which a Schur complement has lost its digits to cancellation.
@@ -54,7 +55,7 @@ class SupportSet:
         return np.asarray(self.indices, dtype=np.intp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Non-negative weights aligned to an ordered support; zero elsewhere."""
 
@@ -63,12 +64,9 @@ class WeightVector:
     dimension: int
 
     def __post_init__(self):
+        as_instance(self.support, SupportSet, "support")
         object.__setattr__(self, "dimension", as_index(self.dimension, "dimension", least=0))
-        w = as_reals(self.weights, "weights")
-        if w.ndim != 1 or w.shape[0] != len(self.support):
-            raise InputError("weights must be 1-D and aligned to the support")
-        if not np.all(np.isfinite(w)):
-            raise InputError("weights contain non-finite entries")
+        w = as_held(self.weights, "weights", (len(self.support),))
         if np.any(w < 0):
             raise InputError("weights must be non-negative")
         if any(i >= self.dimension for i in self.support):
@@ -118,7 +116,7 @@ def _check_sizes(K: KernelMatrix, v: np.ndarray, w: WeightVector | None = None):
 
 def objective(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> float:
     """Value of w'mu - w'Kw/2 using only the support coordinates."""
-    _check_sizes(K, mu.entries, w)
+    _check_sizes(K, as_instance(mu, MeanMap, "mu").entries, as_instance(w, WeightVector, "w"))
     s = w.support.as_array()
     ws = w.weights
     return float(ws @ mu.entries[s] - 0.5 * ws @ (K.block(s) @ ws))
@@ -126,7 +124,7 @@ def objective(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> float:
 
 def gradient(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> np.ndarray:
     """Full-length gradient mu - Kw."""
-    _check_sizes(K, mu.entries, w)
+    _check_sizes(K, as_instance(mu, MeanMap, "mu").entries, as_instance(w, WeightVector, "w"))
     return mu.entries - w.weights @ K.rows(w.support.as_array())
 
 
@@ -136,8 +134,8 @@ def kkt_residual(w: WeightVector, K: KernelMatrix, mu: MeanMap, L: SupportSet) -
     Per coordinate j in L this is |grad_j| where w_j > 0 and max(grad_j, 0)
     where w_j = 0; weights are never negative.
     """
-    _check_sizes(K, mu.entries, w)
-    idx = L.as_array()
+    _check_sizes(K, as_instance(mu, MeanMap, "mu").entries, as_instance(w, WeightVector, "w"))
+    idx = as_instance(L, SupportSet, "L").as_array()
     KL, wL = K.block(idx), w.dense()[idx]  # the block first: it refuses an index out of range
     # weights are non-negative, so L gathers them all exactly when it gathers every positive one
     if np.count_nonzero(wL) != np.count_nonzero(w.weights):
@@ -162,7 +160,7 @@ def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
     digits. Entries for indices already in S carry no meaning.
     """
     g = as_reals(g, "gradient")
-    _check_sizes(K, g, w)
+    _check_sizes(K, g, as_instance(w, WeightVector, "w"))
     diag = K.diag()
     s, h, base = diag, g, 0.0
     if len(w.support):
@@ -285,8 +283,10 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
     """
     cfg = as_solver(cfg)
     n2 = K.n2
-    _check_sizes(K, mu.entries, warm_start)
-    if len(L) == 0:
+    if warm_start is not None:
+        as_instance(warm_start, WeightVector, "warm_start")
+    _check_sizes(K, as_instance(mu, MeanMap, "mu").entries, warm_start)
+    if len(as_instance(L, SupportSet, "L")) == 0:
         return WeightVector.zeros(n2)
     idx = L.as_array()
     KL = K.block(idx)

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, as_index, as_instance, as_reals
+from .errors import InputError, as_held, as_index, as_instance, read_only
 from .kernel import Dataset, KernelMatrix, KernelSpec, kernel_matrix, mean_map
 from .nnqp import SolverConfig, SupportSet, WeightVector, as_solver, objective, solve_restricted
 from .selectors import SelectionConfig, proto_dash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankMatrix:
     """Pairwise representation scores and the per-target ranks they give.
 
@@ -31,7 +31,8 @@ class RankMatrix:
     the representers of i (1 is best) and is derived from the objective:
     row i orders the other datasets j by (-objective[i, j], j), so ties go
     to dataset order. The diagonal is 0. The objective is held as a
-    read-only copy and must be finite, so the ranks always match it.
+    read-only copy and must be finite, and the ranks are read-only, so
+    they always match it.
     """
 
     names: tuple[str, ...]
@@ -42,26 +43,21 @@ class RankMatrix:
         k = len(self.names)
         if not all(isinstance(name, str) for name in self.names):
             raise InputError("names must be strings")
-        obj = np.array(as_reals(self.objective, "objective"))
-        obj.flags.writeable = False
-        if obj.shape != (k, k):
-            raise InputError(f"objective must be k x k for k = {k} names, got shape {obj.shape}")
-        if not np.all(np.isfinite(obj)):
-            raise InputError("objective contains non-finite entries")
+        obj = as_held(self.objective, "objective", (k, k))
         # A stable sort keeps dataset order among ties; the diagonal sorts last.
         order = np.argsort(np.where(np.eye(k, dtype=bool), np.inf, -obj), axis=1, kind="stable")
         rank = np.zeros((k, k), dtype=int)
         np.put_along_axis(rank, order, np.arange(1, k + 1), axis=1)
         np.fill_diagonal(rank, 0)
         object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "rank", read_only(rank))
 
     @property
     def k(self) -> int:
         return len(self.names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AverageRanks:
     """Per-dataset mean rank (diagonal excluded), sorted ascending."""
 
@@ -69,9 +65,7 @@ class AverageRanks:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = as_reals(self.values, "values")
-        if vals.shape != (len(self.names),):
-            raise InputError("values must align with names")
+        vals = as_held(self.values, "values", (len(self.names),))
         if np.any(np.diff(vals) < 0):
             raise InputError("values must be sorted ascending")
         object.__setattr__(self, "values", vals)
@@ -176,12 +170,10 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
 def average_ranks(rm: RankMatrix) -> AverageRanks:
     """Column means of the rank matrix, diagonal excluded, sorted ascending.
 
-    Ties keep dataset input order.
+    The diagonal is 0, so the column sums over the other k - 1 targets are
+    the sums of whole columns. Ties keep dataset input order.
     """
-    k = rm.k
-    means = np.array(
-        [sum(rm.rank[i, j] for i in range(k) if i != j) / (k - 1) for j in range(k)]
-    )
+    means = rm.rank.sum(axis=0) / (rm.k - 1)
     order = np.argsort(means, kind="stable")
     return AverageRanks(
         names=tuple(rm.names[j] for j in order),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError, SolverError, as_index, as_indices, as_instance, as_real, as_reals
+from .errors import InputError, SolverError, as_held, as_index, as_indices, as_instance, as_real
 from .kernel import KernelMatrix, MeanMap
 from .nnqp import (SolverConfig, SupportSet, WeightVector, _check_sizes, as_solver, gain_bounds,
                    gradient, objective, solve_restricted)
@@ -69,7 +69,7 @@ class SelectionConfig:
             raise InputError("oversampling requires m-termination")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionResult:
     """Prototype weights, with traces and timings per step.
 
@@ -87,12 +87,8 @@ class SelectionResult:
 
     def __post_init__(self):
         as_instance(self.weights, WeightVector, "weights")
-        t = len(self.indices)
         for name in ("objective_trace", "gradient_trace", "wall_times"):
-            arr = as_reals(getattr(self, name), name)
-            if arr.shape != (t,):
-                raise InputError(f"{name} must have one entry per selected index")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, as_held(getattr(self, name), name, (len(self.indices),)))
 
     @property
     def indices(self) -> SupportSet:
@@ -103,7 +99,7 @@ class SelectionResult:
         return float(self.objective_trace[-1]) if len(self.indices) else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriticismResult:
     """Worst-represented non-prototypes, scores sorted non-increasing."""
 
@@ -112,9 +108,7 @@ class CriticismResult:
 
     def __post_init__(self):
         object.__setattr__(self, "indices", as_indices(self.indices, "criticism indices"))
-        scores = as_reals(self.scores, "scores")
-        if scores.shape != (len(self.indices),):
-            raise InputError("scores must align with indices")
+        scores = as_held(self.scores, "scores", (len(self.indices),))
         if np.any(np.diff(scores) > 0):
             raise InputError("scores must be non-increasing")
         object.__setattr__(self, "scores", scores)

@@ -1,7 +1,7 @@
 """The package declares only what its code keeps: every console script imports, every
-exported name resolves, every module uses each name it imports, the kernel formula
-and the Cholesky factorization are each written in one place, and ranking computes
-kernel values only through the kernel module's public passes."""
+exported name resolves, every module uses each name it imports, the kernel formula,
+the Cholesky factorization and the freezing of an array are each written in one place,
+and ranking computes kernel values only through the kernel module's public passes."""
 
 import ast
 import importlib
@@ -87,3 +87,28 @@ def test_ranking_imports_no_private_kernel_name():
                if isinstance(node, ast.ImportFrom) and node.module == "kernel"
                for alias in node.names if alias.name.startswith("_")]
     assert not private, f"ranking.py imports private kernel names {private}"
+
+
+def _freezes(node, where):
+    """Enclosing module.function of each `.flags.writeable = ...` or `.setflags(...)` below node."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}"
+        elif isinstance(child, ast.Assign) and any(
+                isinstance(t, ast.Attribute) and t.attr == "writeable"
+                and isinstance(t.value, ast.Attribute) and t.value.attr == "flags"
+                for t in child.targets):
+            yield where
+        elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+              and child.func.attr == "setflags"):
+            yield where
+        yield from _freezes(child, inner)
+
+
+def test_arrays_are_frozen_in_one_place():
+    # A value class holds an array through errors.as_held, which freezes it with
+    # errors.read_only; only the Gram freezes its own diagonal and row views.
+    found = sorted(where for path in _MODULES
+                   for where in _freezes(ast.parse(path.read_text()), path.stem))
+    assert found == ["errors.read_only", "kernel.KernelMatrix._hold", "kernel.KernelMatrix.rows"]

@@ -117,6 +117,17 @@ class TestAverageRanks:
             assert value == pytest.approx(want)
         assert np.all(avg.values >= 1.0) and np.all(avg.values <= 3.0)
 
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_means_equal_the_loop_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        rm = RankMatrix(names=tuple(map(str, range(k))), objective=rng.normal(size=(k, k)))
+        loop = np.array([sum(rm.rank[i, j] for i in range(k) if i != j) / (k - 1)
+                         for j in range(k)])
+        avg = average_ranks(rm)
+        order = np.argsort(loop, kind="stable")
+        assert avg.names == tuple(rm.names[j] for j in order)
+        assert avg.values.tobytes() == loop[order].tobytes()
+
 
 class TestExportGraph:
     def test_full_graph_is_complete(self, rng):

@@ -309,7 +309,7 @@ def _one_prototype():
 @pytest.mark.parametrize(
     "call, error, match",
     [
-        (lambda K, mu: Dataset(np.ones(3)), InputError, "2-D"),
+        (lambda K, mu: Dataset(np.ones(3)), InputError, r"dataset must have shape \(any, any\)"),
         (lambda K, mu: Dataset(np.ones((0, 2))), InputError, "at least one row"),
         (lambda K, mu: KernelSpec("cosine"), InputError, "unknown kernel family"),
         (lambda K, mu: KernelSpec("linear", bandwidth=1.0), InputError, "only applies"),
@@ -320,7 +320,8 @@ def _one_prototype():
         (lambda K, mu: KernelMatrix(_asymmetric(65, 0, 64)), InputError, "exactly symmetric"),
         (lambda K, mu: KernelMatrix(_with_nan(65, 64, 0)), NumericError, "non-finite"),
         (lambda K, mu: KernelMatrix(_with_nan(65, 40, 40)), NumericError, "non-finite"),
-        (lambda K, mu: MeanMap(np.ones((2, 2)), n1=1), InputError, "1-D"),
+        (lambda K, mu: MeanMap(np.ones((2, 2)), n1=1), InputError,
+         r"mean map must have shape \(any,\)"),
         (lambda K, mu: MeanMap(np.ones(2), n1=0), InputError, "n1 must be at least 1"),
         (lambda K, mu: kernel_eval([np.inf], [1.0], KernelSpec("linear")), NumericError,
          "non-finite"),
@@ -347,7 +348,8 @@ def _one_prototype():
                                     spec=_LINEAR), NumericError, "non-finite"),
         (lambda K, mu: rank_sources(_datasets(), m=2, spec=_TINY), NumericError, "non-finite"),
         (lambda K, mu: SupportSet((0, -1)), InputError, "non-negative"),
-        (lambda K, mu: WeightVector(SupportSet((0,)), np.ones(2), 3), InputError, "aligned"),
+        (lambda K, mu: WeightVector(SupportSet((0,)), np.ones(2), 3), InputError,
+         r"weights must have shape \(1,\)"),
         (lambda K, mu: WeightVector(SupportSet((0,)), [np.nan], 3), InputError, "non-finite"),
         (lambda K, mu: WeightVector(SupportSet((3,)), np.ones(1), 3), InputError, "out of range"),
         (lambda K, mu: SolverConfig(kkt_tolerance=0.0), InputError, "kkt_tolerance must be pos"),
@@ -363,12 +365,14 @@ def _one_prototype():
          "r must be at least 1"),
         (lambda K, mu: gamma_over_prefixes(*_no_gain_instance(), SupportSet((0,)), 1),
          DegenerateDataError, "any prefix"),
-        (lambda K, mu: RankMatrix(("a", "b"), np.zeros((3, 3))), InputError, "k x k"),
+        (lambda K, mu: RankMatrix(("a", "b"), np.zeros((3, 3))), InputError,
+         r"objective must have shape \(2, 2\)"),
         (lambda K, mu: RankMatrix(("a", "b"), [[0.0, np.nan], [1.0, 0.0]]), InputError,
          "objective contains non-finite"),
         (lambda K, mu: RankMatrix(("a", "b"), [[np.inf, 1.0], [1.0, 0.0]]), InputError,
          "objective contains non-finite"),
-        (lambda K, mu: AverageRanks(("a", "b"), [1.0]), InputError, "align"),
+        (lambda K, mu: AverageRanks(("a", "b"), [1.0]), InputError,
+         r"values must have shape \(2,\)"),
         (lambda K, mu: rank_sources(_datasets(), m=2, spec=_SPEC, names=["a", "a", "b"]),
          InputError, "unique"),
         (lambda K, mu: rank_sources(_datasets(), m=2, spec=_SPEC, names=5), InputError,
@@ -384,10 +388,11 @@ def _one_prototype():
         (lambda K, mu: SelectionConfig(m=2, oversample_factor=0), InputError,
          "oversample_factor must be at least 1"),
         (lambda K, mu: SelectionResult("x", _one_prototype(), [1.0, 2.0], [1.0], [0.0]),
-         InputError, "one entry per selected index"),
+         InputError, r"objective_trace must have shape \(1,\)"),
         (lambda K, mu: SelectionResult("x", np.zeros(0), [], [], []), InputError,
          "must be a WeightVector"),
-        (lambda K, mu: CriticismResult((0, 1), [1.0]), InputError, "align"),
+        (lambda K, mu: CriticismResult((0, 1), [1.0]), InputError,
+         r"scores must have shape \(2,\)"),
         (lambda K, mu: CriticismResult((0, 1), [1.0, 2.0]), InputError, "non-increasing"),
         (lambda K, mu: CriticismResult((0.5,), [1.0]), InputError, "criticism indices must be int"),
         (lambda K, mu: proto_dash(K, MeanMap(np.ones(5), n1=1), SelectionConfig(m=2)),
@@ -434,6 +439,22 @@ def _one_prototype():
          InputError, "mu must be a MeanMap"),
         (lambda K, mu: criticisms(proto_dash(K, mu, SelectionConfig(m=2)), K, mu.entries, 1),
          InputError, "mu must be a MeanMap"),
+        (lambda K, mu: objective(WeightVector.zeros(6), K, mu.entries), InputError,
+         "mu must be a MeanMap, got ndarray"),
+        (lambda K, mu: solve_restricted(K, mu, (0, 1)), InputError,
+         "L must be a SupportSet, got tuple"),
+        (lambda K, mu: kkt_residual(WeightVector.zeros(6), K, mu, (0, 1, 2)), InputError,
+         "L must be a SupportSet, got tuple"),
+        (lambda K, mu: kernel_eval([1.0], [2.0], "gaussian"), InputError,
+         "spec must be a KernelSpec, got str"),
+        (lambda K, mu: gradient(WeightVector.zeros(6).dense(), K, mu), InputError,
+         "w must be a WeightVector, got ndarray"),
+        (lambda K, mu: gain_bounds(None, mu.entries, K), InputError,
+         "w must be a WeightVector, got NoneType"),
+        (lambda K, mu: solve_restricted(K, mu, SupportSet((0,)), warm_start=np.zeros(6)),
+         InputError, "warm_start must be a WeightVector, got ndarray"),
+        (lambda K, mu: WeightVector((0,), [1.0], 6), InputError,
+         "support must be a SupportSet, got tuple"),
     ],
     ids=["dataset_1d", "dataset_empty", "kernel_family", "linear_bandwidth", "kernel_not_square",
          "kernel_asymmetric", "kernel_asymmetric_off_diagonal_tile",
@@ -461,7 +482,10 @@ def _one_prototype():
          "rank_sources_family_name", "kernel_matrix_spec", "mean_map_raw_source",
          "mean_map_spec_none", "median_bandwidth_raw_data", "selector_raw_mu", "selector_cfg_int",
          "l2c_cfg_dict", "random_w_cfg_none", "top_m_weights_for_result", "top_m_raw_mu",
-         "criticisms_raw_mu"],
+         "criticisms_raw_mu", "objective_raw_mu", "solve_restricted_tuple_L",
+         "kkt_residual_tuple_L", "kernel_eval_family_name", "gradient_dense_weights",
+         "gain_bounds_no_weights", "solve_restricted_raw_warm_start",
+         "weight_vector_tuple_support"],
 )
 def test_each_check_raises_its_error(rng, call, error, match):
     K, mu = gaussian_instance(rng, n1=5, n2=6)
