@@ -5,9 +5,9 @@ An index or count is a Python or numpy integer, never a bool or a float
 positive unless the caller allows zero. Arrays of reals are data, so a bool
 array is valid (binary questionnaire features, say). A value that breaks a
 rule raises InputError naming its argument; a valid one comes back as a
-Python int or float. An object argument (a Dataset, a KernelSpec, a config
-or a result) must be of its class; the Gram is read only through its
-readers, so any object that has them will do.
+Python int or float. Names are a list or tuple of distinct strings, held as
+a tuple. An object argument (the Gram, a Dataset, a KernelSpec, a support,
+a config or a result) must be of its class.
 
 A value class holds each array as `as_held` returns it, a read-only float
 copy of its shape with finite entries, so no later write can change what the
@@ -88,6 +88,14 @@ def as_indices(values, name: str) -> tuple[int, ...]:
     if out and min(out) < 0:
         raise InputError(f"{name} must be non-negative")
     return out
+
+
+def as_names(values, name: str) -> tuple[str, ...]:
+    """`values`, a list or tuple of distinct strings, as a tuple; InputError for anything else."""
+    if (not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values)
+            or len(set(values)) != len(values)):
+        raise InputError(f"{name} must be a list or tuple of unique strings")
+    return tuple(values)
 
 
 def as_real(value, name: str, allow_zero: bool = False) -> float:

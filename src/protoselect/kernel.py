@@ -98,6 +98,9 @@ class KernelMatrix:
     Rows are admitted under a lock and never change after, so threads may
     share a Gram. KernelMatrix(entries) holds a copy of entries, so later
     writes to the caller's array change no entry.
+
+    Every function that takes a Gram requires a KernelMatrix. A subclass may
+    compute its rows its own way, as GaussianGram does.
     """
 
     def __init__(self, entries):

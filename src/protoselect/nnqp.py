@@ -107,11 +107,26 @@ def as_solver(cfg) -> SolverConfig:
 
 
 def _check_sizes(K: KernelMatrix, v: np.ndarray, w: WeightVector | None = None):
-    """InputError unless the vector v (a mean map's entries or a gradient) and w fit K."""
-    if np.shape(v) != (K.n2,):
+    """InputError unless K is a KernelMatrix that v (mu's entries or a gradient) and w fit."""
+    if np.shape(v) != (as_instance(K, KernelMatrix, "K").n2,):
         raise InputError(f"vector of shape {np.shape(v)} does not fit a kernel matrix of {K.n2} rows")
     if w is not None and w.dimension != K.n2:
         raise InputError(f"weight vector has dimension {w.dimension}, kernel matrix has {K.n2}")
+
+
+def _restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet, w: WeightVector | None, name: str):
+    """(K's block, mu's entries, w's weights) gathered at L, zero weights if w is None.
+
+    InputError unless the arguments fit one another and w's support, if any, lies inside L.
+    """
+    _check_sizes(K, as_instance(mu, MeanMap, "mu").entries, w)
+    idx = as_instance(L, SupportSet, "L").as_array()
+    KL = K.block(idx)  # the block first: it refuses an index out of range
+    wL = np.zeros(idx.size) if w is None else w.dense()[idx]
+    # weights are non-negative, so L gathers them all exactly when it gathers every positive one
+    if w is not None and np.count_nonzero(wL) != np.count_nonzero(w.weights):
+        raise InputError(f"{name} support must lie inside L")
+    return KL, mu.entries[idx], wL
 
 
 def objective(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> float:
@@ -134,13 +149,7 @@ def kkt_residual(w: WeightVector, K: KernelMatrix, mu: MeanMap, L: SupportSet) -
     Per coordinate j in L this is |grad_j| where w_j > 0 and max(grad_j, 0)
     where w_j = 0; weights are never negative.
     """
-    _check_sizes(K, as_instance(mu, MeanMap, "mu").entries, as_instance(w, WeightVector, "w"))
-    idx = as_instance(L, SupportSet, "L").as_array()
-    KL, wL = K.block(idx), w.dense()[idx]  # the block first: it refuses an index out of range
-    # weights are non-negative, so L gathers them all exactly when it gathers every positive one
-    if np.count_nonzero(wL) != np.count_nonzero(w.weights):
-        raise InputError("weight support must lie inside L")
-    return _residual_of(KL, mu.entries[idx], wL)
+    return _residual_of(*_restricted(K, mu, L, as_instance(w, WeightVector, "w"), "weight"))
 
 
 def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
@@ -218,17 +227,12 @@ def _residual_of(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
     return float(per_coord.max()) if per_coord.size else 0.0
 
 
-def _active_set_max(A: np.ndarray, b: np.ndarray, w0: np.ndarray | None,
+def _active_set_max(A: np.ndarray, b: np.ndarray, w0: np.ndarray,
                     tol: float, max_iter: int) -> tuple[np.ndarray, str | None]:
     """(maximizer, None), or (last iterate, reason) if a block does not factor,
-    NOT_POSITIVE_DEFINITE, or the cap passes, ITERATION_CAP."""
+    NOT_POSITIVE_DEFINITE, or the cap passes, ITERATION_CAP; the start w0 is feasible."""
     p = b.shape[0]
-    if w0 is None or not np.any(w0 > 0):
-        w = np.zeros(p)
-        passive = np.zeros(p, dtype=bool)
-    else:
-        w = np.maximum(w0, 0.0)
-        passive = w > 0
+    w, passive = w0, w0 > 0
     iters = 0
     while True:
         # Restore subproblem optimality on the current passive set; this also
@@ -282,20 +286,12 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
             iterate and its KKT residual.
     """
     cfg = as_solver(cfg)
-    n2 = K.n2
     if warm_start is not None:
         as_instance(warm_start, WeightVector, "warm_start")
-    _check_sizes(K, as_instance(mu, MeanMap, "mu").entries, warm_start)
-    if len(as_instance(L, SupportSet, "L")) == 0:
+    KL, muL, w0 = _restricted(K, mu, L, warm_start, "warm start")
+    n2 = K.n2
+    if len(L) == 0:
         return WeightVector.zeros(n2)
-    idx = L.as_array()
-    KL = K.block(idx)
-    muL = mu.entries[idx]
-    w0 = None
-    if warm_start is not None:
-        w0 = warm_start.dense()[idx]
-        if np.count_nonzero(w0) != np.count_nonzero(warm_start.weights):
-            raise InputError("warm start support must lie inside L")
     cap = cfg.iteration_cap(len(L))
     weights, reason = _active_set_max(KL, muL, w0, cfg.kkt_tolerance, cap)
     if reason is not None:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateDataError, GuardError, as_index
+from .errors import DegenerateDataError, GuardError, as_index, as_instance
 from .kernel import KernelMatrix, MeanMap
 from .nnqp import SolverConfig, SupportSet, as_solver, objective, solve_restricted
 from .selectors import SelectionConfig, proto_dash, proto_greedy
@@ -63,7 +63,7 @@ def exhaustive_optimal(K: KernelMatrix, mu: MeanMap, m: int,
     Ties keep the smaller, lexicographically earlier subset. Guarded to
     n2 <= 20 and at most one million subsets.
     """
-    n2 = K.n2
+    n2 = as_instance(K, KernelMatrix, "K").n2
     m = as_index(m, "m", least=1, most=n2)
     sizes = range(1, m + 1)
     _guard_subsets(n2, sum(math.comb(n2, s) for s in sizes))
@@ -87,8 +87,9 @@ def submodularity_ratio(K: KernelMatrix, mu: MeanMap, L: SupportSet, r: int,
     Candidate sets whose joint gain is at most 1e-12 are skipped; the
     ratio is only defined under a strict objective increase.
     """
-    n2 = K.n2
+    n2 = as_instance(K, KernelMatrix, "K").n2
     r = as_index(r, "r", least=1)
+    as_instance(L, SupportSet, "L")
     rest = [j for j in range(n2) if j not in L]
     sizes = range(1, min(r, len(rest)) + 1)
     _guard_subsets(n2, sum(math.comb(len(rest), s) for s in sizes))
@@ -120,7 +121,7 @@ def gamma_over_prefixes(K: KernelMatrix, mu: MeanMap, selection: SupportSet, r: 
     skipped.
     """
     fn = _fn or _SetFunction(K, mu, solver)
-    order = tuple(selection)
+    order = tuple(as_instance(selection, SupportSet, "selection"))
     best = None
     for cut in range(len(order) + 1):
         prefix = SupportSet(order[:cut])
@@ -142,7 +143,7 @@ def rsc_rsm_bounds(K: KernelMatrix, k: int) -> tuple[float, float]:
     the largest; these bound the curvature of the objective between
     k-sparse vectors. k = n2 uses the full spectrum directly.
     """
-    n2 = K.n2
+    n2 = as_instance(K, KernelMatrix, "K").n2
     k = as_index(k, "k", least=1, most=n2)
     if k == n2:
         eig = np.linalg.eigvalsh(K.block(range(n2)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, as_held, as_index, as_instance, read_only
+from .errors import InputError, as_held, as_index, as_instance, as_names, read_only
 from .kernel import Dataset, KernelMatrix, KernelSpec, kernel_matrix, mean_map
 from .nnqp import SolverConfig, SupportSet, WeightVector, as_solver, objective, solve_restricted
 from .selectors import SelectionConfig, proto_dash
@@ -40,9 +40,8 @@ class RankMatrix:
     rank: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "names", as_names(self.names, "names"))
         k = len(self.names)
-        if not all(isinstance(name, str) for name in self.names):
-            raise InputError("names must be strings")
         obj = as_held(self.objective, "objective", (k, k))
         # A stable sort keeps dataset order among ties; the diagonal sorts last.
         order = np.argsort(np.where(np.eye(k, dtype=bool), np.inf, -obj), axis=1, kind="stable")
@@ -65,6 +64,7 @@ class AverageRanks:
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "names", as_names(self.names, "names"))
         vals = as_held(self.values, "values", (len(self.names),))
         if np.any(np.diff(vals) < 0):
             raise InputError("values must be sorted ascending")
@@ -126,9 +126,9 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
         raise InputError("datasets must share a feature dimension")
     if names is None:
         names = [f"dataset_{i}" for i in range(k)]
-    if (not isinstance(names, (list, tuple)) or len(names) != k
-            or not all(isinstance(n, str) for n in names) or len(set(names)) != k):
-        raise InputError("names must be a list or tuple of unique strings aligned with datasets")
+    names = as_names(names, "names")
+    if len(names) != k:
+        raise InputError(f"names must align with datasets: {len(names)} names for {k} datasets")
     solver = as_solver(solver)
 
     def self_select(j: int):
@@ -164,7 +164,7 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
         obj[i, j] = value
     for j in range(k):
         obj[j, j] = selections[j][3]
-    return RankMatrix(names=tuple(names), objective=obj)
+    return RankMatrix(names=names, objective=obj)
 
 
 def average_ranks(rm: RankMatrix) -> AverageRanks:
@@ -173,6 +173,7 @@ def average_ranks(rm: RankMatrix) -> AverageRanks:
     The diagonal is 0, so the column sums over the other k - 1 targets are
     the sums of whole columns. Ties keep dataset input order.
     """
+    as_instance(rm, RankMatrix, "rm")
     means = rm.rank.sum(axis=0) / (rm.k - 1)
     order = np.argsort(means, kind="stable")
     return AverageRanks(
@@ -192,7 +193,7 @@ def export_graph(rm: RankMatrix, top_t: int) -> GraphExport:
     representers of target i, labeled with the rank. Node and edge order
     is deterministic, so repeated exports are byte-identical.
     """
-    k = rm.k
+    k = as_instance(rm, RankMatrix, "rm").k
     top_t = as_index(top_t, "top_t", least=1, most=k - 1)
     edges = []
     for i in range(k):

@@ -341,11 +341,9 @@ def criticisms(result: SelectionResult, K: KernelMatrix, mu: MeanMap,
     weights; large values mark points the weighted prototypes represent
     poorly. Returns the c largest, descending, ties toward the lower index.
     """
-    as_instance(result, SelectionResult, "result")
-    as_instance(mu, MeanMap, "mu")
+    g = gradient(as_instance(result, SelectionResult, "result").weights, K, mu)
     n2 = K.n2
     c = as_index(c, "c", least=1, most=n2 - len(result.indices))
-    g = gradient(result.weights, K, mu)
     mask = np.ones(n2, dtype=bool)
     mask[list(result.indices)] = False
     pool = np.flatnonzero(mask)

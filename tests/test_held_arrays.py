@@ -66,3 +66,13 @@ def test_held_arrays_are_read_only_copies(case):
     assert (held == twin) is False
     assert (held == held) is True
     assert len({held, twin}) == 2
+
+
+@pytest.mark.parametrize("build", [lambda names: RankMatrix(names, np.zeros((2, 2))),
+                                   lambda names: AverageRanks(names, [1.0, 2.0])],
+                         ids=["rank_matrix", "average_ranks"])
+def test_names_are_held_as_a_tuple(build):
+    caller = ["a", "b"]
+    held = build(caller)
+    caller.append("c")
+    assert held.names == ("a", "b")

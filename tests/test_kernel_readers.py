@@ -1,9 +1,9 @@
 """The Gram is read only through `KernelMatrix.diag/rows/block`.
 
-A stand-in that has nothing but `n2` and those three readers, over its own
-copy of a dense Gram, must give byte-identical results to the KernelMatrix
-it copies for every function that takes a kernel. Any other read of the
-kernel fails on the stand-in with AttributeError.
+A KernelMatrix subclass that has nothing but its own `n2` and those three
+readers, over its own copy of a dense Gram, must give byte-identical results
+to the KernelMatrix it copies for every function that takes a kernel. Any
+other read of the kernel fails on the stand-in with AttributeError.
 """
 
 import numpy as np
@@ -38,12 +38,19 @@ from protoselect.selectors import (
 from helpers import entries_of, gaussian_instance
 
 
-class ReadersOnly:
-    """A dense Gram behind the reader interface and nothing else."""
+class ReadersOnly(KernelMatrix):
+    """A dense Gram behind the reader interface and nothing else.
+
+    It never runs KernelMatrix.__init__, so the base class's buffer and slot
+    map do not exist, and any read other than its own four fails.
+    """
 
     def __init__(self, K: KernelMatrix):
         self._dense = entries_of(K)
-        self.n2 = K.n2
+
+    @property
+    def n2(self):
+        return self._dense.shape[0]
 
     def _checked(self, idx):
         idx = np.asarray(idx, dtype=np.intp)

@@ -1,10 +1,12 @@
 """The package declares only what its code keeps: every console script imports, every
 exported name resolves, every module uses each name it imports, the kernel formula,
 the Cholesky factorization and the freezing of an array are each written in one place,
-and ranking computes kernel values only through the kernel module's public passes."""
+ranking computes kernel values only through the kernel module's public passes, and
+every function that takes a Gram is checked with a raw array in its place."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -112,3 +114,16 @@ def test_arrays_are_frozen_in_one_place():
     found = sorted(where for path in _MODULES
                    for where in _freezes(ast.parse(path.read_text()), path.stem))
     assert found == ["errors.read_only", "kernel.KernelMatrix._hold", "kernel.KernelMatrix.rows"]
+
+
+def test_every_gram_argument_is_checked():
+    # test_validation.py gives each function in RAW_GRAM_CALLS a raw array as K and expects
+    # InputError; a new public function that takes K must join them.
+    from test_validation import RAW_GRAM_CALLS
+    takes_gram = set()
+    for path in _MODULES:
+        module = importlib.import_module(f"protoselect.{path.stem}")
+        takes_gram |= {function for name, function in inspect.getmembers(module, inspect.isfunction)
+                       if function.__module__ == module.__name__ and not name.startswith("_")
+                       and "K" in inspect.signature(function).parameters}
+    assert sorted(f.__name__ for f in takes_gram) == sorted(f.__name__ for f in RAW_GRAM_CALLS)

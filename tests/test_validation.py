@@ -25,7 +25,7 @@ from protoselect.errors import DegenerateDataError, NumericError
 from protoselect.nnqp import gain_bounds
 from protoselect.oracle import (exhaustive_optimal, gamma_over_prefixes, rsc_rsm_bounds,
                                 submodularity_ratio, verify_instance)
-from protoselect.ranking import AverageRanks, RankMatrix, export_graph, rank_sources
+from protoselect.ranking import AverageRanks, RankMatrix, average_ranks, export_graph, rank_sources
 from protoselect.selectors import (CriticismResult, SelectionConfig, SelectionResult, criticisms,
                                    l2c_equal, proto_dash, proto_greedy, random_w, top_m_by_weight)
 from helpers import gaussian_instance, synthetic_instance
@@ -63,6 +63,34 @@ def _with_nan(n, i, j):
 def _rank_matrix():
     rank = np.array([[0, 1, 2], [1, 0, 2], [1, 2, 0]])
     return RankMatrix(names=("a", "b", "c"), objective=-rank)  # objectives that give these ranks
+
+
+_RAW_GRAM = np.eye(6)  # a plain array where a KernelMatrix belongs
+
+
+# One call per public function that takes a Gram, each given a raw array as K on an
+# instance of six rows; test_package_contract.py checks that no such function is missing.
+RAW_GRAM_CALLS = {
+    objective: lambda K, mu: objective(WeightVector.zeros(6), _RAW_GRAM, mu),
+    gradient: lambda K, mu: gradient(WeightVector.zeros(6), _RAW_GRAM, mu),
+    kkt_residual: lambda K, mu: kkt_residual(WeightVector.zeros(6), _RAW_GRAM, mu,
+                                             SupportSet((0,))),
+    gain_bounds: lambda K, mu: gain_bounds(WeightVector.zeros(6), mu.entries, _RAW_GRAM),
+    solve_restricted: lambda K, mu: solve_restricted(_RAW_GRAM, mu, SupportSet((0,))),
+    proto_dash: lambda K, mu: proto_dash(_RAW_GRAM, mu, SelectionConfig(m=2)),
+    proto_greedy: lambda K, mu: proto_greedy(_RAW_GRAM, mu, SelectionConfig(m=2)),
+    l2c_equal: lambda K, mu: l2c_equal(_RAW_GRAM, mu, SelectionConfig(m=2)),
+    random_w: lambda K, mu: random_w(_RAW_GRAM, mu, SelectionConfig(m=2, seed=0)),
+    top_m_by_weight: lambda K, mu: top_m_by_weight(proto_dash(K, mu, SelectionConfig(m=2)), 1,
+                                                   _RAW_GRAM, mu),
+    criticisms: lambda K, mu: criticisms(proto_dash(K, mu, SelectionConfig(m=2)), _RAW_GRAM,
+                                         mu, 1),
+    exhaustive_optimal: lambda K, mu: exhaustive_optimal(_RAW_GRAM, mu, 1),
+    submodularity_ratio: lambda K, mu: submodularity_ratio(_RAW_GRAM, mu, SupportSet(), 1),
+    gamma_over_prefixes: lambda K, mu: gamma_over_prefixes(_RAW_GRAM, mu, SupportSet((0,)), 1),
+    rsc_rsm_bounds: lambda K, mu: rsc_rsm_bounds(_RAW_GRAM, 1),
+    verify_instance: lambda K, mu: verify_instance(_RAW_GRAM, mu, 2),
+}
 
 
 @pytest.fixture
@@ -455,7 +483,24 @@ def _one_prototype():
          InputError, "warm_start must be a WeightVector, got ndarray"),
         (lambda K, mu: WeightVector((0,), [1.0], 6), InputError,
          "support must be a SupportSet, got tuple"),
-    ],
+        (lambda K, mu: submodularity_ratio(K, mu, (0,), 1), InputError,
+         "L must be a SupportSet, got tuple"),
+        (lambda K, mu: gamma_over_prefixes(K, mu, [0, 1], 1), InputError,
+         "selection must be a SupportSet, got list"),
+        (lambda K, mu: RankMatrix(5, np.zeros((2, 2))), InputError,
+         "names must be a list or tuple of unique strings"),
+        (lambda K, mu: AverageRanks(5, [1.0, 2.0]), InputError,
+         "names must be a list or tuple of unique strings"),
+        (lambda K, mu: RankMatrix(("a", "a"), np.zeros((2, 2))), InputError,
+         "names must be a list or tuple of unique strings"),
+        (lambda K, mu: RankMatrix("ab", np.zeros((2, 2))), InputError,
+         "names must be a list or tuple of unique strings"),
+        (lambda K, mu: export_graph("x", 1), InputError, "rm must be a RankMatrix, got str"),
+        (lambda K, mu: average_ranks("x"), InputError, "rm must be a RankMatrix, got str"),
+        (lambda K, mu: rank_sources(_datasets(), m=2, spec=_SPEC, names=["a", "b"]), InputError,
+         "names must align with datasets"),
+    ] + [(call, InputError, "K must be a KernelMatrix, got ndarray")
+         for call in RAW_GRAM_CALLS.values()],
     ids=["dataset_1d", "dataset_empty", "kernel_family", "linear_bandwidth", "kernel_not_square",
          "kernel_asymmetric", "kernel_asymmetric_off_diagonal_tile",
          "kernel_asymmetric_across_chunk_edge", "kernel_asymmetric_first_row_past_chunk",
@@ -485,7 +530,11 @@ def _one_prototype():
          "criticisms_raw_mu", "objective_raw_mu", "solve_restricted_tuple_L",
          "kkt_residual_tuple_L", "kernel_eval_family_name", "gradient_dense_weights",
          "gain_bounds_no_weights", "solve_restricted_raw_warm_start",
-         "weight_vector_tuple_support"],
+         "weight_vector_tuple_support", "submodularity_tuple_L", "gamma_list_selection",
+         "rank_matrix_names_int", "average_ranks_names_int", "rank_names_repeated",
+         "rank_names_bare_string", "export_graph_raw_rm", "average_ranks_raw_rm",
+         "rank_names_misaligned"]
+    + [f"{function.__name__}_raw_gram" for function in RAW_GRAM_CALLS],
 )
 def test_each_check_raises_its_error(rng, call, error, match):
     K, mu = gaussian_instance(rng, n1=5, n2=6)
