@@ -21,6 +21,9 @@ import operator
 
 import numpy as np
 
+# The largest index numpy can hold.
+_MAX_INDEX = int(np.iinfo(np.intp).max)
+
 
 class ProtoSelectError(Exception):
     """Base class for all protoselect errors."""
@@ -77,7 +80,7 @@ def as_index(value, name: str, least: int | None = None, most: int | None = None
 
 
 def as_indices(values, name: str) -> tuple[int, ...]:
-    """`values` as a tuple of non-negative ints by the rule of `as_index`, in C-level passes."""
+    """`values` as a tuple of ints in [0, intp max] by the rule of `as_index`, in C-level passes."""
     try:
         values = tuple(values)
         out = tuple(map(operator.index, values))
@@ -87,6 +90,8 @@ def as_indices(values, name: str) -> tuple[int, ...]:
         raise InputError(f"{name} must be integers, not bools")
     if out and min(out) < 0:
         raise InputError(f"{name} must be non-negative")
+    if out and max(out) > _MAX_INDEX:
+        raise InputError(f"{name} must be at most {_MAX_INDEX}")
     return out
 
 

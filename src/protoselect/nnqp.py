@@ -86,6 +86,12 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Weight solver settings: the KKT tolerance, and the iteration cap.
+
+    A solve on a support L stops after 10·|L| + 100 iterations by default;
+    `max_iterations`, if set, replaces that cap.
+    """
+
     kkt_tolerance: float = 1e-8
     max_iterations: int | None = None
 
@@ -94,11 +100,6 @@ class SolverConfig:
         if self.max_iterations is not None:
             object.__setattr__(self, "max_iterations",
                                as_index(self.max_iterations, "max_iterations", least=1))
-
-    def iteration_cap(self, support_size: int) -> int:
-        if self.max_iterations is not None:
-            return self.max_iterations
-        return 10 * support_size + 100
 
 
 def as_solver(cfg) -> SolverConfig:
@@ -230,40 +231,40 @@ def _residual_of(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
 def _active_set_max(A: np.ndarray, b: np.ndarray, w0: np.ndarray,
                     tol: float, max_iter: int) -> tuple[np.ndarray, str | None]:
     """(maximizer, None), or (last iterate, reason) if a block does not factor,
-    NOT_POSITIVE_DEFINITE, or the cap passes, ITERATION_CAP; the start w0 is feasible."""
-    p = b.shape[0]
+    NOT_POSITIVE_DEFINITE, or the cap passes, ITERATION_CAP; the start w0 is feasible.
+
+    Each pass solves the subproblem on the passive set, which also absorbs a warm
+    start that is feasible but not yet stationary. Then it either steps back,
+    if a passive weight would turn negative, or lets the coordinate with the
+    largest KKT violation enter. One iteration is one step-back or one entering
+    coordinate; it is counted, and checked against max_iter, before it is applied.
+    """
     w, passive = w0, w0 > 0
     iters = 0
     while True:
-        # Restore subproblem optimality on the current passive set; this also
-        # absorbs warm starts that are feasible but not yet stationary.
-        while True:
-            z = _subproblem(A, b, passive)
-            if z is None:
-                return w, NOT_POSITIVE_DEFINITE
-            negative = passive & (z < 0.0)
-            if not negative.any():
-                w = z
-                break
-            iters += 1
-            if iters > max_iter:
-                return w, ITERATION_CAP
-            ratios = np.full(p, np.inf)
-            ratios[negative] = w[negative] / (w[negative] - z[negative])
-            step = float(ratios.min())
-            w = w + min(max(step, 0.0), 1.0) * (z - w)
-            w[int(np.argmin(ratios))] = 0.0
-            np.maximum(w, 0.0, out=w)
-            passive = w > 0
-        g = b - A @ w
-        masked = np.where(passive, -np.inf, g)
-        entering = int(np.argmax(masked))
-        if not np.isfinite(masked[entering]) or masked[entering] <= 0.5 * tol:
-            return w, None
-        passive[entering] = True
+        z = _subproblem(A, b, passive)
+        if z is None:
+            return w, NOT_POSITIVE_DEFINITE
+        negative = passive & (z < 0.0)
+        stepping_back = negative.any()
+        if not stepping_back:
+            w = z
+            masked = np.where(passive, -np.inf, b - A @ w)
+            entering = int(np.argmax(masked))
+            if not np.isfinite(masked[entering]) or masked[entering] <= 0.5 * tol:
+                return w, None
         iters += 1
         if iters > max_iter:
             return w, ITERATION_CAP
+        if stepping_back:
+            ratios = np.full(b.shape[0], np.inf)
+            ratios[negative] = w[negative] / (w[negative] - z[negative])
+            w = w + min(max(float(ratios.min()), 0.0), 1.0) * (z - w)
+            w[int(np.argmin(ratios))] = 0.0
+            np.maximum(w, 0.0, out=w)
+            passive = w > 0
+        else:
+            passive[entering] = True
 
 
 def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
@@ -292,13 +293,14 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
     n2 = K.n2
     if len(L) == 0:
         return WeightVector.zeros(n2)
-    cap = cfg.iteration_cap(len(L))
+    cap = 10 * len(L) + 100 if cfg.max_iterations is None else cfg.max_iterations
     weights, reason = _active_set_max(KL, muL, w0, cfg.kkt_tolerance, cap)
+    w = WeightVector(support=L, weights=weights, dimension=n2)
     if reason is not None:
         residual = _residual_of(KL, muL, weights)
         stop = ("met a block that is not positive definite" if reason == NOT_POSITIVE_DEFINITE
                 else f"reached its iteration cap of {cap}")
         raise SolverError(f"weight solver {stop} on a support of size {len(L)} "
-                          f"(residual {residual:.3e})", residual=residual,
-                          best_iterate=WeightVector(L, np.maximum(weights, 0.0), n2), reason=reason)
-    return WeightVector(support=L, weights=weights, dimension=n2)
+                          f"(residual {residual:.3e})", residual=residual, best_iterate=w,
+                          reason=reason)
+    return w

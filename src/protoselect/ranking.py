@@ -42,6 +42,8 @@ class RankMatrix:
     def __post_init__(self):
         object.__setattr__(self, "names", as_names(self.names, "names"))
         k = len(self.names)
+        if k < 2:
+            raise InputError("ranking needs at least two datasets")
         obj = as_held(self.objective, "objective", (k, k))
         # A stable sort keeps dataset order among ties; the diagonal sorts last.
         order = np.argsort(np.where(np.eye(k, dtype=bool), np.inf, -obj), axis=1, kind="stable")
@@ -76,10 +78,22 @@ class GraphExport:
     """The graph as JSON-ready data, {"nodes": names, "edges": [...]}, and its DOT text.
 
     `dot` is rendered from `data` on each read: one line per node, then one
-    per edge `from -> to` labeled with its rank, in the order of `data`.
+    per edge `from -> to` labeled with its rank, in the order of `data`. Each
+    edge is a dict with a rank whose ends are nodes.
     """
 
     data: dict
+
+    def __post_init__(self):
+        if not isinstance(self.data, dict) or not {"nodes", "edges"} <= self.data.keys():
+            raise InputError("data must be a dict with nodes and edges")
+        nodes = as_names(self.data["nodes"], "data nodes")
+        edges = self.data["edges"]
+        if not isinstance(edges, (list, tuple)) or not all(
+                isinstance(e, dict) and "rank" in e and all(
+                    isinstance(e.get(end), str) and e[end] in nodes for end in ("from", "to"))
+                for e in edges):
+            raise InputError("data edges must be dicts with a rank, and from and to among the nodes")
 
     @property
     def dot(self) -> str:

@@ -158,6 +158,17 @@ def _solver_entries(out):
         warm_start=WeightVector(SupportSet((0, 1)), [0.5, 0.5], 2))
     out["nnqp.solver_error.iteration_cap"] = _outcome(
         solve_restricted, K, mu, SupportSet(order), SolverConfig(max_iterations=1))
+    # Every intermediate iterate: each cap up to the first that succeeds, on a support that
+    # steps back, solved cold (17 iterations) and warm from half of it (11 iterations).
+    L = SupportSet(range(0, 80, 4))
+    sweep = []
+    for warm_start in (None, solve_restricted(K, mu, SupportSet(range(0, 80, 8)))):
+        for cap in range(1, 10 * len(L) + 101):
+            sweep.append(_outcome(solve_restricted, K, mu, L, SolverConfig(max_iterations=cap),
+                                  warm_start=warm_start))
+            if isinstance(sweep[-1], WeightVector):
+                break
+    out["nnqp.solve_restricted.cap_sweep"] = sweep
 
 
 def _kernel_entries(out):

@@ -195,6 +195,34 @@ class TestSolveRestricted:
                 nrm = float(diff @ diff)
                 assert -C * nrm / 2 - 1e-9 <= gap <= -c * nrm / 2 + 1e-9
 
+    def test_every_cap_stops_short_or_gives_the_uncapped_weights(self, rng):
+        # below the iterations a solve needs, the cap ends it with its iterate so far; from
+        # there on, a cap changes no bit of the weights
+        stepped_back = False
+        for _ in range(4):
+            K, mu = gaussian_instance(rng, n1=20, n2=30, sigma=0.6)
+            L = SupportSet(rng.permutation(30)[:16])
+            half = solve_restricted(K, mu, SupportSet(L.indices[::2]))
+            for warm_start in (None, half):
+                uncapped = solve_restricted(K, mu, L, warm_start=warm_start)
+                first = None
+                for cap in range(1, 10 * len(L) + 101):
+                    try:
+                        w = solve_restricted(K, mu, L, SolverConfig(max_iterations=cap),
+                                             warm_start=warm_start)
+                    except SolverError as err:
+                        assert first is None and err.reason == "iteration_cap"
+                        assert isinstance(err.best_iterate, WeightVector)
+                        continue
+                    assert w.weights.tobytes() == uncapped.weights.tobytes()
+                    first = cap if first is None else first
+                    if cap > first + 3:
+                        break
+                assert first is not None and first > 1
+                # a cold solve that took more iterations than it kept weights stepped back
+                stepped_back |= warm_start is None and first > np.count_nonzero(w.weights)
+        assert stepped_back
+
     def test_solver_error_carries_best_iterate(self):
         # the iteration cap runs out; then a singular block: the third index to enter
         # completes K's null vector (1, 1, -1)

@@ -25,7 +25,8 @@ from protoselect.errors import DegenerateDataError, NumericError
 from protoselect.nnqp import gain_bounds
 from protoselect.oracle import (exhaustive_optimal, gamma_over_prefixes, rsc_rsm_bounds,
                                 submodularity_ratio, verify_instance)
-from protoselect.ranking import AverageRanks, RankMatrix, average_ranks, export_graph, rank_sources
+from protoselect.ranking import (AverageRanks, GraphExport, RankMatrix, average_ranks, export_graph,
+                                 rank_sources)
 from protoselect.selectors import (CriticismResult, SelectionConfig, SelectionResult, criticisms,
                                    l2c_equal, proto_dash, proto_greedy, random_w, top_m_by_weight)
 from helpers import gaussian_instance, synthetic_instance
@@ -499,6 +500,18 @@ def _one_prototype():
         (lambda K, mu: average_ranks("x"), InputError, "rm must be a RankMatrix, got str"),
         (lambda K, mu: rank_sources(_datasets(), m=2, spec=_SPEC, names=["a", "b"]), InputError,
          "names must align with datasets"),
+        (lambda K, mu: solve_restricted(K, mu, SupportSet((2**70,))), InputError,
+         "support indices must be at most"),
+        (lambda K, mu: CriticismResult((2**70,), [1.0]), InputError,
+         "criticism indices must be at most"),
+        (lambda K, mu: GraphExport(5).dot, InputError, "data must be a dict with nodes and edges"),
+        (lambda K, mu: GraphExport({}).dot, InputError, "data must be a dict with nodes and edges"),
+        (lambda K, mu: GraphExport({"nodes": ["a"], "edges": [{"from": "a", "to": "b", "rank": 1}]}),
+         InputError, "data edges must be dicts with a rank, and from and to among the nodes"),
+        (lambda K, mu: RankMatrix(("a",), np.zeros((1, 1))), InputError,
+         "ranking needs at least two datasets"),
+        (lambda K, mu: RankMatrix((), np.zeros((0, 0))), InputError,
+         "ranking needs at least two datasets"),
     ] + [(call, InputError, "K must be a KernelMatrix, got ndarray")
          for call in RAW_GRAM_CALLS.values()],
     ids=["dataset_1d", "dataset_empty", "kernel_family", "linear_bandwidth", "kernel_not_square",
@@ -533,7 +546,9 @@ def _one_prototype():
          "weight_vector_tuple_support", "submodularity_tuple_L", "gamma_list_selection",
          "rank_matrix_names_int", "average_ranks_names_int", "rank_names_repeated",
          "rank_names_bare_string", "export_graph_raw_rm", "average_ranks_raw_rm",
-         "rank_names_misaligned"]
+         "rank_names_misaligned", "support_index_overflow", "criticism_index_overflow",
+         "graph_export_int", "graph_export_empty_dict", "graph_export_unknown_node",
+         "rank_matrix_one_name", "rank_matrix_no_names"]
     + [f"{function.__name__}_raw_gram" for function in RAW_GRAM_CALLS],
 )
 def test_each_check_raises_its_error(rng, call, error, match):
