@@ -1,10 +1,20 @@
 """Brute-force and spectral checks of the selection guarantees.
 
-Everything here is deliberately exhaustive: optimal subsets come from full
-enumeration, curvature constants from principal-minor spectra, and the
-submodularity ratio from enumerating candidate sets. One guard,
-`_guard_subsets`, keeps every enumeration at desk scale, where exactness
-is the point.
+Everything here is deliberately exhaustive: optimal subsets and the
+submodularity ratio come from the restricted optimum tabulated on every
+small subset, and curvature constants from principal-minor spectra. One
+guard, `_guard_subsets`, keeps every enumeration at desk scale, where
+exactness is the point.
+
+The table does not run the weight solver it checks. Let f(S) be the largest
+value of l(w) = w'mu - w'Kw/2 over w >= 0 supported on S, and T the positive
+support of a maximizer; then w_T = K_TT^-1 mu_T. So, with f of the empty set
+0 and U+(S) = mu_S' K_SS^-1 mu_S / 2 where K_SS^-1 mu_S is positive and -inf
+otherwise, f(S) = max(U+(S), max over j in S of f(S - j)), which fills the
+table one subset size at a time. The identity needs a positive definite
+block; a block that is not clearly one takes its value from the weight
+solver, `objective(solve_restricted(...))`, which raises SolverError when it
+meets a block that does not factor.
 
 `verify_instance` is the one guarantee check: it scores ProtoDash and
 ProtoGreedy against their bounds on the exhaustive optimum and returns one
@@ -18,14 +28,18 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateDataError, GuardError, as_index, as_instance
+from .errors import DegenerateDataError, GuardError, InputError, as_index, as_instance
 from .kernel import KernelMatrix, MeanMap
-from .nnqp import SolverConfig, SupportSet, as_solver, objective, solve_restricted
+from .nnqp import SolverConfig, SupportSet, _check_sizes, objective, solve_restricted
 from .selectors import SelectionConfig, proto_dash, proto_greedy
 
 ENUMERATION_CAP = 1_000_000
 MAX_ENUMERABLE_ROWS = 20
 _SLACK = 1e-9
+# Subsets per chunk of an enumeration: enough to batch LAPACK's small calls, and few
+# enough that one chunk's blocks, never a list of every subset, are held at a time.
+_CHUNK = 256
+_EPS = float(np.finfo(float).eps)
 
 
 def _guard_subsets(n2: int, count: int):
@@ -36,50 +50,94 @@ def _guard_subsets(n2: int, count: int):
         raise GuardError(f"too many subsets to enumerate: {count} > {ENUMERATION_CAP}")
 
 
+def _combinations(items, k: int):
+    """The size-k combinations of items in lexicographic order, as (N, k) index arrays
+    of at most _CHUNK rows each."""
+    combos = itertools.combinations(items, k)
+    while len(chunk := np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, _CHUNK)),
+                                   dtype=np.intp).reshape(-1, k)):
+        yield chunk
+
+
+def _minors(K: KernelMatrix, k: int):
+    """(indices, blocks) for each chunk of the size-k subsets of K's rows, where
+    blocks[i] is K's principal block at the rows indices[i]."""
+    full = K.block(range(K.n2))
+    for idx in _combinations(range(K.n2), k):
+        yield idx, full[idx[:, :, None], idx[:, None, :]]
+
+
+def _masks(idx: np.ndarray) -> np.ndarray:
+    """The bitmask, the sum of 2**j over its indices j, of each row of an index array."""
+    return (1 << idx).sum(axis=1)
+
+
 class _SetFunction:
-    """Memoized evaluation of the restricted-optimum set function."""
+    """The restricted optimum f on every subset of at most `depth` rows.
 
-    def __init__(self, K: KernelMatrix, mu: MeanMap, solver: SolverConfig | None):
-        self.K = K
-        self.mu = mu
-        self.solver = as_solver(solver)
-        self._cache: dict[tuple[int, ...], float] = {(): 0.0}
+    `table[mask]` holds f(S) for the subset S whose bitmask is mask, and NaN
+    beyond `depth`. Each size k is filled chunk by chunk from the identity
+    f(S) = max(U+(S), max over j in S of f(S - j)) of the module docstring: one
+    batched eigvalsh decides which blocks are positive definite, their smallest
+    eigenvalue above k·eps times their largest, and one batched solve gives
+    K_SS^-1 mu_S on those. Each other block's U+ is replaced by the weight
+    solver's optimum on S, which raises SolverError where a block on S does not
+    factor. Guarded like every enumeration, by its count of subsets.
+    """
 
-    def value(self, subset) -> float:
-        key = tuple(sorted(int(j) for j in subset))
-        got = self._cache.get(key)
-        if got is None:
-            w = solve_restricted(self.K, self.mu, SupportSet(key), self.solver)
-            got = objective(w, self.K, self.mu)
-            self._cache[key] = got
-        return got
+    def __init__(self, K: KernelMatrix, mu: MeanMap, depth: int):
+        n2 = as_instance(K, KernelMatrix, "K").n2
+        _check_sizes(K, as_instance(mu, MeanMap, "mu").entries)
+        _guard_subsets(n2, sum(math.comb(n2, k) for k in range(1, depth + 1)))
+        self.table = np.full(1 << n2, np.nan)
+        self.table[0] = 0.0
+        for k in range(1, depth + 1):
+            for idx, blocks in _minors(K, k):
+                masks = _masks(idx)
+                below = self.table[masks[:, None] - (1 << idx)].max(axis=1)
+                self.table[masks] = np.maximum(self._peak(K, mu, idx, blocks), below)
+
+    @staticmethod
+    def _peak(K: KernelMatrix, mu: MeanMap, idx: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """U+ on each support idx[i], or the weight solver's optimum on it where its block
+        is not clearly positive definite."""
+        rhs = mu.entries[idx]
+        eig = np.linalg.eigvalsh(blocks)
+        definite = eig[:, 0] > idx.shape[1] * _EPS * eig[:, -1]
+        A, b = blocks[definite], rhs[definite]
+        x = np.linalg.solve(A, b[..., None])[..., 0]
+        value = np.einsum("ij,ij->i", x, b) - 0.5 * np.einsum("ij,ijk,ik->i", x, A, x)
+        peak = np.full(len(idx), -np.inf)
+        peak[definite] = np.where((x > 0.0).all(axis=1), value, -np.inf)
+        for i in np.flatnonzero(~definite):
+            peak[i] = objective(solve_restricted(K, mu, SupportSet(idx[i])), K, mu)
+        return peak
 
 
 def exhaustive_optimal(K: KernelMatrix, mu: MeanMap, m: int,
-                       solver: SolverConfig | None = None,
                        _fn: _SetFunction | None = None) -> tuple[SupportSet, float]:
-    """Best support of size at most m by full enumeration.
+    """Best support of size at most m by full enumeration, and its value.
 
-    Ties keep the smaller, lexicographically earlier subset. Guarded to
-    n2 <= 20 and at most one million subsets.
+    The support is the optimum's positive support: ties keep the smaller,
+    lexicographically earlier subset, and a superset that only adds zero
+    weights holds the very same value in the table. Guarded to n2 <= 20 and
+    at most one million subsets.
     """
     n2 = as_instance(K, KernelMatrix, "K").n2
     m = as_index(m, "m", least=1, most=n2)
-    sizes = range(1, m + 1)
-    _guard_subsets(n2, sum(math.comb(n2, s) for s in sizes))
-    fn = _fn or _SetFunction(K, mu, solver)
+    fn = _fn or _SetFunction(K, mu, m)
     best_set: tuple[int, ...] = ()
     best_val = 0.0
-    for size in sizes:
-        for combo in itertools.combinations(range(n2), size):
-            val = fn.value(combo)
-            if val > best_val:
-                best_set, best_val = combo, val
+    for size in range(1, m + 1):
+        for idx in _combinations(range(n2), size):
+            values = fn.table[_masks(idx)]
+            top = int(np.argmax(values))
+            if values[top] > best_val:
+                best_set, best_val = tuple(idx[top]), float(values[top])
     return SupportSet(best_set), best_val
 
 
 def submodularity_ratio(K: KernelMatrix, mu: MeanMap, L: SupportSet, r: int,
-                        solver: SolverConfig | None = None,
                         _fn: _SetFunction | None = None) -> float:
     """Minimum over disjoint candidate sets S, |S| <= r, of the ratio of
     summed singleton gains over the joint gain at L.
@@ -89,29 +147,30 @@ def submodularity_ratio(K: KernelMatrix, mu: MeanMap, L: SupportSet, r: int,
     """
     n2 = as_instance(K, KernelMatrix, "K").n2
     r = as_index(r, "r", least=1)
-    as_instance(L, SupportSet, "L")
+    if any(j >= n2 for j in as_instance(L, SupportSet, "L")):
+        raise InputError(f"L holds an index beyond the {n2} rows of K")
     rest = [j for j in range(n2) if j not in L]
     sizes = range(1, min(r, len(rest)) + 1)
-    _guard_subsets(n2, sum(math.comb(len(rest), s) for s in sizes))
-    fn = _fn or _SetFunction(K, mu, solver)
-    base = fn.value(L)
-    single_gain = {j: fn.value(tuple(L) + (j,)) - base for j in rest}
-    best = None
+    fn = _fn or _SetFunction(K, mu, len(L) + len(sizes))
+    at_L = sum(1 << j for j in L)
+    base = fn.table[at_L]
+    gain = fn.table[at_L | (1 << np.arange(n2))] - base  # zero inside L, never read there
+    best = math.inf
     for size in sizes:
-        for S in itertools.combinations(rest, size):
-            denom = fn.value(tuple(L) + S) - base
-            if denom <= 1e-12:
-                continue
-            ratio = sum(single_gain[j] for j in S) / denom
-            if best is None or ratio < best:
-                best = ratio
-    if best is None:
+        for S in _combinations(rest, size):
+            denom = fn.table[at_L | _masks(S)] - base
+            summed = gain[S[:, 0]]
+            for col in range(1, size):  # in order, as the sum of a Python loop adds
+                summed = summed + gain[S[:, col]]
+            rising = denom > 1e-12
+            if rising.any():
+                best = min(best, float((summed[rising] / denom[rising]).min()))
+    if best == math.inf:
         raise DegenerateDataError("no candidate set strictly increases the objective at L")
-    return float(best)
+    return best
 
 
 def gamma_over_prefixes(K: KernelMatrix, mu: MeanMap, selection: SupportSet, r: int,
-                        solver: SolverConfig | None = None,
                         _fn: _SetFunction | None = None) -> float:
     """Submodularity ratio minimized over all prefixes of a selection order.
 
@@ -120,13 +179,15 @@ def gamma_over_prefixes(K: KernelMatrix, mu: MeanMap, selection: SupportSet, r: 
     Prefixes at which nothing can strictly increase the objective are
     skipped.
     """
-    fn = _fn or _SetFunction(K, mu, solver)
+    n2 = as_instance(K, KernelMatrix, "K").n2
     order = tuple(as_instance(selection, SupportSet, "selection"))
+    r = as_index(r, "r", least=1)
+    fn = _fn or _SetFunction(K, mu, min(n2, len(order) + r))
     best = None
     for cut in range(len(order) + 1):
         prefix = SupportSet(order[:cut])
         try:
-            ratio = submodularity_ratio(K, mu, prefix, r, solver, _fn=fn)
+            ratio = submodularity_ratio(K, mu, prefix, r, _fn=fn)
         except DegenerateDataError:
             continue
         if best is None or ratio < best:
@@ -141,23 +202,18 @@ def rsc_rsm_bounds(K: KernelMatrix, k: int) -> tuple[float, float]:
 
     Returns (c, C) where c is the smallest eigenvalue over the minors and C
     the largest; these bound the curvature of the objective between
-    k-sparse vectors. k = n2 uses the full spectrum directly.
+    k-sparse vectors. k = n2 takes the one full spectrum, unguarded.
     """
     n2 = as_instance(K, KernelMatrix, "K").n2
     k = as_index(k, "k", least=1, most=n2)
-    if k == n2:
-        eig = np.linalg.eigvalsh(K.block(range(n2)))
-        return float(eig[0]), float(eig[-1])
-    _guard_subsets(n2, math.comb(n2, k))
-    if k == 1:
-        diag = K.diag()
-        return float(diag.min()), float(diag.max())
+    if k < n2:
+        _guard_subsets(n2, math.comb(n2, k))
     c = np.inf
     C = -np.inf
-    for combo in itertools.combinations(range(n2), k):
-        eig = np.linalg.eigvalsh(K.block(combo))
-        c = min(c, float(eig[0]))
-        C = max(C, float(eig[-1]))
+    for _, blocks in _minors(K, k):
+        eig = np.linalg.eigvalsh(blocks)
+        c = min(c, float(eig[:, 0].min()))
+        C = max(C, float(eig[:, -1].max()))
     return c, C
 
 
@@ -168,23 +224,25 @@ def verify_instance(K: KernelMatrix, mu: MeanMap, m: int,
     ProtoDash must clear (1 - exp(-3*c*gamma / (4*C_tilde))) * f_opt and
     ProtoGreedy (1 - exp(-gamma_greedy)) * f_opt, each within numerical
     slack; gamma and gamma_greedy are minimized over the prefixes of each
-    selector's own order.
+    selector's own order. The selectors solve with `solver`; the oracle's
+    values come from one table of every subset of at most 2m rows.
 
     Raises:
         DegenerateDataError: c, gamma or gamma_greedy is not positive, so a
             bound would be vacuous.
     """
-    fn = _SetFunction(K, mu, solver)
-    cfg = SelectionConfig(m=m, solver=fn.solver)
+    cfg = SelectionConfig(m=m, solver=solver)
     dash = proto_dash(K, mu, cfg)
     f_dash = dash.final_objective
-    _, f_opt = exhaustive_optimal(K, mu, m, solver, _fn=fn)
-    gamma = gamma_over_prefixes(K, mu, dash.indices, m, solver, _fn=fn)
+    m = as_index(m, "m", least=1, most=K.n2)
+    fn = _SetFunction(K, mu, min(K.n2, 2 * m))
+    _, f_opt = exhaustive_optimal(K, mu, m, _fn=fn)
+    gamma = gamma_over_prefixes(K, mu, dash.indices, m, _fn=fn)
     c, _ = rsc_rsm_bounds(K, m)
     _, C_tilde = rsc_rsm_bounds(K, 1)
     greedy = proto_greedy(K, mu, cfg)
     f_greedy = greedy.final_objective
-    gamma_greedy = gamma_over_prefixes(K, mu, greedy.indices, m, solver, _fn=fn)
+    gamma_greedy = gamma_over_prefixes(K, mu, greedy.indices, m, _fn=fn)
     for name, value in (("c", c), ("gamma", gamma), ("gamma_greedy", gamma_greedy)):
         if value <= 0:
             raise DegenerateDataError(f"{name}={value:.3g} is not positive; the bound is vacuous")

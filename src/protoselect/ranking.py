@@ -73,35 +73,45 @@ class AverageRanks:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GraphExport:
-    """The graph as JSON-ready data, {"nodes": names, "edges": [...]}, and its DOT text.
+    """The graph, made from JSON-ready data {"nodes": names, "edges": [...]}.
 
-    `dot` is rendered from `data` on each read: one line per node, then one
-    per edge `from -> to` labeled with its rank, in the order of `data`. Each
-    edge is a dict with a rank whose ends are nodes.
+    Each edge is a dict with a rank whose ends are nodes. The graph holds a
+    frozen copy of the data: `nodes`, a tuple of names, and `edges`, one tuple
+    of (key, value) pairs per edge, so no later change to the caller's dict
+    reaches it. `data` and the DOT text `dot` are rendered from them on each
+    read: one DOT line per node, then one per edge `from -> to` labeled with
+    its rank, in the order of the data.
     """
 
-    data: dict
+    nodes: tuple[str, ...]
+    edges: tuple[tuple[tuple[str, object], ...], ...]
 
-    def __post_init__(self):
-        if not isinstance(self.data, dict) or not {"nodes", "edges"} <= self.data.keys():
+    def __init__(self, data: dict):
+        if not isinstance(data, dict) or not {"nodes", "edges"} <= data.keys():
             raise InputError("data must be a dict with nodes and edges")
-        nodes = as_names(self.data["nodes"], "data nodes")
-        edges = self.data["edges"]
+        nodes = as_names(data["nodes"], "data nodes")
+        edges = data["edges"]
         if not isinstance(edges, (list, tuple)) or not all(
                 isinstance(e, dict) and "rank" in e and all(
                     isinstance(e.get(end), str) and e[end] in nodes for end in ("from", "to"))
                 for e in edges):
             raise InputError("data edges must be dicts with a rank, and from and to among the nodes")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", tuple(tuple(e.items()) for e in edges))
+
+    @property
+    def data(self) -> dict:
+        return {"nodes": list(self.nodes), "edges": [dict(e) for e in self.edges]}
 
     @property
     def dot(self) -> str:
         q = _dot_quote
         lines = ["digraph ranking {"]
-        lines += [f"  {q(name)} [label={q(name)}];" for name in self.data["nodes"]]
+        lines += [f"  {q(name)} [label={q(name)}];" for name in self.nodes]
         lines += [f"  {q(e['from'])} -> {q(e['to'])} [label=\"{e['rank']}\"];"
-                  for e in self.data["edges"]]
+                  for e in map(dict, self.edges)]
         return "\n".join(lines + ["}"]) + "\n"
 
 

@@ -33,7 +33,7 @@ from protoselect import (Dataset, KernelMatrix, KernelSpec, MeanMap, ProtoSelect
                          median_bandwidth, objective, proto_dash, proto_greedy, random_w,
                          rank_sources, solve_restricted, top_m_by_weight)
 from protoselect.nnqp import gain_bounds  # noqa: E402
-from protoselect.oracle import verify_instance  # noqa: E402
+from protoselect.oracle import _SetFunction, verify_instance  # noqa: E402
 from protoselect.ranking import (AverageRanks, GraphExport, RankMatrix,  # noqa: E402
                                  average_ranks, export_graph)
 from protoselect.selectors import CriticismResult, SelectionConfig, SelectionResult  # noqa: E402
@@ -206,6 +206,19 @@ def _workload_entries(out):
                 for target, source, spec, m in pool]
 
 
+def _oracle_entries(out):
+    # Rows 0 and 1 of the first Gram coincide, so each block that holds both is singular and
+    # takes its table value from the weight solver; on the second Gram, row 2's zero block
+    # with a positive mean-map entry makes the table raise.
+    rows = [0, 0, 1, 2]
+    gram = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])[np.ix_(rows, rows)]
+    out["oracle.set_function"] = [
+        _SetFunction(KernelMatrix(gram), MeanMap([0.5, 0.5, 0.4, 0.3], n1=1), depth).table
+        for depth in (2, 4)
+    ] + [_outcome(_SetFunction, KernelMatrix(np.diag([1.0, 1.0, 0.0])),
+                  MeanMap([0.5, 0.4, 0.1], n1=1), 2)]
+
+
 def _ranking_entries(out):
     rng = np.random.default_rng(5)
     sets = {
@@ -229,8 +242,8 @@ def _ranking_entries(out):
 def digest() -> dict[str, str]:
     """Every entry's name and the SHA-256 of its outputs, in a fixed order."""
     out: dict = {}
-    for entries in (_selector_entries, _solver_entries, _kernel_entries, _ranking_entries,
-                    _workload_entries):
+    for entries in (_selector_entries, _solver_entries, _kernel_entries, _oracle_entries,
+                    _ranking_entries, _workload_entries):
         entries(out)
     hashes = {}
     for name, value in out.items():

@@ -2,18 +2,27 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
+from scipy.optimize import nnls
 
 from protoselect import (
+    Dataset,
     InputError,
+    KernelSpec,
     SolverConfig,
     SolverError,
     SupportSet,
     WeightVector,
     gradient,
+    kernel_matrix,
     kkt_residual,
+    mean_map,
+    median_bandwidth,
     objective,
     solve_restricted,
 )
+from protoselect.oracle import _SetFunction
+from protoselect.selectors import SelectionConfig, proto_dash
 from helpers import entries_of, gaussian_instance, identity_instance, synthetic_instance
 
 
@@ -237,6 +246,46 @@ class TestSolveRestricted:
             np.testing.assert_allclose(err.value.best_iterate.dense(), best, atol=1e-12)
             assert err.value.residual == kkt_residual(err.value.best_iterate, K, mu, L)
             assert err.value.reason == reason
+
+
+class TestIndependentReferences:
+    """The weight solve against optima that share none of its code. Support sizes are
+    reported, not asserted: a weight near zero may fall on either side."""
+
+    def test_matches_nnls_on_proto_dash_prefixes(self):
+        # With K_LL = R'R and R'y = mu_L, maximizing l on L is minimizing |Rw - y|^2 over
+        # w >= 0, which scipy's Lawson-Hanson nnls solves.
+        rng = np.random.default_rng(20170704)
+        source = Dataset(rng.normal(size=(400, 5)))
+        target = Dataset(rng.normal(size=(300, 5)) + 0.3)
+        spec = KernelSpec("gaussian", bandwidth=median_bandwidth(source))
+        K, mu = kernel_matrix(source, spec), mean_map(target, source, spec)
+        order = proto_dash(K, mu, SelectionConfig(m=60)).indices.indices
+        tol = SolverConfig().kkt_tolerance
+        for size in (1, 2, 5, 10, 20, 40, 60):
+            L = SupportSet(order[:size])
+            w = solve_restricted(K, mu, L)
+            assert kkt_residual(w, K, mu, L) <= tol
+            KL, muL = K.block(L.as_array()), mu.entries[L.as_array()]
+            R = cholesky(KL)
+            x = nnls(R, solve_triangular(R, muL, trans="T"))[0]
+            assert objective(w, K, mu) == pytest.approx(x @ muL - 0.5 * x @ KL @ x, rel=1e-12)
+            print(f"|L|={size}: support {np.count_nonzero(w.weights)} solver, "
+                  f"{np.count_nonzero(x)} nnls")
+
+    def test_matches_the_lattice_on_every_subset(self):
+        rng = np.random.default_rng(4)
+        tol = SolverConfig().kkt_tolerance
+        for n2 in (8, 9, 10):
+            K, mu = gaussian_instance(rng, n1=7, n2=n2, sigma=float(rng.uniform(0.5, 2.0)))
+            table = _SetFunction(K, mu, n2).table
+            for size in range(1, n2 + 1):
+                for combo in itertools.combinations(range(n2), size):
+                    L = SupportSet(combo)
+                    w = solve_restricted(K, mu, L)
+                    assert kkt_residual(w, K, mu, L) <= tol
+                    lattice = table[sum(1 << j for j in combo)]
+                    assert objective(w, K, mu) == pytest.approx(lattice, rel=1e-12)
 
 
 class TestKktResidual:

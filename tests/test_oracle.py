@@ -8,12 +8,14 @@ import pytest
 
 from protoselect import (
     GuardError,
+    SolverError,
     SupportSet,
     WeightVector,
     objective,
     solve_restricted,
 )
 from protoselect.errors import DegenerateDataError
+from protoselect.nnqp import NOT_POSITIVE_DEFINITE
 from protoselect.oracle import (
     exhaustive_optimal,
     gamma_over_prefixes,
@@ -70,6 +72,25 @@ class TestExhaustiveOptimal:
         K20 = KernelMatrix(entries=np.eye(20))
         with pytest.raises(GuardError):
             exhaustive_optimal(K20, MeanMap(entries=np.ones(20), n1=1), 14)
+
+    def test_returns_the_positive_support(self):
+        # A superset of the optimum's support that only adds zero weights ties with it, and the
+        # smaller set must win. Scored by a solve on each set, roundoff chose the superset in
+        # 3 of these 300 draws.
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            K, mu, m = random_gaussian_instance(rng, max_n2=12, max_m=4)
+            best, f_opt = exhaustive_optimal(K, mu, m)
+            w = solve_restricted(K, mu, best)
+            assert np.all(w.weights > 0), (best, w.weights)
+            assert objective(w, K, mu) == pytest.approx(f_opt, rel=1e-12)
+
+    def test_singular_block_raises_solver_error(self):
+        # Row 2 has a zero diagonal and a positive mean-map entry: no finite maximum on {2}.
+        K, mu = synthetic_instance(np.diag([1.0, 1.0, 0.0]), [0.5, 0.4, 0.1])
+        with pytest.raises(SolverError) as err:
+            exhaustive_optimal(K, mu, 2)
+        assert err.value.reason == NOT_POSITIVE_DEFINITE
 
 
 class TestSubmodularityRatio:
@@ -148,15 +169,16 @@ class TestRscRsmBounds:
         assert (c, C) == (0.5, 2.0)
 
     def test_matches_minor_enumeration(self, rng):
-        K, _ = gaussian_instance(rng, n1=4, n2=6, sigma=1.0)
-        c, C = rsc_rsm_bounds(K, 3)
-        mins, maxes = [], []
-        for combo in itertools.combinations(range(6), 3):
-            eig = np.linalg.eigvalsh(entries_of(K)[np.ix_(combo, combo)])
-            mins.append(eig[0])
-            maxes.append(eig[-1])
-        assert c == pytest.approx(min(mins), rel=1e-12)
-        assert C == pytest.approx(max(maxes), rel=1e-12)
+        # the batched spectra are bit-equal to one eigvalsh per minor, at every k
+        for n2 in (6, 9):
+            K, _ = gaussian_instance(rng, n1=4, n2=n2, sigma=1.0)
+            for k in range(1, n2 + 1):
+                mins, maxes = [], []
+                for combo in itertools.combinations(range(n2), k):
+                    eig = np.linalg.eigvalsh(entries_of(K)[np.ix_(combo, combo)])
+                    mins.append(eig[0])
+                    maxes.append(eig[-1])
+                assert rsc_rsm_bounds(K, k) == (min(mins), max(maxes))
 
     def test_full_spectrum_path(self, rng):
         K, _ = gaussian_instance(rng, n1=4, n2=5, sigma=1.0)
@@ -210,6 +232,14 @@ class TestVerifyGuarantee:
             K, mu, m = random_gaussian_instance(rng, max_n2=7)
             row = verify_instance(K, mu, m)
             jsonschema.validate(row, schema)
+
+    def test_guard_counts_every_subset_of_up_to_2m_rows(self, rng):
+        # The table holds every subset of at most 2m of the 20 rows: at m = 7 that is
+        # sum of C(20, k) for k <= 14, over the cap, though each enumeration alone is under.
+        K, mu = gaussian_instance(rng, n1=5, n2=20)
+        for m in (7, 13):
+            with pytest.raises(GuardError, match="too many subsets"):
+                verify_instance(K, mu, m)
 
     def test_vacuous_bound_is_degenerate(self):
         # c = 0 on the minors that hold the zero diagonal entry: no guarantee to check

@@ -556,3 +556,16 @@ def test_each_check_raises_its_error(rng, call, error, match):
     with pytest.raises(error, match=match):
         call(K, mu)
 
+
+def test_graph_export_keeps_a_copy_of_its_data():
+    # A later change to the caller's dict, or to what `data` returns, reaches neither
+    # the graph nor its DOT text.
+    data = {"nodes": ["a", "b"], "edges": [{"from": "a", "to": "b", "rank": 1}]}
+    g = GraphExport(data)
+    dot = g.dot
+    data["nodes"].append("c")
+    data["edges"].append({"from": "a", "to": "zzz"})
+    data["edges"][0]["rank"] = 2
+    g.data["edges"].clear()
+    assert g.dot == dot
+    assert g.data == {"nodes": ["a", "b"], "edges": [{"from": "a", "to": "b", "rank": 1}]}
