@@ -69,7 +69,7 @@ class WeightVector:
         w = as_held(self.weights, "weights", (len(self.support),))
         if np.any(w < 0):
             raise InputError("weights must be non-negative")
-        if any(i >= self.dimension for i in self.support):
+        if max(self.support.indices, default=-1) >= self.dimension:
             raise InputError("support index out of range")
         object.__setattr__(self, "weights", w)
 
@@ -132,10 +132,8 @@ def _restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet, w: WeightVector | N
 
 def objective(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> float:
     """Value of w'mu - w'Kw/2 using only the support coordinates."""
-    _check_sizes(K, as_instance(mu, MeanMap, "mu").entries, as_instance(w, WeightVector, "w"))
-    s = w.support.as_array()
-    ws = w.weights
-    return float(ws @ mu.entries[s] - 0.5 * ws @ (K.block(s) @ ws))
+    KL, muL, wL = _restricted(K, mu, as_instance(w, WeightVector, "w").support, w, "weight")
+    return float(wL @ muL - 0.5 * wL @ (KL @ wL))
 
 
 def gradient(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> np.ndarray:
@@ -170,6 +168,8 @@ def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
     digits. Entries for indices already in S carry no meaning.
     """
     g = as_reals(g, "gradient")
+    if not np.isfinite(g).all():
+        raise InputError("gradient contains non-finite entries")
     _check_sizes(K, g, as_instance(w, WeightVector, "w"))
     diag = K.diag()
     s, h, base = diag, g, 0.0

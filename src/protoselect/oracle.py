@@ -72,10 +72,10 @@ def _masks(idx: np.ndarray) -> np.ndarray:
     return (1 << idx).sum(axis=1)
 
 
-class _SetFunction:
+def _lattice(K: KernelMatrix, mu: MeanMap, depth: int) -> np.ndarray:
     """The restricted optimum f on every subset of at most `depth` rows.
 
-    `table[mask]` holds f(S) for the subset S whose bitmask is mask, and NaN
+    Entry `mask` holds f(S) for the subset S whose bitmask is mask, and NaN
     beyond `depth`. Each size k is filled chunk by chunk from the identity
     f(S) = max(U+(S), max over j in S of f(S - j)) of the module docstring: one
     batched eigvalsh decides which blocks are positive definite, their smallest
@@ -84,38 +84,37 @@ class _SetFunction:
     solver's optimum on S, which raises SolverError where a block on S does not
     factor. Guarded like every enumeration, by its count of subsets.
     """
+    n2 = as_instance(K, KernelMatrix, "K").n2
+    _check_sizes(K, as_instance(mu, MeanMap, "mu").entries)
+    _guard_subsets(n2, sum(math.comb(n2, k) for k in range(1, depth + 1)))
+    table = np.full(1 << n2, np.nan)
+    table[0] = 0.0
+    for k in range(1, depth + 1):
+        for idx, blocks in _minors(K, k):
+            masks = _masks(idx)
+            below = table[masks[:, None] - (1 << idx)].max(axis=1)
+            table[masks] = np.maximum(_peak(K, mu, idx, blocks), below)
+    return table
 
-    def __init__(self, K: KernelMatrix, mu: MeanMap, depth: int):
-        n2 = as_instance(K, KernelMatrix, "K").n2
-        _check_sizes(K, as_instance(mu, MeanMap, "mu").entries)
-        _guard_subsets(n2, sum(math.comb(n2, k) for k in range(1, depth + 1)))
-        self.table = np.full(1 << n2, np.nan)
-        self.table[0] = 0.0
-        for k in range(1, depth + 1):
-            for idx, blocks in _minors(K, k):
-                masks = _masks(idx)
-                below = self.table[masks[:, None] - (1 << idx)].max(axis=1)
-                self.table[masks] = np.maximum(self._peak(K, mu, idx, blocks), below)
 
-    @staticmethod
-    def _peak(K: KernelMatrix, mu: MeanMap, idx: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-        """U+ on each support idx[i], or the weight solver's optimum on it where its block
-        is not clearly positive definite."""
-        rhs = mu.entries[idx]
-        eig = np.linalg.eigvalsh(blocks)
-        definite = eig[:, 0] > idx.shape[1] * _EPS * eig[:, -1]
-        A, b = blocks[definite], rhs[definite]
-        x = np.linalg.solve(A, b[..., None])[..., 0]
-        value = np.einsum("ij,ij->i", x, b) - 0.5 * np.einsum("ij,ijk,ik->i", x, A, x)
-        peak = np.full(len(idx), -np.inf)
-        peak[definite] = np.where((x > 0.0).all(axis=1), value, -np.inf)
-        for i in np.flatnonzero(~definite):
-            peak[i] = objective(solve_restricted(K, mu, SupportSet(idx[i])), K, mu)
-        return peak
+def _peak(K: KernelMatrix, mu: MeanMap, idx: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """U+ on each support idx[i], or the weight solver's optimum on it where its block
+    is not clearly positive definite."""
+    rhs = mu.entries[idx]
+    eig = np.linalg.eigvalsh(blocks)
+    definite = eig[:, 0] > idx.shape[1] * _EPS * eig[:, -1]
+    A, b = blocks[definite], rhs[definite]
+    x = np.linalg.solve(A, b[..., None])[..., 0]
+    value = np.einsum("ij,ij->i", x, b) - 0.5 * np.einsum("ij,ijk,ik->i", x, A, x)
+    peak = np.full(len(idx), -np.inf)
+    peak[definite] = np.where((x > 0.0).all(axis=1), value, -np.inf)
+    for i in np.flatnonzero(~definite):
+        peak[i] = objective(solve_restricted(K, mu, SupportSet(idx[i])), K, mu)
+    return peak
 
 
 def exhaustive_optimal(K: KernelMatrix, mu: MeanMap, m: int,
-                       _fn: _SetFunction | None = None) -> tuple[SupportSet, float]:
+                       _table: np.ndarray | None = None) -> tuple[SupportSet, float]:
     """Best support of size at most m by full enumeration, and its value.
 
     The support is the optimum's positive support: ties keep the smaller,
@@ -125,12 +124,12 @@ def exhaustive_optimal(K: KernelMatrix, mu: MeanMap, m: int,
     """
     n2 = as_instance(K, KernelMatrix, "K").n2
     m = as_index(m, "m", least=1, most=n2)
-    fn = _fn or _SetFunction(K, mu, m)
+    table = _table if _table is not None else _lattice(K, mu, m)
     best_set: tuple[int, ...] = ()
     best_val = 0.0
     for size in range(1, m + 1):
         for idx in _combinations(range(n2), size):
-            values = fn.table[_masks(idx)]
+            values = table[_masks(idx)]
             top = int(np.argmax(values))
             if values[top] > best_val:
                 best_set, best_val = tuple(idx[top]), float(values[top])
@@ -138,7 +137,7 @@ def exhaustive_optimal(K: KernelMatrix, mu: MeanMap, m: int,
 
 
 def submodularity_ratio(K: KernelMatrix, mu: MeanMap, L: SupportSet, r: int,
-                        _fn: _SetFunction | None = None) -> float:
+                        _table: np.ndarray | None = None) -> float:
     """Minimum over disjoint candidate sets S, |S| <= r, of the ratio of
     summed singleton gains over the joint gain at L.
 
@@ -151,14 +150,14 @@ def submodularity_ratio(K: KernelMatrix, mu: MeanMap, L: SupportSet, r: int,
         raise InputError(f"L holds an index beyond the {n2} rows of K")
     rest = [j for j in range(n2) if j not in L]
     sizes = range(1, min(r, len(rest)) + 1)
-    fn = _fn or _SetFunction(K, mu, len(L) + len(sizes))
+    table = _table if _table is not None else _lattice(K, mu, len(L) + len(sizes))
     at_L = sum(1 << j for j in L)
-    base = fn.table[at_L]
-    gain = fn.table[at_L | (1 << np.arange(n2))] - base  # zero inside L, never read there
+    base = table[at_L]
+    gain = table[at_L | (1 << np.arange(n2))] - base  # zero inside L, never read there
     best = math.inf
     for size in sizes:
         for S in _combinations(rest, size):
-            denom = fn.table[at_L | _masks(S)] - base
+            denom = table[at_L | _masks(S)] - base
             summed = gain[S[:, 0]]
             for col in range(1, size):  # in order, as the sum of a Python loop adds
                 summed = summed + gain[S[:, col]]
@@ -171,7 +170,7 @@ def submodularity_ratio(K: KernelMatrix, mu: MeanMap, L: SupportSet, r: int,
 
 
 def gamma_over_prefixes(K: KernelMatrix, mu: MeanMap, selection: SupportSet, r: int,
-                        _fn: _SetFunction | None = None) -> float:
+                        _table: np.ndarray | None = None) -> float:
     """Submodularity ratio minimized over all prefixes of a selection order.
 
     This is the quantity the selection guarantee consumes: the greedy
@@ -182,12 +181,12 @@ def gamma_over_prefixes(K: KernelMatrix, mu: MeanMap, selection: SupportSet, r: 
     n2 = as_instance(K, KernelMatrix, "K").n2
     order = tuple(as_instance(selection, SupportSet, "selection"))
     r = as_index(r, "r", least=1)
-    fn = _fn or _SetFunction(K, mu, min(n2, len(order) + r))
+    table = _table if _table is not None else _lattice(K, mu, min(n2, len(order) + r))
     best = None
     for cut in range(len(order) + 1):
         prefix = SupportSet(order[:cut])
         try:
-            ratio = submodularity_ratio(K, mu, prefix, r, _fn=fn)
+            ratio = submodularity_ratio(K, mu, prefix, r, _table=table)
         except DegenerateDataError:
             continue
         if best is None or ratio < best:
@@ -235,14 +234,14 @@ def verify_instance(K: KernelMatrix, mu: MeanMap, m: int,
     dash = proto_dash(K, mu, cfg)
     f_dash = dash.final_objective
     m = as_index(m, "m", least=1, most=K.n2)
-    fn = _SetFunction(K, mu, min(K.n2, 2 * m))
-    _, f_opt = exhaustive_optimal(K, mu, m, _fn=fn)
-    gamma = gamma_over_prefixes(K, mu, dash.indices, m, _fn=fn)
+    table = _lattice(K, mu, min(K.n2, 2 * m))
+    _, f_opt = exhaustive_optimal(K, mu, m, _table=table)
+    gamma = gamma_over_prefixes(K, mu, dash.indices, m, _table=table)
     c, _ = rsc_rsm_bounds(K, m)
-    _, C_tilde = rsc_rsm_bounds(K, 1)
+    C_tilde = float(K.diag().max())
     greedy = proto_greedy(K, mu, cfg)
     f_greedy = greedy.final_objective
-    gamma_greedy = gamma_over_prefixes(K, mu, greedy.indices, m, _fn=fn)
+    gamma_greedy = gamma_over_prefixes(K, mu, greedy.indices, m, _table=table)
     for name, value in (("c", c), ("gamma", gamma), ("gamma_greedy", gamma_greedy)):
         if value <= 0:
             raise DegenerateDataError(f"{name}={value:.3g} is not positive; the bound is vacuous")

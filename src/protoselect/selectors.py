@@ -5,14 +5,13 @@ SelectionResult whose traces record the objective and the selected
 coordinate's gradient after each step. Argmax ties always break toward the
 lowest index so runs are reproducible.
 
-ProtoDash, ProtoGreedy, Random-W and the top-m re-solve share one loop,
-`_grow`: each step reads the gradient, lets a pick policy choose the next
-index and solve the grown support, and records the traces. The policies
-are largest gradient, largest realized gain, and a fixed order. The
-largest-gain policy solves only the candidates whose gain bound can still
-beat the best gain of the step, so it picks what exhaustive scoring would
-at a fraction of the solves. The uniform-weight L2C baseline solves
-nothing and keeps its own loop.
+All five selectors share one loop, `_grow`. Each step calls a pick policy,
+`pick(grad, weights, f, extend) -> (j, weights, f_new, g_j) | None`, and
+records the traces; `grad()` computes the gradient only for a pick that asks.
+The picks are ProtoDash's largest gradient; ProtoGreedy's largest realized
+gain, which solves only candidates whose gain bound can still beat the step's
+best and so picks what exhaustive scoring would; Random-W's and the top-m
+re-solve's fixed order; and L2C's best uniform weights, with no solve and no gradient.
 """
 
 from __future__ import annotations
@@ -123,14 +122,14 @@ def _check_instance(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig):
 
 
 def _grow(method, K, mu, cfg: SelectionConfig, pick) -> SelectionResult:
-    """Grow a support one index per step, re-solving the weights each time.
+    """Grow a support one index per step: the one loop of all five selectors.
 
-    `pick(g, weights, f, extend)` sees the gradient g at the current weights
-    and their objective f; `extend(j)` solves the support grown by j from a
-    warm start. It returns `(j, weights, objective)` for the grown support,
-    or None to stop early. Growth stops at cfg.m indices (all n2 in epsilon
-    mode) or when the objective rises by less than cfg.epsilon. A
-    SolverError leaves with the steps completed so far as `partial`.
+    `pick(grad, weights, f, extend)` sees the current weights and their objective f,
+    `grad()`, which computes their gradient, and `extend(j)`, which returns
+    `(j, weights, objective)` for the support grown by j, solved from a warm start. It
+    returns `(j, weights, f_new, g_j)`, g_j the gradient recorded for j, or None to stop
+    early. Growth stops at cfg.m indices (all n2 in epsilon mode) or when the objective
+    rises by less than cfg.epsilon; a SolverError leaves with the steps done as `partial`.
     """
     target = cfg.m if cfg.m is not None else K.n2
     weights, f = WeightVector.zeros(K.n2), 0.0
@@ -144,31 +143,30 @@ def _grow(method, K, mu, cfg: SelectionConfig, pick) -> SelectionResult:
 
     while len(weights.support) < target:
         start = time.perf_counter()
-        g = gradient(weights, K, mu)
         try:
-            picked = pick(g, weights, f, extend)
+            picked = pick(lambda: gradient(weights, K, mu), weights, f, extend)
         except SolverError as err:
             err.partial = SelectionResult(method, weights, obj, grad, times, early)
             raise
         if picked is None:
             early = True
             break
-        j, solved, f_new = picked
+        _, solved, f_new, g_j = picked
         if cfg.epsilon is not None and f_new - f < cfg.epsilon:
             break
         weights, f = solved, f_new
         obj.append(f)
-        grad.append(g[j])
+        grad.append(g_j)
         times.append(time.perf_counter() - start)
     return SelectionResult(method, weights, obj, grad, times, early)
 
 
-def _largest_gradient(g, weights, f, extend):
+def _largest_gradient(grad, weights, f, extend):
     """ProtoDash: take the candidate with the largest positive gradient."""
-    masked = g.copy()
-    masked[weights.support.as_array()] = -np.inf
-    j = int(np.argmax(masked))
-    return extend(j) if masked[j] > 0.0 else None
+    g = grad()  # a fresh array, masked in place
+    g[weights.support.as_array()] = -np.inf
+    j = int(np.argmax(g))
+    return (*extend(j), g[j]) if g[j] > 0.0 else None
 
 
 def _largest_gain(K: KernelMatrix):
@@ -181,7 +179,8 @@ def _largest_gain(K: KernelMatrix):
     candidate left can then win or tie, so the pick is the one exhaustive
     scoring would make, ties going to the lowest index.
     """
-    def pick(g, weights, f, extend):
+    def pick(grad, weights, f, extend):
+        g = grad()
         candidate = np.ones(g.shape[0], dtype=bool)
         candidate[weights.support.as_array()] = False
         if np.where(candidate, g, -np.inf).max() <= 0.0:
@@ -200,17 +199,43 @@ def _largest_gain(K: KernelMatrix):
             best = max(best, gains[j])
         j0 = int(np.argmax(gains))
         if g[j0] > 0.0:
-            return extensions[j0]
+            return (*extensions[j0], g[j0])
         # inert addition: the optimum is unchanged, the new coordinate stays 0
         return j0, WeightVector(weights.support.extended(j0), np.append(weights.weights, 0.0),
-                                weights.dimension), f
+                                weights.dimension), f, g[j0]
 
     return pick
 
 
 def _in_order(order):
     """Random-W and top-m re-solve: take the given indices in turn."""
-    return lambda g, weights, f, extend: extend(int(order[len(weights.support)]))
+    def pick(grad, weights, f, extend):
+        j = int(order[len(weights.support)])
+        return (*extend(j), grad()[j])
+
+    return pick
+
+
+def _uniform(K: KernelMatrix, mu: MeanMap):
+    """L2C: take the candidate that scores most at uniform weights, from running sums."""
+    diag, mu_entries = K.diag(), mu.entries
+    col_sum = np.zeros(K.n2)  # sum of K columns over the selected set
+    mu_sum = quad_sum = 0.0  # sums of mu, and of K over all selected pairs
+
+    def pick(grad, weights, f, extend):
+        nonlocal mu_sum, quad_sum, col_sum
+        t = len(weights.support) + 1
+        vals = (mu_sum + mu_entries) / t - (quad_sum + 2.0 * col_sum + diag) / (2.0 * t * t)
+        vals[weights.support.as_array()] = -np.inf
+        j = int(np.argmax(vals))
+        g_j = mu_entries[j] - (col_sum[j] / (t - 1) if t > 1 else 0.0)
+        mu_sum += mu_entries[j]
+        quad_sum += 2.0 * col_sum[j] + diag[j]
+        col_sum += K.rows([j])[0]
+        return (j, WeightVector(weights.support.extended(j), np.full(t, 1.0 / t), K.n2),
+                float(vals[j]), g_j)
+
+    return pick
 
 
 def _grown_config(cfg: SelectionConfig, n2: int) -> SelectionConfig:
@@ -274,31 +299,7 @@ def l2c_equal(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionRe
         raise InputError("uniform-weight baseline supports m-termination only")
     if cfg.oversample_factor != 1:
         raise InputError("oversampling is meaningless with uniform weights")
-    n2 = K.n2
-    diag, mu_entries = K.diag(), mu.entries
-    sel: list[int] = []
-    obj, grad, times = [], [], []
-    col_sum = np.zeros(n2)  # sum of K columns over the selected set
-    mu_sum = 0.0
-    quad_sum = 0.0  # sum of K over all selected pairs
-    for step in range(cfg.m):
-        start = time.perf_counter()
-        t = step + 1
-        vals = (mu_sum + mu_entries) / t - (
-            quad_sum + 2.0 * col_sum + diag
-        ) / (2.0 * t * t)
-        vals[sel] = -np.inf
-        j0 = int(np.argmax(vals))
-        grad.append(mu_entries[j0] - (col_sum[j0] / step if step else 0.0))
-        sel.append(j0)
-        mu_sum += mu_entries[j0]
-        quad_sum += 2.0 * col_sum[j0] + diag[j0]
-        col_sum += K.rows([j0])[0]
-        obj.append(float(vals[j0]))
-        times.append(time.perf_counter() - start)
-    m = len(sel)
-    weights = WeightVector(SupportSet(tuple(sel)), np.full(m, 1.0 / m) if m else np.zeros(0), n2)
-    return SelectionResult(L2C_EQUAL, weights, obj, grad, times)
+    return _grow(L2C_EQUAL, K, mu, cfg, _uniform(K, mu))
 
 
 def random_w(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:

@@ -33,7 +33,7 @@ from protoselect import (Dataset, KernelMatrix, KernelSpec, MeanMap, ProtoSelect
                          median_bandwidth, objective, proto_dash, proto_greedy, random_w,
                          rank_sources, solve_restricted, top_m_by_weight)
 from protoselect.nnqp import gain_bounds  # noqa: E402
-from protoselect.oracle import _SetFunction, verify_instance  # noqa: E402
+from protoselect.oracle import _lattice, verify_instance  # noqa: E402
 from protoselect.ranking import (AverageRanks, GraphExport, RankMatrix,  # noqa: E402
                                  average_ranks, export_graph)
 from protoselect.selectors import CriticismResult, SelectionConfig, SelectionResult  # noqa: E402
@@ -213,10 +213,10 @@ def _oracle_entries(out):
     rows = [0, 0, 1, 2]
     gram = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])[np.ix_(rows, rows)]
     out["oracle.set_function"] = [
-        _SetFunction(KernelMatrix(gram), MeanMap([0.5, 0.5, 0.4, 0.3], n1=1), depth).table
+        _lattice(KernelMatrix(gram), MeanMap([0.5, 0.5, 0.4, 0.3], n1=1), depth)
         for depth in (2, 4)
-    ] + [_outcome(_SetFunction, KernelMatrix(np.diag([1.0, 1.0, 0.0])),
-                  MeanMap([0.5, 0.4, 0.1], n1=1), 2)]
+    ] + [_outcome(_lattice, KernelMatrix(np.diag([1.0, 1.0, 0.0])),
+              MeanMap([0.5, 0.4, 0.1], n1=1), 2)]
 
 
 def _ranking_entries(out):

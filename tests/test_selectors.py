@@ -12,6 +12,7 @@ from protoselect import (
     objective,
     solve_restricted,
 )
+from protoselect import selectors
 from protoselect.selectors import (
     SelectionConfig,
     criticisms,
@@ -224,6 +225,44 @@ class TestUniformBaselines:
         K, mu = gaussian_instance(rng)
         with pytest.raises(InputError):
             l2c_equal(K, mu, SelectionConfig(epsilon=1e-3))
+
+    def test_gradient_trace_is_mu_less_the_mean_column_of_earlier_picks(self, rng):
+        # entry t is mu_j - mean of K[i, j] over the first t - 1 prototypes i, j the t-th
+        for _ in range(5):
+            K, mu = gaussian_instance(rng, n1=6, n2=10, sigma=1.2)
+            res = l2c_equal(K, mu, SelectionConfig(m=6))
+            picks = list(res.indices)
+            assert res.gradient_trace[0] == mu.entries[picks[0]]
+            for t in range(2, 7):
+                j = picks[t - 1]
+                want = mu.entries[j] - entries_of(K)[picks[:t - 1], j].mean()
+                assert res.gradient_trace[t - 1] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _top_m_of_dash(K, mu, cfg):
+    return top_m_by_weight(proto_dash(K, mu, SelectionConfig(m=cfg.m + 2)), cfg.m, K, mu)
+
+
+@pytest.mark.parametrize("select", [proto_dash, proto_greedy, l2c_equal, random_w, _top_m_of_dash])
+def test_every_selector_records_one_timed_entry_per_prototype(rng, select):
+    K, mu = gaussian_instance(rng, n1=6, n2=9)
+    res = select(K, mu, SelectionConfig(m=4, seed=3))
+    assert len(res.indices) == 4
+    for trace in (res.objective_trace, res.gradient_trace, res.wall_times):
+        assert trace.shape == (4,)
+    assert np.all(res.wall_times > 0.0)
+
+
+def test_a_step_computes_the_gradient_only_when_its_pick_asks(rng, monkeypatch):
+    calls = []
+    monkeypatch.setattr(selectors, "gradient", lambda *args: calls.append(1) or gradient(*args))
+    K, mu = gaussian_instance(rng, n1=6, n2=9)
+    l2c_equal(K, mu, SelectionConfig(m=4))
+    assert not calls
+    for select in (proto_dash, proto_greedy, random_w):
+        select(K, mu, SelectionConfig(m=4, seed=3))
+        assert len(calls) == 4
+        calls.clear()
 
 
 class TestRandomW:

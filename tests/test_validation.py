@@ -480,6 +480,8 @@ def _one_prototype():
          "w must be a WeightVector, got ndarray"),
         (lambda K, mu: gain_bounds(None, mu.entries, K), InputError,
          "w must be a WeightVector, got NoneType"),
+        (lambda K, mu: gain_bounds(WeightVector.zeros(6), np.r_[np.nan, mu.entries[1:]], K),
+         InputError, "gradient contains non-finite entries"),
         (lambda K, mu: solve_restricted(K, mu, SupportSet((0,)), warm_start=np.zeros(6)),
          InputError, "warm_start must be a WeightVector, got ndarray"),
         (lambda K, mu: WeightVector((0,), [1.0], 6), InputError,
@@ -542,7 +544,8 @@ def _one_prototype():
          "l2c_cfg_dict", "random_w_cfg_none", "top_m_weights_for_result", "top_m_raw_mu",
          "criticisms_raw_mu", "objective_raw_mu", "solve_restricted_tuple_L",
          "kkt_residual_tuple_L", "kernel_eval_family_name", "gradient_dense_weights",
-         "gain_bounds_no_weights", "solve_restricted_raw_warm_start",
+         "gain_bounds_no_weights", "gain_bounds_non_finite_gradient",
+         "solve_restricted_raw_warm_start",
          "weight_vector_tuple_support", "submodularity_tuple_L", "gamma_list_selection",
          "rank_matrix_names_int", "average_ranks_names_int", "rank_names_repeated",
          "rank_names_bare_string", "export_graph_raw_rm", "average_ranks_raw_rm",
