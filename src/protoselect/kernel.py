@@ -9,10 +9,18 @@ is refused with NumericError.
 
 Every Gram is a KernelMatrix, read through n2, diag(), rows(idx) and
 block(idx) alone; the gaussian one is its subclass GaussianGram.
+
+The two exact passes, the gaussian mean map and the median bandwidth, run
+on every usable core through `_on_cores`: an input of n source columns or
+rows is split into w = min(usable cores, n // _MIN_SLAB) slabs, at least
+one, so an input below 2 x _MIN_SLAB runs serially on the calling thread.
+Each value is computed, and each sum added, in the order of the serial
+pass, so the bits do not depend on the core count.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass
 
@@ -75,6 +83,45 @@ class KernelSpec:
 
 # Rows computed, summed or checked at a time: 64 x 5000 floats is 2.5 MB.
 _CHUNK_ROWS = 64
+# Fewest source columns or rows a slab of a threaded pass takes; at least 2, so a
+# mean-map slab's column reduction still adds its rows in order (see `_add_rows`).
+_MIN_SLAB = 512
+
+
+def _on_cores(n: int, slab) -> list:
+    """[slab(0, w), ..., slab(w - 1, w)], w = min(usable cores, n // _MIN_SLAB), at least 1.
+
+    The calling thread runs slab 0 and w - 1 threads the others; all are
+    joined before this returns, and the first exception raised, the calling
+    thread's before a worker's, is raised again unchanged. The usable cores
+    are those of os.sched_getaffinity(0), or os.cpu_count() where that call
+    does not exist; they are not asked for an input below 2 x _MIN_SLAB.
+    """
+    w = n // _MIN_SLAB
+    if w > 1:
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        w = min(w, cores or 1)
+    if w <= 1:
+        return [slab(0, 1)]
+    results, errors = [None] * w, []
+
+    def run(part):
+        try:
+            results[part] = slab(part, w)
+        except BaseException as err:  # raised again on the calling thread
+            errors.append(err)
+
+    workers = [threading.Thread(target=run, args=(part,)) for part in range(1, w)]
+    for worker in workers:
+        worker.start()
+    try:
+        results[0] = slab(0, w)
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _checked(idx, n2: int) -> np.ndarray:
@@ -314,6 +361,11 @@ def mean_map(target: Dataset, source: Dataset, spec: KernelSpec) -> MeanMap:
     target rows at a time, so memory is one chunk x n2 floats, not n1 x n2;
     the sums are bit-equal to averaging the whole n1 x n2 block. The linear
     kernel, and a source of one row, still build the whole block.
+
+    The gaussian pass splits the n2 source columns into `_on_cores` slabs of
+    at least _MIN_SLAB columns, each summed by its own thread in a buffer of
+    one chunk x its columns. A column's sum adds its target rows in order on
+    whichever thread, so the bits do not depend on the core count.
     """
     as_instance(target, Dataset, "target")
     as_instance(source, Dataset, "source")
@@ -327,10 +379,17 @@ def mean_map(target: Dataset, source: Dataset, spec: KernelSpec) -> MeanMap:
         with np.errstate(over="ignore", invalid="ignore"):  # a linear sum can overflow
             entries = _cross_kernel(target.values, source.values, spec).mean(axis=0)
         return MeanMap(entries=entries, n1=target.n)
-    total = None
-    for block in _gaussian_blocks(target.values, source.values, spec):
-        total = _add_rows(total, block)
-    return MeanMap(entries=total / target.n, n1=target.n)
+    totals = np.empty(source.n)
+
+    def slab(part: int, parts: int):
+        cols = slice(source.n * part // parts, source.n * (part + 1) // parts)
+        total = None
+        for block in _gaussian_blocks(target.values, source.values[cols], spec):
+            total = _add_rows(total, block)
+        totals[cols] = total
+
+    _on_cores(source.n, slab)
+    return MeanMap(entries=totals / target.n, n1=target.n)
 
 
 # Rounds of the median's sample: each pairs every row with one other, so the
@@ -359,31 +418,56 @@ def _pair_sample(X: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate(rounds))
 
 
-def _triangle_distances(X: np.ndarray):
-    """Yield the distance of every pair i < j, _CHUNK_ROWS values of i at a time.
+def _triangle_distances(X: np.ndarray, part: int, parts: int):
+    """Yield the distance of every pair i < j for i in the row chunks part,
+    part + parts, part + 2 parts, ... of _CHUNK_ROWS // parts rows each.
 
-    pdist gives the pairs inside a chunk and cdist those past it. Both
+    pdist gives the pairs inside a chunk and cdist those past it, into one
+    buffer of a chunk x n floats that the next chunk overwrites. Both
     compute each pair as pdist(X) does, so every value has pdist(X)'s bits.
     """
-    for start in range(0, X.shape[0], _CHUNK_ROWS):
-        chunk = X[start:start + _CHUNK_ROWS]
+    n = X.shape[0]
+    rows = max(1, _CHUNK_ROWS // parts)
+    buf = np.empty(min(rows, n) * n)
+    for start in range(part * rows, n, parts * rows):
+        chunk = X[start:start + rows]
         yield pdist(chunk)
-        yield cdist(chunk, X[start + _CHUNK_ROWS:]).ravel()
+        past = n - start - chunk.shape[0]
+        out = buf[:chunk.shape[0] * past].reshape(chunk.shape[0], past)
+        yield cdist(chunk, X[start + rows:], out=out).ravel()
 
 
 def _bracket_pass(X: np.ndarray, lo: float, hi: float):
     """How many distances lie below lo, up to lo and up to hi, and those strictly
-    between. Ties at an edge are counted, not kept, so they cost no memory."""
-    below = at_lo = closed = 0
-    kept = []
-    for dist in _triangle_distances(X):
-        from_lo = dist >= lo
-        below += dist.size - np.count_nonzero(from_lo)
-        inside = dist[from_lo & (dist <= hi)]
-        at_lo += np.count_nonzero(inside == lo)
-        closed += inside.size
-        kept.append(inside[(inside > lo) & (inside < hi)])
-    return below, below + at_lo, below + closed, np.concatenate(kept)
+    between. Ties at an edge are counted, not kept, so they cost no memory.
+
+    Each chunk's kept values are copied into one array, which grows in place
+    by an eighth when full, and dropped: they are held once, in at most 9/8
+    of their size, beside one chunk a thread.
+    """
+    kept, size = np.empty(0), 0
+    lock = threading.Lock()
+
+    def slab(part: int, parts: int):
+        nonlocal size
+        below = at_lo = closed = 0
+        for dist in _triangle_distances(X, part, parts):
+            from_lo = dist >= lo
+            below += dist.size - np.count_nonzero(from_lo)
+            inside = dist[from_lo & (dist <= hi)]
+            at_lo += np.count_nonzero(inside == lo)
+            closed += inside.size
+            inner = inside[(inside > lo) & (inside < hi)]
+            with lock:
+                if size + inner.size > kept.size:  # a realloc: no view of kept is alive
+                    kept.resize(max(size + inner.size, kept.size * 9 // 8), refcheck=False)
+                kept[size:size + inner.size] = inner
+                size += inner.size
+        return below, at_lo, closed
+
+    below, at_lo, closed = map(sum, zip(*_on_cores(X.shape[0], slab)))
+    kept.resize(size, refcheck=False)
+    return below, below + at_lo, below + closed, kept
 
 
 def median_bandwidth(data: Dataset) -> float:
@@ -411,6 +495,12 @@ def median_bandwidth(data: Dataset) -> float:
     Memory is the sample, one chunk of 64 x n distances, and the kept set:
     about 1/sqrt(n) of all the distances where the sample brackets well,
     so 1.4 MB at n = 5000 and 45 MB at n = 50 000, against pdist's 10 GB.
+
+    Each pass interleaves its row chunks over `_on_cores` slabs of at least
+    _MIN_SLAB rows, with 64 // w rows a chunk on w threads, so the chunks
+    still add up to 64 x n distances. The counts do not depend on order, and
+    np.partition selects the kept values by value, so the bits do not depend
+    on the core count.
     """
     as_instance(data, Dataset, "data")
     if data.n < 2:

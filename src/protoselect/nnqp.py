@@ -49,7 +49,14 @@ class SupportSet:
         return j in self.indices
 
     def extended(self, j: int) -> "SupportSet":
-        return SupportSet(self.indices + (int(j),))
+        """This support with j appended. Only j is checked, by the constructor's rules:
+        the indices held are checked already, so a grown support costs one check a step."""
+        (j,) = as_indices((j,), "support indices")
+        if j in self.indices:
+            raise InputError("support indices must be distinct")
+        grown = object.__new__(SupportSet)
+        object.__setattr__(grown, "indices", self.indices + (j,))
+        return grown
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=np.intp)

@@ -10,7 +10,6 @@ once.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,8 +117,7 @@ class GraphExport:
 def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
                  names: list[str] | None = None,
                  solver: SolverConfig | None = None,
-                 reweight: bool = True,
-                 threads: int = 1) -> RankMatrix:
+                 reweight: bool = True) -> RankMatrix:
     """Score how well each dataset's prototypes represent every other one.
 
     Each dataset j selects its own m prototypes (gradient-driven, against
@@ -134,8 +132,8 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
     a fixed support reads the target's mean map only there, so each ordered
     pair takes one `mean_map` of target i at j's t prototypes: n_i x t
     kernel values, not n_i x n_j. Its solve and objective read the
-    prototypes' block of j's Gram. With `threads` > 1, datasets and then
-    pairs are spread over a thread pool.
+    prototypes' block of j's Gram. The kernel passes use every usable core
+    themselves (see `kernel._on_cores`), so datasets and pairs run in turn.
     """
     if not isinstance(datasets, (list, tuple)) or not all(isinstance(ds, Dataset)
                                                           for ds in datasets):
@@ -144,7 +142,7 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
     k = len(datasets)
     if k < 2:
         raise InputError("ranking needs at least two datasets")
-    m, threads = as_index(m, "m", least=0), as_index(threads, "threads", least=1)
+    m = as_index(m, "m", least=0)
     dims = {ds.d for ds in datasets}
     if len(dims) != 1:
         raise InputError("datasets must share a feature dimension")
@@ -166,10 +164,12 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
         weights = WeightVector(SupportSet(tuple(range(t))), res.weights.weights, t)
         return protos, KernelMatrix(K.block(idx)), weights, res.final_objective
 
-    def score(pair) -> float:
-        """Dataset j's prototypes against target i; an empty selection scores 0."""
-        i, j = pair
-        protos, K, w, _ = selections[j]
+    def score(i: int, j: int) -> float:
+        """Dataset j's prototypes against target i: j's self-fit where i == j, else 0
+        for an empty selection."""
+        protos, K, w, self_fit = selections[j]
+        if i == j:
+            return self_fit
         if protos is None:
             return 0.0
         mu = mean_map(datasets[i], protos, spec)
@@ -177,17 +177,8 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
             w = solve_restricted(K, mu, w.support, solver)
         return objective(w, K, mu)
 
-    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        run = pool.map if threads > 1 else map
-        selections = list(run(self_select, range(k)))
-        scored = list(run(score, pairs))
-
-    obj = np.zeros((k, k))
-    for (i, j), value in zip(pairs, scored):
-        obj[i, j] = value
-    for j in range(k):
-        obj[j, j] = selections[j][3]
+    selections = [self_select(j) for j in range(k)]
+    obj = np.array([[score(i, j) for j in range(k)] for i in range(k)])
     return RankMatrix(names=names, objective=obj)
 
 

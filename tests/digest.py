@@ -191,6 +191,12 @@ def _kernel_entries(out):
         reads += [K.diag(), K.rows([5, 3, 5, 140]), K.block([2, 9, 2, 70]), K.rows([3, 5]),
                   K.block(range(0, 150, 7)), K.rows(np.arange(150))]
     out["kernel.gram_reads"] = reads
+    # Above the width of kernel._on_cores: two slabs or more wherever two cores are usable,
+    # and the serial pass on one core, as under `taskset -c 0`.
+    target, source = Dataset(rng.normal(size=(300, 4))), Dataset(rng.normal(size=(1200, 4)))
+    out["kernel.threaded_passes"] = [
+        mean_map(target, source, KernelSpec("gaussian", bandwidth=1.1)).entries,
+        median_bandwidth(source)]
 
 
 def _workload_entries(out):
@@ -230,7 +236,7 @@ def _ranking_entries(out):
         for family, spec in specs.items():
             for reweight in (True, False):
                 key = f"ranking.{set_name}.{family}.{'reweight' if reweight else 'frozen'}"
-                ranked = [_outcome(rank_sources, datasets, m, spec, reweight=reweight, threads=2)
+                ranked = [_outcome(rank_sources, datasets, m, spec, reweight=reweight)
                           for m in (0, 1, 3)]
                 out[f"{key}.rank_sources"] = ranked
                 rms = [rm for rm in ranked if isinstance(rm, RankMatrix)]

@@ -66,8 +66,6 @@ COUNTS = {
         lambda v: submodularity_ratio(*_instance()[:2], SupportSet(), v), 1, None, False),
     "rank_sources m": (lambda v: rank_sources(_datasets(), v, KernelSpec(bandwidth=1.0)),
                        0, None, False),
-    "rank_sources threads": (lambda v: rank_sources(_datasets(), 2, KernelSpec(bandwidth=1.0),
-                                                    threads=v), 1, None, False),
     "export_graph top_t": (lambda v: export_graph(_rank_matrix(), v), 1, 2, False),
     "verify_instance m": (lambda v: verify_instance(*_instance()[:2], v), 1, N2, True),
 }

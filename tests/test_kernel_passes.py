@@ -4,11 +4,13 @@
 one such pass per dataset against itself, and one per ordered pair of
 datasets at the source's prototypes alone. Every output must equal, byte for
 byte, the mean of the whole block written out below, and none may hold the
-whole n1 x n2 block on the gaussian path.
+whole n1 x n2 block on the gaussian path. `rank_sources` is checked on one
+core and with its passes split over two.
 """
 
 import itertools
 import operator
+import os
 import tracemalloc
 
 import numpy as np
@@ -99,13 +101,16 @@ def reference_rank(datasets, m, spec, reweight):
 
 @pytest.mark.parametrize("family", SPECS)
 @pytest.mark.parametrize("reweight", [True, False])
-@pytest.mark.parametrize("threads", [1, 2])
-def test_rank_sources_equals_per_pair_mean_maps(family, reweight, threads):
+@pytest.mark.parametrize("cores", [1, 2])
+def test_rank_sources_equals_per_pair_mean_maps(monkeypatch, family, reweight, cores):
+    # With slabs of 2 columns, each pass over 4 or more source rows splits on 2 cores.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(kernel, "_MIN_SLAB", 2)
     rng = np.random.default_rng(17)
     sizes = [_CHUNK_ROWS + 9, 1, 40, 2 * _CHUNK_ROWS, 2]
     datasets = [Dataset(rng.standard_normal((n, 3)) + 0.4 * i) for i, n in enumerate(sizes)]
     spec = SPECS[family]
-    rm = rank_sources(datasets, 4, spec, reweight=reweight, threads=threads)
+    rm = rank_sources(datasets, 4, spec, reweight=reweight)
     obj, rank = reference_rank(datasets, 4, spec, reweight)
     assert rm.objective.tobytes() == obj.tobytes()
     assert rm.rank.tobytes() == rank.tobytes()

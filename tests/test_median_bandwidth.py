@@ -83,15 +83,15 @@ def test_identical_rows_raise_degenerate_data_error():
 def median_and_passes(X, sample=None):
     """(median, passes over the distances), with `sample` as the bracket's sample if given."""
     passes = []
-    real_pass, real_sample = kernel._triangle_distances, kernel._pair_sample
+    real_pass, real_sample = kernel._bracket_pass, kernel._pair_sample
 
-    def counted(X):
+    def counted(*args):
         passes.append(1)
-        return real_pass(X)
+        return real_pass(*args)
 
     fake = real_sample if sample is None else (lambda X: np.asarray(sample, dtype=float))
     with mock.patch.object(kernel, "_pair_sample", fake), \
-            mock.patch.object(kernel, "_triangle_distances", counted):
+            mock.patch.object(kernel, "_bracket_pass", counted):
         return median_bandwidth(Dataset(X)), len(passes)
 
 
@@ -142,3 +142,31 @@ def test_peak_memory_is_a_small_share_of_the_distance_array():
     assert got == reference(X)
     assert peak < 8 * n * (n - 1) / 2 / 8  # an eighth of pdist's 36 MB
     assert passes == 1  # the sample's bracket holds on gaussian rows
+
+
+def test_the_kept_distances_are_held_once():
+    # A crafted sample brackets 5/7 of the distances, so the kept set dominates the
+    # peak: held as chunks and again as their concatenation, it would double it.
+    n = 2000
+    X = normal(n, seed=4)
+    dist = np.sort(pdist(X))
+    sample = dist[np.linspace(0, dist.size - 1, 36).astype(int)]
+    del dist
+    kept = []
+    real_pass = kernel._bracket_pass
+
+    def recorded(*args):
+        counts = real_pass(*args)
+        kept.append(counts[3].nbytes)
+        return counts
+
+    with mock.patch.object(kernel, "_bracket_pass", recorded):
+        tracemalloc.start()
+        try:
+            got, passes = median_and_passes(X, sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert got == reference(X)
+    assert passes == 1 and kept[0] > 8 * n * (n - 1) / 2 / 2
+    assert peak < 1.5 * kept[0]

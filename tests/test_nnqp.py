@@ -328,6 +328,23 @@ class TestTypes:
         assert list(s) == [3, 0, 2]
         assert s.extended(5).indices == (3, 0, 2, 5)
 
+    @pytest.mark.parametrize("j,message", [
+        (True, "not bools"), (np.False_, "integers"), (2.0, "must be integers"),
+        ("4", "must be integers"), (-1, "non-negative"), (np.int64(-1), "non-negative"),
+        (2 ** 63, "at most"), (0, "distinct"), (np.intp(2), "distinct")])
+    def test_extended_checks_the_new_index_as_the_constructor_does(self, j, message):
+        s = SupportSet((3, 0, 2))
+        with pytest.raises(InputError, match=message):
+            s.extended(j)
+        with pytest.raises(InputError, match=message):
+            SupportSet(s.indices + (j,))
+
+    def test_extended_stores_python_ints_and_leaves_the_support_as_it_was(self):
+        s = SupportSet((3, 0))
+        grown = s.extended(np.uint8(7))
+        assert grown.indices == (3, 0, 7) and type(grown.indices[2]) is int
+        assert grown == SupportSet((3, 0, 7)) and s.indices == (3, 0)
+
     def test_weight_vector_rejects_negative(self):
         with pytest.raises(InputError):
             WeightVector(SupportSet((0,)), np.array([-0.1]), 2)

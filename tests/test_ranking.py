@@ -61,13 +61,6 @@ class TestRankSources:
         assert refit.objective[0, 1] >= frozen.objective[0, 1] - 1e-9
         assert refit.objective[1, 0] >= frozen.objective[1, 0] - 1e-9
 
-    def test_threads_match_serial(self, rng):
-        datasets = [Dataset(rng.normal(size=(10, 2))) for _ in range(3)]
-        serial = rank_sources(datasets, 2, SPEC, threads=1)
-        parallel = rank_sources(datasets, 2, SPEC, threads=4)
-        np.testing.assert_array_equal(serial.objective, parallel.objective)
-        np.testing.assert_array_equal(serial.rank, parallel.rank)
-
     def test_needs_two_datasets(self, rng):
         with pytest.raises(InputError):
             rank_sources([Dataset(rng.normal(size=(5, 2)))], 2, SPEC)

@@ -115,14 +115,13 @@ def instance(rng):
         lambda K, mu, res: submodularity_ratio(K, mu, SupportSet(), 1.5),
         lambda K, mu, res: MeanMap(mu.entries, n1=1.5),
         lambda K, mu, res: export_graph(_rank_matrix(), top_t=1.5),
-        lambda K, mu, res: rank_sources(_datasets(), m=2, spec=_SPEC, threads=2.5),
         lambda K, mu, res: random_w(K, mu, SelectionConfig(m=2, seed=1.5)),
         lambda K, mu, res: WeightVector.zeros(2.5),
         lambda K, mu, res: WeightVector(SupportSet((0,)), np.ones(1), 2.5).dense(),
     ],
     ids=["m", "m_float_integral", "oversample_factor", "max_iterations", "support_index",
          "criticisms_c", "top_m", "exhaustive_m", "rsc_rsm_k", "submodularity_r", "mean_map_n1",
-         "export_top_t", "rank_threads", "random_w_seed", "weight_zeros_dimension",
+         "export_top_t", "random_w_seed", "weight_zeros_dimension",
          "weight_dimension"],
 )
 def test_non_integer_sizes_rejected(instance, call):
@@ -159,12 +158,6 @@ def test_mismatched_dimensions_rejected(rng, call):
     K, mu = gaussian_instance(rng, n1=5, n2=6)
     with pytest.raises(InputError):
         call(K, mu)
-
-
-@pytest.mark.parametrize("threads", [0, -1])
-def test_rank_threads_below_one_rejected(threads):
-    with pytest.raises(InputError, match="threads"):
-        rank_sources(_datasets(), m=2, spec=_SPEC, threads=threads)
 
 
 def test_negative_seed_rejected():
@@ -304,7 +297,6 @@ def test_non_string_names_rejected(call):
         lambda: KernelSpec("gaussian", bandwidth=1.0, jitter=False),
         lambda: SolverConfig(kkt_tolerance=True),
         lambda: SolverConfig(max_iterations=True),
-        lambda: rank_sources(_datasets(), m=2, spec=_SPEC, threads=True),
         lambda: rank_sources(_datasets(), m=True, spec=_SPEC),
         lambda: criticisms(_result_on_four_rows(), *gaussian_instance(np.random.default_rng(3),
                                                                       n1=5, n2=4), c=True),
@@ -314,7 +306,7 @@ def test_non_string_names_rejected(call):
         lambda: WeightVector.zeros(True),
     ],
     ids=["m", "seed_numpy", "bandwidth", "jitter", "kkt_tolerance", "max_iterations",
-         "rank_threads", "rank_m", "criticisms_c", "support_index", "support_index_numpy", "mean_map_n1",
+         "rank_m", "criticisms_c", "support_index", "support_index_numpy", "mean_map_n1",
          "weight_dimension"],
 )
 def test_bools_rejected_as_numbers(call):
