@@ -7,17 +7,27 @@ subproblem on the passive set through the one Cholesky factorization,
 region whenever a passive weight would turn negative. On a positive definite
 Gram matrix it terminates finitely with an exact support, which the
 downstream KKT-based checks rely on; a block that does not factor ends it.
+
+A weight vector that `solve_restricted` returns remembers its solve: the Gram
+and mean map it was solved against, their block and entries at its support, and
+the final passive set (`_Record`). Solved again from it as a warm start, against
+the same Gram and mean map, on its support or on that support plus one index,
+the block is read from the record, grown by one row of K, not gathered, and the
+warm start itself is not solved again. `objective` and `kkt_residual` read the
+record too. Every output has the same bits as from a vector without a record.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .errors import (InputError, SolverError, as_held, as_index, as_indices, as_instance, as_real,
-                     as_reals)
+                     as_reals, read_only)
 from .kernel import KernelMatrix, MeanMap
 
 # Relative size below which a Schur complement has lost its digits to cancellation.
@@ -62,13 +72,28 @@ class SupportSet:
         return np.asarray(self.indices, dtype=np.intp)
 
 
+class _Record(NamedTuple):
+    """What a solve computed on its support, kept by the WeightVector it returns."""
+
+    K: weakref.ref  # the Gram and the mean map solved against; held weakly, so that a
+    mu: weakref.ref  # result does not keep them alive
+    block: np.ndarray  # K's block at the support, read-only
+    mu_entries: np.ndarray  # mu's entries at the support, read-only
+    passive: np.ndarray  # the passive set of the solve's last pass
+
+
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """Non-negative weights aligned to an ordered support; zero elsewhere."""
+    """Non-negative weights aligned to an ordered support; zero elsewhere.
+
+    One returned by `solve_restricted` also carries the solve's `_Record`. The record is
+    not part of the value: it is not a field and is not pickled.
+    """
 
     support: SupportSet
     weights: np.ndarray
     dimension: int
+    _record = None  # a class attribute, not a field
 
     def __post_init__(self):
         as_instance(self.support, SupportSet, "support")
@@ -83,6 +108,9 @@ class WeightVector:
     @classmethod
     def zeros(cls, dimension: int) -> "WeightVector":
         return cls(support=SupportSet(), weights=np.zeros(0), dimension=dimension)
+
+    def __getstate__(self):
+        return {name: value for name, value in vars(self).items() if name != "_record"}
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.dimension)
@@ -122,24 +150,64 @@ def _check_sizes(K: KernelMatrix, v: np.ndarray, w: WeightVector | None = None):
         raise InputError(f"weight vector has dimension {w.dimension}, kernel matrix has {K.n2}")
 
 
+def _record_of(w: WeightVector | None, K: KernelMatrix, mu: MeanMap | None = None):
+    """The record w carries of a solve against this K (and this mu, if given), or None."""
+    rec = getattr(w, "_record", None)  # w may be None
+    if rec is None or rec.K() is not K or (mu is not None and rec.mu() is not mu):
+        return None
+    return rec
+
+
 def _restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet, w: WeightVector | None, name: str):
-    """(K's block, mu's entries, w's weights) gathered at L, zero weights if w is None.
+    """(K's block, mu's entries, w's weights) at L, zero weights if w is None, and whether
+    the weights at L solve the first pass of `_active_set_max` already.
+
+    If w carries the record of a solve against this K and mu, and L is w's support or
+    that support plus one index j, the arrays are the record's, grown by row j of K and
+    its mirror: O(|L|) work, not the O(|L|^2) gather. `KernelMatrix._admit` makes a
+    held row equal its column entry for entry, so the grown block has the bits of
+    K.block(L); a zero, whose mirror may be -0.0, sends the row to the gather instead.
 
     InputError unless the arguments fit one another and w's support, if any, lies inside L.
     """
     _check_sizes(K, as_instance(mu, MeanMap, "mu").entries, w)
-    idx = as_instance(L, SupportSet, "L").as_array()
+    L = as_instance(L, SupportSet, "L")
+    rec = _record_of(w, K, mu)
+    if rec is not None:
+        held = w.support.indices
+        # the recorded passive set is the warm start's positive set: its pass is done
+        solved = np.array_equal(w.weights > 0, rec.passive)
+        if L.indices == held:
+            return rec.block, rec.mu_entries, w.weights, solved
+        if len(L) == len(held) + 1 and L.indices[:-1] == held:
+            j = L.indices[-1]
+            row = K.rows([j])[0]
+            edge = row[w.support.as_array()]
+            if edge.all():
+                n = len(held)
+                KL = np.empty((n + 1, n + 1))
+                KL[:n, :n] = rec.block
+                KL[n, :n] = KL[:n, n] = edge
+                KL[n, n] = row[j]
+                return (KL, np.append(rec.mu_entries, mu.entries[j]), np.append(w.weights, 0.0),
+                        solved)
+    idx = L.as_array()
     KL = K.block(idx)  # the block first: it refuses an index out of range
     wL = np.zeros(idx.size) if w is None else w.dense()[idx]
     # weights are non-negative, so L gathers them all exactly when it gathers every positive one
     if w is not None and np.count_nonzero(wL) != np.count_nonzero(w.weights):
         raise InputError(f"{name} support must lie inside L")
-    return KL, mu.entries[idx], wL
+    return KL, mu.entries[idx], wL, False
 
 
 def objective(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> float:
-    """Value of w'mu - w'Kw/2 using only the support coordinates."""
-    KL, muL, wL = _restricted(K, mu, as_instance(w, WeightVector, "w").support, w, "weight")
+    """Value of w'mu - w'Kw/2 using only the support coordinates.
+
+    A w that `solve_restricted` returned for this K and mu brings its support's block
+    and mean-map entries in its record, so nothing is gathered; the value has the same
+    bits either way.
+    """
+    KL, muL, wL, _ = _restricted(K, mu, as_instance(w, WeightVector, "w").support, w, "weight")
     return float(wL @ muL - 0.5 * wL @ (KL @ wL))
 
 
@@ -155,7 +223,8 @@ def kkt_residual(w: WeightVector, K: KernelMatrix, mu: MeanMap, L: SupportSet) -
     Per coordinate j in L this is |grad_j| where w_j > 0 and max(grad_j, 0)
     where w_j = 0; weights are never negative.
     """
-    return _residual_of(*_restricted(K, mu, L, as_instance(w, WeightVector, "w"), "weight"))
+    KL, muL, wL, _ = _restricted(K, mu, L, as_instance(w, WeightVector, "w"), "weight")
+    return _residual_of(KL, muL, wL)
 
 
 def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
@@ -172,7 +241,8 @@ def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
     The bound is +inf where it cannot be trusted: K_SS does not factor or a
     pivot of its factor, itself a Schur complement, is at most sqrt(eps)
     times its diagonal entry; or s_j is, where cancellation has taken its
-    digits. Entries for indices already in S carry no meaning.
+    digits. Entries for indices already in S carry no meaning. K_SS is read from w's
+    record when w was solved against this K.
     """
     g = as_reals(g, "gradient")
     if not np.isfinite(g).all():
@@ -182,7 +252,8 @@ def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
     s, h, base = diag, g, 0.0
     if len(w.support):
         idx = w.support.as_array()
-        factor = _factor(K.block(idx))
+        rec = _record_of(w, K)
+        factor = _factor(K.block(idx) if rec is None else rec.block)
         if factor is None or np.any(np.diagonal(factor) ** 2 <= _SQRT_EPS * diag[idx]):
             return np.full(K.n2, np.inf)
         B = lapack.dtrtrs(factor, K.rows(idx), lower=1)[0]
@@ -214,7 +285,8 @@ def _subproblem(A: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray
     p = np.flatnonzero(passive)
     if not p.size:
         return z
-    sub = A[p[:, None], p]
+    # two takes gather a C-ordered block faster than one 2-D index; the whole block needs none
+    sub = A if p.size == b.size else A.take(p, 0).take(p, 1)
     rhs = b[p]
     factor = _factor(sub)
     if factor is None:
@@ -235,23 +307,30 @@ def _residual_of(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
     return float(per_coord.max()) if per_coord.size else 0.0
 
 
-def _active_set_max(A: np.ndarray, b: np.ndarray, w0: np.ndarray,
-                    tol: float, max_iter: int) -> tuple[np.ndarray, str | None]:
-    """(maximizer, None), or (last iterate, reason) if a block does not factor,
-    NOT_POSITIVE_DEFINITE, or the cap passes, ITERATION_CAP; the start w0 is feasible.
+def _active_set_max(A: np.ndarray, b: np.ndarray, w0: np.ndarray, tol: float, max_iter: int,
+                    solved: bool = False) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """(maximizer, passive set, None), or (last iterate, passive set, reason) if a block
+    does not factor, NOT_POSITIVE_DEFINITE, or the cap passes, ITERATION_CAP; the start
+    w0 is feasible.
 
     Each pass solves the subproblem on the passive set, which also absorbs a warm
     start that is feasible but not yet stationary. Then it either steps back,
     if a passive weight would turn negative, or lets the coordinate with the
     largest KKT violation enter. One iteration is one step-back or one entering
     coordinate; it is counted, and checked against max_iter, before it is applied.
+
+    `solved` says that w0 is already the first pass's solution: w0 was returned by a solve
+    whose last pass had w0's positive set as its passive set, on a block whose leading
+    rows and columns are A's, bit for bit. That pass would gather the same sub-block and
+    right side and put them through the same dpotrf, dpotrs and refinement, so it would
+    give w0 again, bit for bit; the first pass takes w0 and factors nothing.
     """
     w, passive = w0, w0 > 0
     iters = 0
     while True:
-        z = _subproblem(A, b, passive)
+        z = w0 if solved and iters == 0 else _subproblem(A, b, passive)
         if z is None:
-            return w, NOT_POSITIVE_DEFINITE
+            return w, passive, NOT_POSITIVE_DEFINITE
         negative = passive & (z < 0.0)
         stepping_back = negative.any()
         if not stepping_back:
@@ -259,10 +338,10 @@ def _active_set_max(A: np.ndarray, b: np.ndarray, w0: np.ndarray,
             masked = np.where(passive, -np.inf, b - A @ w)
             entering = int(np.argmax(masked))
             if not np.isfinite(masked[entering]) or masked[entering] <= 0.5 * tol:
-                return w, None
+                return w, passive, None
         iters += 1
         if iters > max_iter:
-            return w, ITERATION_CAP
+            return w, passive, ITERATION_CAP
         if stepping_back:
             ratios = np.full(b.shape[0], np.inf)
             ratios[negative] = w[negative] / (w[negative] - z[negative])
@@ -286,7 +365,13 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
         cfg: solver tolerances; defaults to SolverConfig().
         warm_start: previous solution whose positive support lies in L, used
             to seed the passive set. The returned objective is never below
-            the warm start's.
+            the warm start's. One this function returned for the same K and mu
+            (by identity), on L or on L less its last index, brings the block
+            from its record, grown by one row, and needs no first re-solve; the
+            result has the same bits as from a plain copy of it.
+
+    Returns:
+        The weights on L, carrying the solve's record (see the module docstring).
 
     Raises:
         SolverError: a block of K on L does not factor, or the iteration cap
@@ -296,12 +381,12 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
     cfg = as_solver(cfg)
     if warm_start is not None:
         as_instance(warm_start, WeightVector, "warm_start")
-    KL, muL, w0 = _restricted(K, mu, L, warm_start, "warm start")
+    KL, muL, w0, solved = _restricted(K, mu, L, warm_start, "warm start")
     n2 = K.n2
     if len(L) == 0:
         return WeightVector.zeros(n2)
     cap = 10 * len(L) + 100 if cfg.max_iterations is None else cfg.max_iterations
-    weights, reason = _active_set_max(KL, muL, w0, cfg.kkt_tolerance, cap)
+    weights, passive, reason = _active_set_max(KL, muL, w0, cfg.kkt_tolerance, cap, solved)
     w = WeightVector(support=L, weights=weights, dimension=n2)
     if reason is not None:
         residual = _residual_of(KL, muL, weights)
@@ -310,4 +395,6 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
         raise SolverError(f"weight solver {stop} on a support of size {len(L)} "
                           f"(residual {residual:.3e})", residual=residual, best_iterate=w,
                           reason=reason)
+    object.__setattr__(w, "_record", _Record(weakref.ref(K), weakref.ref(mu), read_only(KL),
+                                             read_only(muL), passive))
     return w

@@ -169,6 +169,33 @@ def _solver_entries(out):
             if isinstance(sweep[-1], WeightVector):
                 break
     out["nnqp.solve_restricted.cap_sweep"] = sweep
+    out["nnqp.warm_records"] = _warm_record_outputs(K, mu, order)
+
+
+def _warm_record_outputs(K, mu, order):
+    """Solves from warm starts that carry a solve's record and from plain copies of them,
+    which gather: ProtoDash prefixes grown by one index and solved again as they are, a
+    warm start recorded on another Gram and mean map, and objective and kkt_residual."""
+    def plain(w):
+        return WeightVector(w.support, w.weights, w.dimension)
+
+    outputs, w = [], WeightVector.zeros(K.n2)
+    for j in order[:-1]:
+        L = w.support.extended(j)
+        for warm_start in (w, plain(w)):
+            outputs.append(solve_restricted(K, mu, L, warm_start=warm_start))
+        w = outputs[-2]
+        outputs += [solve_restricted(K, mu, L, warm_start=w), objective(w, K, mu),
+                    kkt_residual(w, K, mu, L)]
+    rng = np.random.default_rng(24)
+    source = Dataset(rng.normal(size=(K.n2, 4)))
+    spec = KernelSpec("gaussian", bandwidth=1.5)
+    other = kernel_matrix(source, spec), mean_map(Dataset(rng.normal(size=(50, 4))), source, spec)
+    for K2, mu2 in ((other[0], mu), (K, other[1]), other):
+        outputs += [_outcome(solve_restricted, K2, mu2, L, warm_start=warm_start)
+                    for warm_start in (w, plain(w)) for L in (w.support, SupportSet(order))]
+        outputs += [objective(w, K2, mu2), kkt_residual(w, K2, mu2, w.support)]
+    return outputs
 
 
 def _kernel_entries(out):

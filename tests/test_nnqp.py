@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from protoselect import (
     objective,
     solve_restricted,
 )
+from protoselect import nnqp
+from protoselect.nnqp import _restricted, gain_bounds
 from protoselect.oracle import _lattice
-from protoselect.selectors import SelectionConfig, proto_dash
+from protoselect.selectors import SelectionConfig, SelectionResult, proto_dash
 from helpers import entries_of, gaussian_instance, identity_instance, synthetic_instance
 
 
@@ -286,6 +289,125 @@ class TestIndependentReferences:
                     assert kkt_residual(w, K, mu, L) <= tol
                     lattice = table[sum(1 << j for j in combo)]
                     assert objective(w, K, mu) == pytest.approx(lattice, rel=1e-12)
+
+
+def plain(w):
+    """w without a solve's record: solving from it gathers the restricted problem."""
+    return WeightVector(w.support, w.weights, w.dimension)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestWarmRecords:
+    """A solve's record read, against plain copies of the same weights: equal bytes."""
+
+    @staticmethod
+    def instance(seed=0, n2=300):
+        return gaussian_instance(np.random.default_rng(seed), n1=200, n2=n2, d=3)
+
+    def test_every_proto_dash_step_equals_the_plain_warm_start(self):
+        K, mu = self.instance()
+        w = WeightVector.zeros(K.n2)
+        for _ in range(80):
+            g = gradient(w, K, mu)
+            g[w.support.as_array()] = -np.inf
+            L = w.support.extended(int(np.argmax(g)))
+            solved = solve_restricted(K, mu, L, warm_start=w)
+            gathered = solve_restricted(K, mu, L, warm_start=plain(w))
+            assert solved.support == gathered.support
+            assert same_bits(solved.weights, gathered.weights)
+            assert same_bits(objective(solved, K, mu), objective(plain(solved), K, mu))
+            assert same_bits(kkt_residual(solved, K, mu, L), kkt_residual(plain(solved), K, mu, L))
+            again = solve_restricted(K, mu, L, warm_start=solved)
+            assert same_bits(again.weights, solve_restricted(K, mu, L, warm_start=plain(solved)).weights)
+            assert same_bits(gain_bounds(solved, gradient(solved, K, mu), K),
+                             gain_bounds(plain(solved), gradient(solved, K, mu), K))
+            w = solved
+        res = proto_dash(K, mu, SelectionConfig(m=80))
+        assert res.indices == w.support and same_bits(res.weights.weights, w.weights)
+
+    def test_a_record_is_read_only_against_its_own_gram_and_mean_map(self):
+        K1, mu1 = self.instance(1, n2=60)
+        K2, mu2 = self.instance(2, n2=60)
+        order = proto_dash(K1, mu1, SelectionConfig(m=9)).indices.indices
+        w = solve_restricted(K1, mu1, SupportSet(order[:8]))
+        for K, mu in ((K2, mu2), (K1, mu2), (K2, mu1)):
+            for L in (w.support, w.support.extended(order[8])):
+                got = solve_restricted(K, mu, L, warm_start=w)
+                want = solve_restricted(K, mu, L, warm_start=plain(w))
+                assert same_bits(got.weights, want.weights)
+                assert same_bits(kkt_residual(w, K, mu, L), kkt_residual(plain(w), K, mu, L))
+            assert same_bits(objective(w, K, mu), objective(plain(w), K, mu))
+            g = gradient(w, K, mu)
+            assert same_bits(gain_bounds(w, g, K), gain_bounds(plain(w), g, K))
+
+    def test_a_support_that_is_not_the_record_s_or_one_index_more_is_gathered(self, monkeypatch):
+        K, mu = self.instance(3, n2=60)
+        order = proto_dash(K, mu, SelectionConfig(m=9)).indices.indices
+        w = solve_restricted(K, mu, SupportSet(order[:6]))
+        blocks = []
+        block = K.block
+        monkeypatch.setattr(K, "block", lambda idx: blocks.append(1) or block(idx))
+        recorded = (order[:6], order[:7])
+        gathered = (order[:6][::-1], order[1:6] + order[:1], order[:8], order[:7][::-1],
+                    order[6:7] + order[:6])
+        for gathers, supports in ((0, recorded), (1, gathered)):
+            for L in map(SupportSet, supports):
+                del blocks[:]
+                got = solve_restricted(K, mu, L, warm_start=w)
+                assert len(blocks) == gathers
+                assert same_bits(got.weights, solve_restricted(K, mu, L, warm_start=plain(w)).weights)
+        with pytest.raises(InputError, match="warm start support must lie inside L"):
+            solve_restricted(K, mu, SupportSet(order[:5] + order[7:8]), warm_start=w)
+
+    def test_a_grown_block_has_the_bits_of_the_gathered_one(self):
+        K, mu = self.instance(4, n2=80)
+        w = WeightVector.zeros(K.n2)
+        for j in proto_dash(K, mu, SelectionConfig(m=12)).indices:
+            L = w.support.extended(j)
+            assert same_bits(_restricted(K, mu, L, w, "warm start")[0], K.block(L.as_array()))
+            w = solve_restricted(K, mu, L, warm_start=w)
+        # Row 1 holds -0.0 where row 0 holds 0.0, which the Gram's symmetry check lets
+        # through: the mirror would put -0.0 in the block, so that row is gathered.
+        K, mu = synthetic_instance([[1.0, 0.0], [-0.0, 1.0]], [0.5, 0.4])
+        w = solve_restricted(K, mu, SupportSet((0,)))
+        L = SupportSet((0, 1))
+        assert same_bits(_restricted(K, mu, L, w, "warm start")[0], K.block([0, 1]))
+
+    def test_a_proto_dash_step_factors_once_plus_at_most_twice_per_step_back(self, monkeypatch):
+        K, mu = self.instance()
+        factors, passives = [], []
+        factor, subproblem = nnqp._factor, nnqp._subproblem
+        monkeypatch.setattr(nnqp, "_factor", lambda A: factors.append(1) or factor(A))
+
+        def spy(A, b, passive):
+            passives.append((passive.size, int(passive.sum())))
+            return subproblem(A, b, passive)
+
+        monkeypatch.setattr(nnqp, "_subproblem", spy)
+        steps = len(proto_dash(K, mu, SelectionConfig(m=100)).indices)
+        # a step-back drops a passive index on the same support; the index may enter again
+        step_backs = sum(a[0] == b[0] and b[1] < a[1] for a, b in zip(passives, passives[1:]))
+        assert steps == 100 and step_backs > 0
+        assert len(factors) <= steps + 2 * step_backs
+
+    def test_the_record_is_not_pickled_and_a_failed_solve_has_none(self):
+        K, mu = self.instance(5, n2=40)
+        w = solve_restricted(K, mu, SupportSet((3, 1, 4)))
+        assert w._record is not None
+        assert pickle.dumps(w) == pickle.dumps(plain(w))
+        loaded = pickle.loads(pickle.dumps(w))
+        assert loaded._record is None and same_bits(loaded.weights, w.weights)
+        res = proto_dash(K, mu, SelectionConfig(m=5))
+        assert pickle.dumps(res) == pickle.dumps(
+            SelectionResult(res.method, plain(res.weights), res.objective_trace,
+                            res.gradient_trace, res.wall_times, res.early_stopped))
+        K, mu = synthetic_instance([[1.0, 0.9], [0.9, 1.0]], [1.0, 0.95])
+        with pytest.raises(SolverError) as err:
+            solve_restricted(K, mu, SupportSet((0, 1)), SolverConfig(max_iterations=1))
+        assert err.value.best_iterate._record is None
 
 
 class TestKktResidual:
