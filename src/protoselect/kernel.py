@@ -10,12 +10,13 @@ is refused with NumericError.
 Every Gram is a KernelMatrix, read through n2, diag(), rows(idx) and
 block(idx) alone; the gaussian one is its subclass GaussianGram.
 
-The two exact passes, the gaussian mean map and the median bandwidth, run
-on every usable core through `_on_cores`: an input of n source columns or
-rows is split into w = min(usable cores, n // _MIN_SLAB) slabs, at least
-one, so an input below 2 x _MIN_SLAB runs serially on the calling thread.
-Each value is computed, and each sum added, in the order of the serial
-pass, so the bits do not depend on the core count.
+The gaussian mean map runs on every usable core through `_on_cores`, the
+one code that starts a thread: its n source columns are split into
+w = min(usable cores, n // _MIN_SLAB) slabs, at least one, so an input below
+2 x _MIN_SLAB runs serially on the calling thread. Each sum is added in the
+order of the serial pass, so the bits do not depend on the core count. The
+median bandwidth runs on the calling thread: its filter's numpy calls are
+short, and two threads split them slower than one.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 from .errors import (DegenerateDataError, InputError, NumericError, as_held, as_index, as_instance,
                      as_real, as_reals)
@@ -83,8 +84,8 @@ class KernelSpec:
 
 # Rows computed, summed or checked at a time: 64 x 5000 floats is 2.5 MB.
 _CHUNK_ROWS = 64
-# Fewest source columns or rows a slab of a threaded pass takes; at least 2, so a
-# mean-map slab's column reduction still adds its rows in order (see `_add_rows`).
+# Fewest source columns a slab of the threaded mean map takes; at least 2, so a slab's
+# column reduction still adds its rows in order (see `_add_rows`).
 _MIN_SLAB = 512
 
 
@@ -130,8 +131,10 @@ def _checked(idx, n2: int) -> np.ndarray:
     if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
         raise InputError("kernel indices must be a 1-D sequence of integers")
     idx = idx.astype(np.intp, copy=False)
-    # one reduction checks both ends: a negative index reads as a huge unsigned one
-    if idx.size and idx.view(np.uintp).max() >= n2:
+    # one reduction checks both ends: a negative index reads as a huge unsigned one;
+    # a single index, as a grown row or a column read asks, is read without one
+    top = idx.view(np.uintp)
+    if idx.size and (top[0] if idx.size == 1 else top.max()) >= n2:
         raise InputError("support index out of range")
     return idx
 
@@ -182,10 +185,12 @@ class KernelMatrix:
         """The |idx| x n2 kernel values of the source rows idx, C-contiguous.
 
         Rows held in this order, as a growing support reads them, come back
-        as a read-only view of the buffer.
+        as a read-only view of the buffer: a run of k buffer rows spans k - 1
+        and rises at every step, and one or two rows need only the span.
         """
         slots = self._slots(_checked(idx, self.n2))
-        if slots.size and np.all(np.diff(slots) == 1):
+        if slots.size and slots[-1] - slots[0] == slots.size - 1 and (
+                slots.size < 3 or (slots[1:] > slots[:-1]).all()):
             view = self._buf[slots[0]:slots[-1] + 1]
             view.flags.writeable = False
             return view
@@ -200,7 +205,7 @@ class KernelMatrix:
     def _slots(self, idx: np.ndarray) -> np.ndarray:
         """The buffer rows holding the source rows idx, filling those not yet held."""
         slots = self._slot[idx]
-        if self._filled < self.n2 and slots.size and slots.min() < 0:
+        if self._filled < self.n2 and slots.size and (slots[0] if slots.size == 1 else slots.min()) < 0:
             with self._lock:
                 self._fill(idx)
             slots = self._slot[idx]
@@ -418,56 +423,182 @@ def _pair_sample(X: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate(rounds))
 
 
-def _triangle_distances(X: np.ndarray, part: int, parts: int):
-    """Yield the distance of every pair i < j for i in the row chunks part,
-    part + parts, part + 2 parts, ... of _CHUNK_ROWS // parts rows each.
+# The unit roundoff. _gamma(k) = k u / (1 - k u) bounds the relative error of a sum of
+# k rounded products, in any order and with or without fused multiply-adds (Higham 2002, §3.1).
+_U = np.finfo(float).eps / 2
+# Rows whose centred norm may pass this take the exact path whole. Below it no square,
+# product or partial sum of the filter's GEMM reaches 2**1022, so every estimate is finite.
+_NORM_CUT = 2.0 ** 510
+# Columns of one GEMM block of the filter: 64 x 1024 floats is 512 kB.
+_TILE_COLS = 1024
 
-    pdist gives the pairs inside a chunk and cdist those past it, into one
-    buffer of a chunk x n floats that the next chunk overwrites. Both
-    compute each pair as pdist(X) does, so every value has pdist(X)'s bits.
+
+def _gamma(k: int) -> float:
+    return k * _U / (1 - k * _U)
+
+
+def _filter_rows(X: np.ndarray):
+    """(order, G, R, E, b): the median filter's rows, largest centred norm first.
+
+    The rows are centred at their coordinate-wise median, which a far row
+    cannot move, and taken in `order`. Row i of G is [y, 1, |y|^2] for the
+    i-th centred row y so taken, and R[i] bounds |y| from above although
+    |y|^2 was rounded and may have underflowed. Since R falls along the
+    order, a pair of row i and a later row has
+        |estimate - |y_i - y_j|^2| <= E[i] and |pdist's value - |y_i - y_j|| <= b[i].
     """
-    n = X.shape[0]
-    rows = max(1, _CHUNK_ROWS // parts)
-    buf = np.empty(min(rows, n) * n)
-    for start in range(part * rows, n, parts * rows):
-        chunk = X[start:start + rows]
-        yield pdist(chunk)
-        past = n - start - chunk.shape[0]
-        out = buf[:chunk.shape[0] * past].reshape(chunk.shape[0], past)
-        yield cdist(chunk, X[start + rows:], out=out).ravel()
+    n, d = X.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # a far row's norm is inf
+        Y = X - np.median(X, axis=0)
+        sq = np.einsum("ij,ij->i", Y, Y)
+        R = np.sqrt((sq + d * 2.0 ** -1074) * (1 + 2 * _gamma(d))) * (1 + 4 * _U)
+        order = np.argsort(-R, kind="stable")
+        R = R[order]
+        E = 8 * _gamma(2 * d + 4) * R ** 2 + (2 * d + 2) * 2.0 ** -1070
+        b = 4 * _gamma(2 * d + 8) * R + np.sqrt(d) * 2.0 ** -536
+    G = np.empty((n, d + 2))
+    G[:, :d] = Y[order]
+    G[:, d] = 1.0
+    G[:, d + 1] = sq[order]
+    return order, G, R, E, b
+
+
+def _edges(t: float, b: np.ndarray, E: np.ndarray):
+    """(U, V) for the edge t: a pair of row i and a later row whose estimate is
+    below U[i] lies surely below t, and one above V[i] surely above it. Each
+    is rounded past its exact value, so it errs towards leaving a pair unplaced."""
+    if np.isinf(t):
+        return np.full_like(b, t), np.full_like(b, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = np.where(t > b, (t - b) ** 2 * (1 - 8 * _U) - E * (1 + 4 * _U), -np.inf)
+        V = (t + b) ** 2 * (1 + 8 * _U) + E * (1 + 4 * _U)
+    return U, V
+
+
+def _exact_distances(X: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """pdist(X)'s distance of each row pair (a[k], b[k]).
+
+    cdist computes each pair from its own two rows, as pdist does, so every
+    value has pdist's bits. The pairs are taken _CHUNK_ROWS distinct rows a
+    at a time, so cdist's block is at most one chunk of 64 x n floats.
+    """
+    out = np.empty(a.size)
+    rows, row_of = np.unique(a, return_inverse=True)
+    by_row = np.argsort(row_of, kind="stable")
+    ends = np.searchsorted(row_of[by_row], np.arange(0, rows.size + _CHUNK_ROWS, _CHUNK_ROWS))
+    for start, first, last in zip(range(0, rows.size, _CHUNK_ROWS), ends, ends[1:]):
+        pick = by_row[first:last]
+        cols, col_of = np.unique(b[pick], return_inverse=True)
+        block = cdist(X[rows[start:start + _CHUNK_ROWS]], X[cols])
+        out[pick] = block[row_of[pick] - start, col_of]
+    return out
 
 
 def _bracket_pass(X: np.ndarray, lo: float, hi: float):
-    """How many distances lie below lo, up to lo and up to hi, and those strictly
-    between. Ties at an edge are counted, not kept, so they cost no memory.
+    """(below, upto_lo, upto_hi, kept, margin): how many distances lie below lo,
+    up to lo and up to hi, the pairs strictly between, and how far a kept
+    estimate may lie from its pair's distance.
 
-    Each chunk's kept values are copied into one array, which grows in place
-    by an eighth when full, and dropped: they are held once, in at most 9/8
-    of their size, beside one chunk a thread.
+    `kept` is one complex array that grows in place: the real part is a
+    pair's estimate, or its exact distance, and the imaginary part is a n + b
+    for its rows a < b, so np.partition moves each pair with its estimate.
+    Ties at an edge are counted, not kept, so they cost no memory.
     """
-    kept, size = np.empty(0), 0
-    lock = threading.Lock()
+    n = X.shape[0]
+    order, G, R, E, b = _filter_rows(X)
+    far = np.count_nonzero(~(R <= _NORM_CUT))  # they lead the order
+    U_lo, V_lo = _edges(lo, b, E)
+    U_hi, V_hi = _edges(hi, b, E)
+    V_hi = np.minimum(V_hi, np.finfo(float).max)  # every estimate is finite; a masked one is inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        reach = b + (np.sqrt(E) if not lo > 0 else np.minimum(np.sqrt(E), E / lo))
+    # A chunk's rows [-2 y_i, |y_i|^2, 1] times G's rows [y_j, 1, |y_j|^2] estimate |y_i - y_j|^2.
+    swap, scale = np.r_[:X.shape[1], -1, -2], np.r_[np.full(X.shape[1], -2.0), 1.0, 1.0]
+    counts = np.zeros(3, np.int64)  # below lo, at lo, in [lo, hi]
+    kept, size, margin = np.empty(0, complex), 0, 0.0
 
-    def slab(part: int, parts: int):
+    def keep(values, i, j):
         nonlocal size
-        below = at_lo = closed = 0
-        for dist in _triangle_distances(X, part, parts):
-            from_lo = dist >= lo
-            below += dist.size - np.count_nonzero(from_lo)
-            inside = dist[from_lo & (dist <= hi)]
-            at_lo += np.count_nonzero(inside == lo)
-            closed += inside.size
-            inner = inside[(inside > lo) & (inside < hi)]
-            with lock:
-                if size + inner.size > kept.size:  # a realloc: no view of kept is alive
-                    kept.resize(max(size + inner.size, kept.size * 9 // 8), refcheck=False)
-                kept[size:size + inner.size] = inner
-                size += inner.size
-        return below, at_lo, closed
+        if size + values.size > kept.size:  # a realloc: no view of kept is alive
+            kept.resize(max(size + values.size, kept.size * 9 // 8), refcheck=False)
+        a, c = order[i], order[j]
+        new = kept[size:size + values.size]
+        new.real, new.imag = values, np.minimum(a, c) * n + np.maximum(a, c)
+        size += values.size
 
-    below, at_lo, closed = map(sum, zip(*_on_cores(X.shape[0], slab)))
+    def place(i, j):
+        dist = _exact_distances(X, order[i], order[j])
+        counts[:] += (np.count_nonzero(dist < lo), np.count_nonzero(dist == lo),
+                      np.count_nonzero((dist >= lo) & (dist <= hi)))
+        inner = (dist > lo) & (dist < hi)
+        keep(dist[inner], i[inner], j[inner])
+
+    cols = min(max(_TILE_COLS, _CHUNK_ROWS), n - far)
+    buf = np.empty(_CHUNK_ROWS * cols)
+    below_buf, hit_buf = np.empty(buf.size, bool), np.empty(buf.size, bool)
+    tri = np.tril_indices(_CHUNK_ROWS)
+
+    # A function of its own, as keep and place are: under tracemalloc, which perfbench's
+    # kernel spans run, each allocation looks up its line from the top of its function.
+    def chunk(start, stop):  # every pair of rows start..stop-1 and a later row
+        nonlocal margin
+        A, r = G[start:stop, swap] * scale, stop - start
+        below_lo, above_lo, below_hi, above_hi = U_lo[start], V_lo[start], U_hi[start], V_hi[start]
+        for col in range(start, n, cols):
+            c = min(cols, n - col)
+            Q = buf[:r * c].reshape(r, c)
+            np.matmul(A, G[col:col + c].T, out=Q)
+            if col == start:  # a pair of two chunk rows is counted once, and no row with itself
+                Q[tri[0][:r * (r + 1) // 2], tri[1][:r * (r + 1) // 2]] = np.inf
+            below = np.less(Q, below_lo, out=below_buf[:r * c].reshape(r, c))
+            counts[0] += np.count_nonzero(below)
+            hit = np.less_equal(Q, above_hi, out=hit_buf[:r * c].reshape(r, c))
+            hit = np.flatnonzero(np.not_equal(hit, below, out=hit))  # not surely below lo or above hi
+            i, j = np.divmod(hit, c)
+            i += start
+            j += col
+            q = Q.reshape(-1)[hit]
+            sure = (q > above_lo) & (q < below_hi)
+            est = q[sure]
+            np.sqrt(np.maximum(est, 0.0, out=est), out=est)
+            if est.size:
+                keep(est, i[sure], j[sure])
+                counts[2] += est.size
+                margin = max(margin, reach[start] + 2 * _U * float(est.max()))
+            if est.size < q.size:
+                place(i[~sure], j[~sure])
+
+    for row in range(far):  # every pair of a far row is computed exactly
+        j = np.arange(row + 1, n)
+        place(np.full(j.size, row), j)
+    start, fall = far, -R
+    while start < n:
+        # A chunk's norms lie within a factor 2, so its first row's margin fits every row.
+        stop = min(start + _CHUNK_ROWS, int(np.searchsorted(fall, -R[start] / 2, "right")))
+        chunk(start, stop)
+        start = stop
     kept.resize(size, refcheck=False)
-    return below, below + at_lo, below + closed, kept
+    below, at_lo, closed = counts.tolist()
+    return below, below + at_lo, below + closed, kept, 2 * margin
+
+
+def _exact_rank(X: np.ndarray, kept: np.ndarray, t: int, margin: float) -> float:
+    """The t-th smallest distance of the kept pairs, with kept partitioned at t.
+
+    Every kept estimate lies within margin of its pair's distance, so the
+    t-th distance lies within margin of v, the t-th estimate. A pair whose
+    estimate is below v - 2 margin is below it, one above v + 2 margin above
+    it, so the pairs between are computed exactly, and the t-th distance is
+    their (t - #{estimate < v - 2 margin})-th.
+    """
+    v = kept[t].real
+    half = 2 * margin + 4 * _U * abs(v) + 2.0 ** -1070  # rounded v -+ half still passes v -+ 2 margin
+    est = kept.real
+    low, high = v - half, v + half
+    code = kept[(est >= low) & (est <= high)].imag.astype(np.int64)
+    dist = _exact_distances(X, code // X.shape[0], code % X.shape[0])
+    rank = t - np.count_nonzero(est < low)
+    return float(np.partition(dist, rank)[rank])
 
 
 def median_bandwidth(data: Dataset) -> float:
@@ -477,30 +608,62 @@ def median_bandwidth(data: Dataset) -> float:
     want a tuned width should select it themselves.
 
     The result is exactly float(np.median(pdist(X))), but the n(n-1)/2
-    distances are never held at once (Floyd & Rivest 1975):
+    distances are never held at once, and almost none is computed
+    (Floyd & Rivest 1975 for the selection):
 
     1. Bracket. Quantiles of a sample of about 16 n pair distances
        (_pair_sample), 4 standard errors either side of the median's rank,
        bracket the median as [lo, hi].
-    2. Stream. One pass over the distances (_bracket_pass) counts those
-       below lo, up to lo and up to hi, and keeps those strictly between.
+    2. Filter. One pass over the pairs (_bracket_pass) counts those below
+       lo, up to lo and up to hi, and keeps those strictly between. The rows
+       are centred at their coordinate-wise median and sorted by norm,
+       largest first, into chunks of at most 64 rows whose norms lie within
+       a factor 2. One GEMM over the rows [-2y, |y|^2, 1] of a chunk and
+       [y, 1, |y|^2] of the later rows, 1024 columns at a time, estimates
+       |y_i - y_j|^2 for each of the chunk's pairs. A margin places each
+       estimate surely below lo, surely above hi, or surely strictly
+       between, where it is kept. Only a pair it cannot place against an
+       edge is computed exactly, by cdist on its own two rows, and so is
+       every pair of a row whose norm may pass 2^510.
     3. Select. The counts place each middle rank at lo, at hi, or among the
-       kept values, where np.partition picks it. Two middle values are
-       averaged with np.mean, as np.median does.
+       kept pairs, where _exact_rank finds it by the window below. Two
+       middle values are averaged with np.mean, as np.median does.
     4. Miss. If the counts place a middle rank outside the bracket, that
        edge moves out in the sample by the ranks it missed by plus twice
        the last step, and the pass runs again. An edge past the end of the
        sample is -inf or inf, which no rank can miss, so the passes end.
 
-    Memory is the sample, one chunk of 64 x n distances, and the kept set:
-    about 1/sqrt(n) of all the distances where the sample brackets well,
-    so 1.4 MB at n = 5000 and 45 MB at n = 50 000, against pdist's 10 GB.
+    The margin. Let u be the unit roundoff, gamma_k = k u / (1 - k u), y the
+    rounded centred rows and R_i >= |y_i|. A sum of K rounded products errs
+    by at most gamma_K times the sum of their magnitudes, in any order
+    (Higham 2002, §3.1). So the GEMM's K = d + 2 terms estimate
+    |y_i|^2 + |y_j|^2 - 2 y_i . y_j within gamma_K (|y_i| + |y_j|)^2, and the
+    two rounded squared norms add gamma_d each: 6 gamma_K R_i^2 in all for
+    R_j <= R_i. Centring moves a row by at most u |y_i|, and pdist's value
+    is within gamma_(d+2) + 2u of the true distance, so it lies within about
+    (2 gamma_(d+2) + 6u) R_i of |y_i - y_j|. The filter takes
+    E = 8 gamma_(2K) R^2 and b = 4 gamma_(2d+8) R at the chunk's first,
+    largest row, plus terms for underflow: an estimate below (t - b)^2 - E
+    places its pair below t, one above (t + b)^2 + E above it, and each
+    threshold is rounded outward. A row more than twice as far out as the
+    next starts a chunk of its own, so it widens only its own pairs'
+    margins; a row past 2^510, whose squares could overflow, has none.
 
-    Each pass interleaves its row chunks over `_on_cores` slabs of at least
-    _MIN_SLAB rows, with 64 // w rows a chunk on w threads, so the chunks
-    still add up to 64 x n distances. The counts do not depend on order, and
-    np.partition selects the kept values by value, so the bits do not depend
-    on the core count.
+    The window. A kept estimate sqrt(q) lies within b + min(sqrt(E), E / lo)
+    plus its own rounding of its pair's distance; m is twice the largest of
+    these. When every value moves by at most m, so does every order
+    statistic, so the t-th distance lies within m of v, the t-th estimate.
+    A pair whose estimate is below v - 2m then lies below it, and one above
+    v + 2m above it: the t-th distance is the (t - #{estimate < v - 2m})-th
+    of the pairs between, which alone are computed exactly.
+
+    Memory is the sample, the filter's n x (d + 2) rows, one GEMM block of
+    64 x 1024 floats with two byte masks of its size, and 16 bytes a kept
+    pair: its estimate and its index a n + b, as one complex number that
+    np.partition moves whole. The index is exact below n = 9.4e7. The
+    bracket keeps about 4 / sqrt(16 n) of the pairs where the sample
+    brackets well: 171 000 pairs, 2.7 MB, at n = 5000, and 5.6 M pairs,
+    89 MB, at n = 50 000, against pdist's 100 MB and 10 GB.
     """
     as_instance(data, Dataset, "data")
     if data.n < 2:
@@ -516,7 +679,7 @@ def median_bandwidth(data: Dataset) -> float:
     while True:
         lo = sample[low] if low >= 0 else -np.inf
         hi = sample[high] if high < sample.size else np.inf
-        below, upto_lo, upto_hi, kept = _bracket_pass(X, lo, hi)
+        below, upto_lo, upto_hi, kept, margin = _bracket_pass(X, lo, hi)
         step *= 2
         if ranks[0] < below:  # a middle value lies below lo
             high = low if ranks[-1] < below else high
@@ -526,12 +689,13 @@ def median_bandwidth(data: Dataset) -> float:
             high = int(np.ceil(high + (ranks[-1] - upto_hi + 1) * per_rank + step))
         else:
             break
-    # Rank k is lo before upto_lo, then the kept values in order, then hi.
+    # Rank k is lo before upto_lo, then the kept pairs in order, then hi.
     at = [k - upto_lo for k in ranks]
     inner = [i for i in at if 0 <= i < kept.size]
     if inner:
         kept.partition(inner)
-    med = float(np.mean([lo if i < 0 else kept[i] if i < kept.size else hi for i in at]))
+    med = float(np.mean([lo if i < 0 else hi if i >= kept.size else _exact_rank(X, kept, i, margin)
+                         for i in at]))
     if not np.isfinite(med):
         raise NumericError("median pairwise distance is not finite (features too large)")
     if med <= 0.0:

@@ -224,6 +224,16 @@ def _kernel_entries(out):
     out["kernel.threaded_passes"] = [
         mean_map(target, source, KernelSpec("gaussian", bandwidth=1.1)).entries,
         median_bandwidth(source)]
+    # The median's filter: a row at 1e150 among 3000, rows shifted by 1e6, rows rounded
+    # to 0.1 (ties at the bracket's edges), rows scaled by 1e-8 and by 1e8, and sorted
+    # one-feature rows.
+    rng = np.random.default_rng(13)
+    far = rng.normal(size=(3001, 20))
+    far[-1] = 1e150
+    data = [far, rng.normal(size=(200, 4)) + 1e6, np.round(rng.normal(size=(300, 4)), 1),
+            rng.normal(size=(150, 3)) * 1e-8, rng.normal(size=(150, 3)) * 1e8,
+            np.sort(rng.normal(size=(400, 1)), axis=0)]
+    out["kernel.median_filter"] = [_outcome(median_bandwidth, Dataset(x)) for x in data]
 
 
 def _workload_entries(out):

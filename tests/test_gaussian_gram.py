@@ -101,6 +101,22 @@ def test_rows_read_in_pick_order_are_a_read_only_view():
     assert K.rows([2, 7]).flags.writeable  # not in pick order: a copy
 
 
+def test_only_a_run_of_held_rows_is_a_view():
+    # Held in buffer rows 0..4. A read that starts and ends a run's length apart but
+    # does not rise at every step, or repeats a row, is a copy; every read has the rows.
+    X = source_rows(50, seed=3)
+    spec = KernelSpec("gaussian", bandwidth=1.0)
+    K, dense = kernel_matrix(Dataset(X), spec), entries_of(dense_gram(X, spec))
+    held = [7, 2, 41, 9, 30]
+    K.rows(held)
+    for idx, view in [([41], True), ([2, 41], True), ([2, 41, 9], True), (held, True),
+                      ([7, 9, 41], False), ([7, 30, 41, 9], False), ([2, 2], False),
+                      ([41, 2], False), ([9, 9, 9], False)]:
+        got = K.rows(idx)
+        assert got.tobytes() == dense[idx].tobytes() and got.flags.c_contiguous
+        assert got.flags.writeable != view
+
+
 def corrupt_once(monkeypatch, damage):
     """Make the next computed block of rows come out damaged."""
     original = kernel._cross_kernel

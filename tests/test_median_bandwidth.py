@@ -1,10 +1,12 @@
-"""The median bandwidth streams the distances and returns np.median(pdist(X))'s bits.
+"""The median bandwidth filters the distances and returns np.median(pdist(X))'s bits.
 
 `median_bandwidth` never holds the n(n-1)/2 distances: it brackets the median
-with a sample and keeps only the distances inside the bracket. On every fixture
-it must return exactly float(np.median(pdist(X))) and raise the same typed
-errors; whatever the sample says, a bracket that misses must end in the exact
-value; and its peak memory must stay a small share of the distance array.
+with a sample, places almost every pair against the bracket by a GEMM estimate
+and a rounding bound, and computes exactly only the pairs the bound cannot
+place and the few it must rank. On every fixture it must return exactly
+float(np.median(pdist(X))) and raise the same typed errors; whatever the sample
+says, a bracket that misses must end in the exact value; and its peak memory
+must stay a small share of the distance array.
 """
 
 import tracemalloc
@@ -40,12 +42,16 @@ def with_duplicates(n, seed=0):
 
 
 # name: rows. n = 2, 3, 6 and 65 give an odd pair count, n = 4, 5 and 64 an even one;
-# 64 and 65 rows end on and just past a chunk.
+# 64 and 65 rows end on and just past a chunk. Rows shifted by 1e6 are exact only if
+# the filter centres them; rows rounded to 0.1 tie at the bracket's edges, where their
+# rounded estimates fall on either side. Both span several chunks.
 FIXTURES = {
     "n2": normal(2), "n3": normal(3), "n4_even": normal(4), "n5_even": normal(5),
     "n6_odd": normal(6), "n64_even": normal(64, d=5), "n65_odd": normal(65, d=1),
     "n300": normal(300, d=20), "ties": with_ties(50), "ties_even": with_ties(61),
     "duplicates": with_duplicates(40), "sorted_rows": np.sort(normal(200, d=1), axis=0),
+    "offset_1e6": normal(200, d=4, seed=5) + 1e6, "rounded": np.round(normal(300, d=4, seed=5), 1),
+    "rounded_d1": np.round(normal(150, d=1, seed=5), 1),
 }
 
 
@@ -145,8 +151,9 @@ def test_peak_memory_is_a_small_share_of_the_distance_array():
 
 
 def test_the_kept_distances_are_held_once():
-    # A crafted sample brackets 5/7 of the distances, so the kept set dominates the
-    # peak: held as chunks and again as their concatenation, it would double it.
+    # A crafted sample brackets 5/7 of the distances, so the kept pairs dominate the peak:
+    # held as chunks and again as their concatenation, or copied to be partitioned, they
+    # would double it.
     n = 2000
     X = normal(n, seed=4)
     dist = np.sort(pdist(X))
@@ -168,5 +175,64 @@ def test_the_kept_distances_are_held_once():
         finally:
             tracemalloc.stop()
     assert got == reference(X)
-    assert passes == 1 and kept[0] > 8 * n * (n - 1) / 2 / 2
+    assert passes == 1 and kept[0] > 16 * n * (n - 1) / 2 / 2  # an estimate and a pair, 16 bytes
     assert peak < 1.5 * kept[0]
+
+
+def counted_distances(X, sample=None):
+    """(median, distances cdist computed) over one median_bandwidth call."""
+    computed = []
+    real_cdist = kernel.cdist
+
+    def counted(*args, **kwargs):
+        out = real_cdist(*args, **kwargs)
+        computed.append(out.size)
+        return out
+
+    with mock.patch.object(kernel, "cdist", counted):
+        return median_and_passes(X, sample)[0], sum(computed)
+
+
+def test_a_far_row_widens_only_its_own_margins():
+    # A row at 1e150 is 1e150 from every other row. Its own pairs' margins grow with its
+    # norm, but it must not widen the others': every pair is still placed without cdist.
+    n = 3000
+    X = np.vstack([normal(n, d=20, seed=3), np.full((1, 20), 1e150)])
+    tracemalloc.start()
+    try:
+        got, computed = counted_distances(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == reference(X)
+    assert peak < 8 * n * (n - 1) / 2 / 8  # as for the gaussian rows alone
+    assert computed < n  # of 4.5 M pairs
+
+
+def test_a_row_past_the_norm_cut_is_computed_exactly_and_alone():
+    # A row at 1e200 could overflow the GEMM, so its n - 1 pairs go through cdist, and
+    # still none of the others.
+    n = 1000
+    X = np.vstack([normal(n, d=3, seed=8), np.full((1, 3), 1e200)])
+    got, computed = counted_distances(X)
+    assert got == reference(X)
+    assert n <= computed < 2 * n
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_estimates_anywhere_within_the_margin_rank_exactly(seed):
+    # Pull every estimate the full margin towards rank t, the pairs below it up and the
+    # rest down: the window of 2 margins either side of the t-th estimate must still hold
+    # the t-th distance. The margin spans several distinct distances of rows on a 0.1 grid.
+    n = 30
+    X = np.round(normal(n, d=2, seed=seed), 1)
+    exact = pdist(X)
+    a, b = np.triu_indices(n, 1)
+    margin = 0.05
+    rank = np.argsort(exact, kind="stable")
+    for t in range(0, exact.size, 7):
+        shift = np.full(exact.size, -margin)
+        shift[rank[:t]] = margin
+        kept = (exact + shift) + 1j * (a * n + b)
+        kept.partition(t)
+        assert kernel._exact_rank(X, kept, t, margin) == np.sort(exact)[t]

@@ -48,10 +48,11 @@ def test_every_exported_name_resolves():
 
 # The functions that may call each primitive: a second copy of the kernel formula, or a
 # second way to factor a block, fails. Distances are not kernel values, so the one
-# function that computes the median bandwidth's distances may call cdist too. nnqp._factor
-# is the one Cholesky factorization, so scipy.linalg's wrappers have no caller at all.
-_ONLY_CALLER = {"cdist": {"kernel._cross_kernel", "kernel._triangle_distances"},
-                "exp": {"kernel._cross_kernel"}, "pdist": {"kernel._triangle_distances"},
+# function that computes the median bandwidth's exact distances may call cdist too, and
+# pdist has no caller. nnqp._factor is the one Cholesky factorization, so scipy.linalg's
+# wrappers have no caller at all.
+_ONLY_CALLER = {"cdist": {"kernel._cross_kernel", "kernel._exact_distances"},
+                "exp": {"kernel._cross_kernel"}, "pdist": set(),
                 "dpotrf": {"nnqp._factor"}, "cho_factor": set(), "cho_solve": set(),
                 "cholesky": set(), "solve_triangular": set()}
 
