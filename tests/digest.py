@@ -224,6 +224,10 @@ def _kernel_entries(out):
     out["kernel.threaded_passes"] = [
         mean_map(target, source, KernelSpec("gaussian", bandwidth=1.1)).entries,
         median_bandwidth(source)]
+    # Whole 64 x 1024 GEMM tiles of 22 columns, large enough for BLAS to split over its own
+    # threads: CI compares this digest with BLAS on one thread and on its default threads.
+    target, source = Dataset(rng.normal(size=(1100, 20))), Dataset(rng.normal(size=(1100, 20)))
+    out["kernel.gemm_tiles"] = mean_map(target, source, KernelSpec("gaussian", bandwidth=6.0)).entries
     # The median's filter: a row at 1e150 among 3000, rows shifted by 1e6, rows rounded
     # to 0.1 (ties at the bracket's edges), rows scaled by 1e-8 and by 1e8, and sorted
     # one-feature rows.

@@ -1,12 +1,13 @@
-"""The exact kernel passes give the same bits on any number of cores.
+"""The kernel passes give the same bits on any number of cores.
 
-`kernel._on_cores` splits the gaussian mean map by source columns into
-w = min(usable cores, n // _MIN_SLAB) slabs. Here the usable cores are set to
-w and _MIN_SLAB is lowered to 2, so that small inputs take w = 2 or 3 slabs,
-or 64 in a stress test, and every output must equal the serial one byte for
-byte, in no more memory. Below the width no thread starts at all. The median
-bandwidth's filter runs on the calling thread, so it starts no thread under
-any of these settings.
+`kernel._on_cores` splits the gaussian mean map by source rows into
+w = min(usable cores, n // _MIN_SLAB) slabs, whose edges fall on multiples of
+_CHUNK_ROWS. Here the usable cores are set to w and _MIN_SLAB is lowered to
+2, so that small inputs take w = 2 or 3 slabs, or 64 in a stress test, and
+every output must equal the serial one byte for byte, on the cdist tiles and
+on the GEMM tiles, with one tile more a thread. Below the width no thread
+starts at all. The median bandwidth's filter runs on the calling thread, so
+it starts no thread under any of these settings.
 """
 
 import os
@@ -135,9 +136,17 @@ def test_an_exception_reaches_the_caller_unchanged(monkeypatch, started, failing
 
 
 @pytest.mark.parametrize("w", [2, 3])
+def test_gemm_mean_maps_equal_the_serial_pass(monkeypatch, started, w):
+    # The same passes through the GEMM, which the shapes above are too small to take.
+    monkeypatch.setattr(kernel, "_GEMM_MIN_WORK", 0)
+    test_mean_maps_equal_the_serial_pass(monkeypatch, started, w)
+
+
+@pytest.mark.parametrize("w", [2, 3])
 def test_threaded_passes_hold_one_chunk_in_all(monkeypatch, w):
-    # The threads' buffers add up to the one _CHUNK_ROWS x n chunk of the serial pass:
-    # a chunk a thread would raise the peak by (w - 1) chunks, not by an eighth of one.
+    # Each thread of the mean map holds one _CHUNK_ROWS x _TILE_COLS tile, and nothing
+    # more: a chunk of n rows a thread would raise the peak by far more than a tile and
+    # a sixteenth. The median's filter starts no thread, so its peak does not move.
     target, source = (Dataset(x) for x in draw(2000, 1000, seed=3))
     X = Dataset(normal(3000, d=20, seed=3))
     peaks = {}
@@ -145,9 +154,9 @@ def test_threaded_passes_hold_one_chunk_in_all(monkeypatch, w):
         on_slabs(monkeypatch, slabs)
         peaks[slabs] = (peak_bytes(lambda: mean_map(target, source, SPEC)),
                         peak_bytes(lambda: median_bandwidth(X)))
-    chunks = (8 * _CHUNK_ROWS * source.n, 8 * _CHUNK_ROWS * X.n)
-    for serial, threaded, chunk in zip(peaks[1], peaks[w], chunks):
-        assert threaded < serial + chunk / 8
+    tile, chunk = 8 * _CHUNK_ROWS * min(kernel._TILE_COLS, target.n), 8 * _CHUNK_ROWS * X.n
+    assert peaks[w][0] < peaks[1][0] + (w - 1) * tile + tile / 16
+    assert peaks[w][1] < peaks[1][1] + chunk / 8
 
 
 @pytest.mark.parametrize("edges", [(0, -1), (13000, 26000)], ids=["all", "inner"])

@@ -1,11 +1,15 @@
-"""The chunked kernel passes give the bits of one unchunked kernel block.
+"""The tiled kernel passes agree with one unchunked kernel block to a stated bound.
 
-`mean_map` sums the kernel a chunk of rows at a time. `rank_sources` takes
-one such pass per dataset against itself, and one per ordered pair of
-datasets at the source's prototypes alone. Every output must equal, byte for
-byte, the mean of the whole block written out below, and none may hold the
-whole n1 x n2 block on the gaussian path. `rank_sources` is checked on one
-core and with its passes split over two.
+`mean_map` computes the gaussian kernel a tile of rows at a time from one
+GEMM of centred, augmented rows. `rank_sources` takes one such pass per
+dataset against itself, and one per ordered pair of datasets at the source's
+prototypes alone. Every output must lie within `mean_map`'s stated rounding
+bound of the mean of the whole block written out below, on rows near the
+origin and on rows shifted by 1e6, and none may hold the whole n1 x n2 block
+on the gaussian path. The C, F and strided layouts of one input give the same
+bits. `rank_sources` is checked on one core and with its passes split over
+two. Below `kernel._GEMM_MIN_WORK` the mean map computes its tiles with
+cdist, so the tests lower it to 0 where they check the GEMM.
 """
 
 import itertools
@@ -26,6 +30,12 @@ from protoselect.selectors import SelectionConfig, proto_dash
 SIGMA = 1.3
 SPECS = {"gaussian": KernelSpec("gaussian", bandwidth=SIGMA), "linear": KernelSpec("linear")}
 ROWS = [1, 2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 7, 300]
+SHIFTS = [0.0, 1e6]
+U = np.finfo(float).eps / 2
+
+
+def gamma(k):
+    return k * U / (1 - k * U)
 
 
 def block_mean(A, B, family):
@@ -33,6 +43,26 @@ def block_mean(A, B, family):
     if family == "gaussian":
         return np.exp(-cdist(A, B, "sqeuclidean") / (2.0 * SIGMA * SIGMA)).mean(axis=0)
     return (A @ B.T).mean(axis=0)
+
+
+def gemm_bound(A, B, sigma=SIGMA):
+    """How far each entry of the gaussian mean_map(A, B) may lie from block_mean(A, B).
+
+    mean_map's docstring bounds its exponent's error by delta =
+    4 gamma_(d+2) (|z| + |y|)^2 / (2 sigma^2) plus an underflow term, for the
+    rows z of B and y of A centred at B's mean. cdist's exponent errs by at
+    most gamma_(d+5) of itself, each np.exp by 4 ulp, and each sum of n1
+    positive values by gamma_n1 of itself, plus the division by n1.
+    """
+    n1, d = A.shape
+    centre = B.mean(axis=0)
+    norms = np.add.outer(np.linalg.norm(A - centre, axis=1), np.linalg.norm(B - centre, axis=1))
+    width = 2.0 * sigma * sigma
+    exponent = cdist(A, B, "sqeuclidean") / width
+    delta = 4 * gamma(d + 2) * (norms * (1 + 8 * U)) ** 2 / width + (2 * d + 2) * 2.0 ** -1073 / width
+    k = np.exp(-exponent)
+    apart = k * np.expm1(delta + 2 * gamma(d + 5) * exponent + 40 * U)
+    return (1 + 8 * U) * (apart.mean(axis=0) + 4 * (gamma(n1) + 2 * U) * k.mean(axis=0)) + 2.0 ** -1060
 
 
 def layout(x, order):
@@ -51,29 +81,90 @@ def draw(n1, n2, seed):
     return 2.0 * rng.standard_normal((n1, d)), 2.0 * rng.standard_normal((n2, d)) + 0.3
 
 
+@pytest.fixture
+def gemm_tiles(monkeypatch):
+    """Every gaussian mean map runs the GEMM, whatever its size; returns the list of
+    (rows, columns) of each GEMM tile computed."""
+    tiles = []
+    squared_distances = kernel._squared_distances
+
+    def counted(left, right, out):
+        tiles.append(out.shape)
+        return squared_distances(left, right, out)
+
+    monkeypatch.setattr(kernel, "_GEMM_MIN_WORK", 0)
+    monkeypatch.setattr(kernel, "_squared_distances", counted)
+    return tiles
+
+
+def assert_within_bound(target, source, family):
+    """mean_map(target, source) against the whole block: within gemm_bound for the
+    gaussian family, bit-equal for the linear one."""
+    got = mean_map(target, source, SPECS[family]).entries
+    want = block_mean(target.values, source.values, family)
+    if family == "gaussian":
+        assert np.all(np.abs(got - want) <= gemm_bound(target.values, source.values))
+    else:
+        assert got.tobytes() == want.tobytes()
+    return got
+
+
+def tiles(n1, n2):
+    """The GEMM tiles of a mean map of n1 target rows at n2 source rows."""
+    return -(-n2 // _CHUNK_ROWS) * -(-n1 // kernel._TILE_COLS)
+
+
 # Every row count on one side against one row, two rows and a 37-row other side.
 SHAPES = sorted({(n, o) for n in ROWS for o in (1, 2, 37)} | {(o, n) for n in ROWS for o in (1, 2, 37)})
 
 
 @pytest.mark.parametrize("family", SPECS)
 @pytest.mark.parametrize("n1,n2", SHAPES)
-def test_mean_maps_equal_the_whole_block(family, n1, n2):
-    A, B = draw(n1, n2, seed=n1 * 1000 + n2)
-    spec = SPECS[family]
-    for left, right in itertools.product(("C", "F", "strided"), repeat=2):
+def test_mean_maps_equal_the_whole_block(gemm_tiles, family, n1, n2):
+    for shift, left, right in itertools.product(SHIFTS, *[("C", "F", "strided")] * 2):
+        A, B = (x + shift for x in draw(n1, n2, seed=n1 * 1000 + n2))
         a, b = Dataset(layout(A, left)), Dataset(layout(B, right))
-        ab, ba = (block_mean(x.values, y.values, family).tobytes() for x, y in ((a, b), (b, a)))
-        assert mean_map(a, b, spec).entries.tobytes() == ab
-        assert mean_map(b, a, spec).entries.tobytes() == ba
+        del gemm_tiles[:]
+        ab, ba = assert_within_bound(a, b, family), assert_within_bound(b, a, family)
+        if (left, right) == ("C", "C"):
+            bits = ab.tobytes(), ba.tobytes()
+        assert (ab.tobytes(), ba.tobytes()) == bits  # a layout changes no bit
+        # Centred at the source's mean, rows shifted by 1e6 still take the GEMM.
+        assert len(gemm_tiles) == (tiles(n1, n2) + tiles(n2, n1) if family == "gaussian" else 0)
 
 
 @pytest.mark.parametrize("family", SPECS)
 @pytest.mark.parametrize("n", [1, 2, _CHUNK_ROWS + 1])
-def test_self_mean_map_comes_with_the_gram(family, n):
+def test_self_mean_map_comes_with_the_gram(gemm_tiles, family, n):
     # The mean map rank_sources selects each dataset's prototypes against.
-    X = draw(n, 1, seed=n)[0]
-    mu = mean_map(Dataset(X), Dataset(X), SPECS[family])
-    assert mu.entries.tobytes() == block_mean(X, X, family).tobytes()
+    for shift in SHIFTS:
+        X = Dataset(draw(n, 1, seed=n)[0] + shift)
+        assert_within_bound(X, X, family)
+    assert len(gemm_tiles) == (2 * tiles(n, n) if family == "gaussian" else 0)
+
+
+@pytest.mark.parametrize("case", ["within", "past", "huge", "tiny", "far"])
+def test_the_gemm_runs_only_where_its_bound_holds(gemm_tiles, case):
+    # mean_map takes the GEMM only where 4 gamma_(d+2) (R_source + R_target)^2 / (2 sigma^2),
+    # its bound on every exponent's error, is at most _GEMM_TOL, where no row's norm may
+    # pass _NORM_CUT, and where 2 sigma^2 neither overflows nor underflows. Bandwidths at
+    # 0.75 and 1.5 times the tolerance's edge fall on either side of it.
+    rng = np.random.default_rng(11)
+    source, target = rng.standard_normal((70, 3)), rng.standard_normal((50, 3)) + 0.5
+    if case == "far":  # past 2^510, yet the exponents' bound holds at this width
+        target[0, 0] = 2.0 ** 511
+    centre = source.mean(axis=0)
+    reach = sum(kernel._augmented(x, centre)[1].max() for x in (source, target))
+    edge = np.sqrt(4 * gamma(5) * reach ** 2 / (2 * kernel._GEMM_TOL))  # sigma at the edge
+    sigma = {"within": edge / np.sqrt(0.75), "past": edge / np.sqrt(1.5), "huge": 1e200,
+             "tiny": 1e-200, "far": 2.0 ** 509}[case]
+    got = mean_map(Dataset(target), Dataset(source), KernelSpec("gaussian", bandwidth=sigma))
+    assert bool(gemm_tiles) == (case == "within")
+    if case in ("huge", "tiny"):
+        assert got.entries.tobytes() == np.full(70, 1.0 if case == "huge" else 0.0).tobytes()
+    else:
+        want = np.exp(-cdist(target, source, "sqeuclidean") / (2 * sigma * sigma)).mean(axis=0)
+        assert np.all(np.abs(got.entries - want) <= gemm_bound(target, source, sigma))
 
 
 def reference_rank(datasets, m, spec, reweight):
@@ -102,18 +193,23 @@ def reference_rank(datasets, m, spec, reweight):
 @pytest.mark.parametrize("family", SPECS)
 @pytest.mark.parametrize("reweight", [True, False])
 @pytest.mark.parametrize("cores", [1, 2])
-def test_rank_sources_equals_per_pair_mean_maps(monkeypatch, family, reweight, cores):
-    # With slabs of 2 columns, each pass over 4 or more source rows splits on 2 cores.
+def test_rank_sources_equals_per_pair_mean_maps(monkeypatch, gemm_tiles, family, reweight, cores):
+    # With slabs of 2 rows, each pass over 4 or more source rows splits on 2 cores.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     monkeypatch.setattr(kernel, "_MIN_SLAB", 2)
-    rng = np.random.default_rng(17)
-    sizes = [_CHUNK_ROWS + 9, 1, 40, 2 * _CHUNK_ROWS, 2]
-    datasets = [Dataset(rng.standard_normal((n, 3)) + 0.4 * i) for i, n in enumerate(sizes)]
     spec = SPECS[family]
-    rm = rank_sources(datasets, 4, spec, reweight=reweight)
-    obj, rank = reference_rank(datasets, 4, spec, reweight)
-    assert rm.objective.tobytes() == obj.tobytes()
-    assert rm.rank.tobytes() == rank.tobytes()
+    # A linear Gram of rows shifted by 1e6 does not factor (ROADMAP item 4).
+    for shift in SHIFTS if family == "gaussian" else SHIFTS[:1]:
+        datasets = [Dataset(ds.values + shift) for ds in shifted_datasets()]
+        rm = rank_sources(datasets, 4, spec, reweight=reweight)
+        obj, rank = reference_rank(datasets, 4, spec, reweight)
+        if family == "gaussian":
+            # The mean maps lie within their bound, about 1e-14 of an entry here.
+            np.testing.assert_allclose(rm.objective, obj, rtol=1e-12, atol=0)
+        else:
+            assert rm.objective.tobytes() == obj.tobytes()
+        assert rm.rank.tobytes() == rank.tobytes()
+    assert bool(gemm_tiles) == (family == "gaussian")
 
 
 def shifted_datasets():

@@ -1,6 +1,7 @@
 """The package declares only what its code keeps: every console script imports, every
 exported name resolves, every module uses each name it imports, the kernel formula,
-the Cholesky factorization and the freezing of an array are each written in one place,
+the distance GEMM, the Cholesky factorization and the freezing of an array are each
+written in one place,
 ranking computes kernel values only through the kernel module's public passes, and
 every function that takes a Gram is checked with a raw array in its place."""
 
@@ -49,10 +50,12 @@ def test_every_exported_name_resolves():
 # The functions that may call each primitive: a second copy of the kernel formula, or a
 # second way to factor a block, fails. Distances are not kernel values, so the one
 # function that computes the median bandwidth's exact distances may call cdist too, and
-# pdist has no caller. nnqp._factor is the one Cholesky factorization, so scipy.linalg's
-# wrappers have no caller at all.
+# pdist has no caller. The GEMM of augmented rows that estimates squared distances, for
+# the mean map and the median's filter, is kernel._squared_distances alone. nnqp._factor
+# is the one Cholesky factorization, so scipy.linalg's wrappers have no caller at all.
 _ONLY_CALLER = {"cdist": {"kernel._cross_kernel", "kernel._exact_distances"},
                 "exp": {"kernel._cross_kernel"}, "pdist": set(),
+                "matmul": {"kernel._squared_distances"},
                 "dpotrf": {"nnqp._factor"}, "cho_factor": set(), "cho_solve": set(),
                 "cholesky": set(), "solve_triangular": set()}
 
