@@ -18,7 +18,9 @@ mean map's tiles come from one BLAS GEMM of centred rows augmented to d + 2
 columns (`_augmented`), within the rounding bound stated in `mean_map`; an
 input too small for the GEMM to pay, or one where the bound would be wide,
 takes cdist tiles instead. The median's filter uses the same rows and GEMM
-only to place pairs against its bracket, so its result is still pdist's.
+only to count the pairs surely below its bracket and drop those surely
+above; it keeps the rest with their estimates, and cdist computes only the
+few kept pairs near the median's rank, so its result is still pdist's.
 
 The gaussian mean map runs on every usable core through `_on_cores`, the
 one code that starts a thread: its n source rows are split into
@@ -545,57 +547,45 @@ def _filter_rows(X: np.ndarray):
     return order, A, G, R, E, b
 
 
-def _edges(t: float, b: np.ndarray, E: np.ndarray):
-    """(U, V) for the edge t: a pair of row i and a later row whose estimate is
-    below U[i] lies surely below t, and one above V[i] surely above it. Each
-    is rounded past its exact value, so it errs towards leaving a pair unplaced."""
-    if np.isinf(t):
-        return np.full_like(b, t), np.full_like(b, t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        U = np.where(t > b, (t - b) ** 2 * (1 - 8 * _U) - E * (1 + 4 * _U), -np.inf)
-        V = (t + b) ** 2 * (1 + 8 * _U) + E * (1 + 4 * _U)
-    return U, V
-
-
 def _exact_distances(X: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """pdist(X)'s distance of each row pair (a[k], b[k]).
 
-    cdist computes each pair from its own two rows, as pdist does, so every
-    value has pdist's bits. The pairs are taken _CHUNK_ROWS distinct rows a
-    at a time, so cdist's block is at most one chunk of 64 x n floats.
+    One cdist call per distinct row of a, against exactly that row's
+    partners: cdist computes each pair from its own two rows, as pdist does,
+    so every value has pdist's bits, and no pair is computed that was not
+    asked for.
     """
     out = np.empty(a.size)
-    rows, row_of = np.unique(a, return_inverse=True)
-    by_row = np.argsort(row_of, kind="stable")
-    ends = np.searchsorted(row_of[by_row], np.arange(0, rows.size + _CHUNK_ROWS, _CHUNK_ROWS))
-    for start, first, last in zip(range(0, rows.size, _CHUNK_ROWS), ends, ends[1:]):
-        pick = by_row[first:last]
-        cols, col_of = np.unique(b[pick], return_inverse=True)
-        block = cdist(X[rows[start:start + _CHUNK_ROWS]], X[cols])
-        out[pick] = block[row_of[pick] - start, col_of]
+    by_row = np.argsort(a, kind="stable")
+    rows, firsts = np.unique(a[by_row], return_index=True)
+    for row, pick in zip(rows, np.split(by_row, firsts[1:])):
+        out[pick] = cdist(X[row:row + 1], X[b[pick]])[0]
     return out
 
 
 def _bracket_pass(X: np.ndarray, lo: float, hi: float):
-    """(below, upto_lo, upto_hi, kept, margin): how many distances lie below lo,
-    up to lo and up to hi, the pairs strictly between, and how far a kept
-    estimate may lie from its pair's distance.
+    """(below, kept, margin): a two-way filter of the distances against lo <= hi.
+
+    A pair whose GEMM estimate lies surely below lo is counted in `below`,
+    one surely above hi is dropped, and every other pair is kept with its
+    estimate, which lies within `margin` of pdist's value. A row past
+    _NORM_CUT has no estimate: its pairs' exact distances, the only ones the
+    pass computes, are counted, dropped or kept the same way, exactly.
 
     `kept` is one complex array that grows in place: the real part is a
     pair's estimate, or its exact distance, and the imaginary part is a n + b
     for its rows a < b, so np.partition moves each pair with its estimate.
-    Ties at an edge are counted, not kept, so they cost no memory.
     """
     n = X.shape[0]
     order, A, G, R, E, b = _filter_rows(X)
     far = np.count_nonzero(~(R <= _NORM_CUT))  # they lead the order
-    U_lo, V_lo = _edges(lo, b, E)
-    U_hi, V_hi = _edges(hi, b, E)
-    V_hi = np.minimum(V_hi, np.finfo(float).max)  # every estimate is finite; a masked one is inf
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        reach = b + (np.sqrt(E) if not lo > 0 else np.minimum(np.sqrt(E), E / lo))
-    counts = np.zeros(3, np.int64)  # below lo, at lo, in [lo, hi]
-    kept, size, margin = np.empty(0, complex), 0, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # An estimate below low[i] places a pair of row i and a later row surely below lo,
+        # one above high[i] surely above hi; each is rounded past its exact value, and a
+        # masked estimate, inf, lies above every high.
+        low = np.where(lo > b, (lo - b) ** 2 * (1 - 8 * _U) - E * (1 + 4 * _U), -np.inf)
+        high = np.minimum((hi + b) ** 2 * (1 + 8 * _U) + E * (1 + 4 * _U), np.finfo(float).max)
+    below, kept, size, margin = 0, np.empty(0, complex), 0, 0.0
 
     def keep(values, i, j):
         nonlocal size
@@ -606,51 +596,41 @@ def _bracket_pass(X: np.ndarray, lo: float, hi: float):
         new.real, new.imag = values, np.minimum(a, c) * n + np.maximum(a, c)
         size += values.size
 
-    def place(i, j):
-        dist = _exact_distances(X, order[i], order[j])
-        counts[:] += (np.count_nonzero(dist < lo), np.count_nonzero(dist == lo),
-                      np.count_nonzero((dist >= lo) & (dist <= hi)))
-        inner = (dist > lo) & (dist < hi)
-        keep(dist[inner], i[inner], j[inner])
-
     cols = min(max(_TILE_COLS, _CHUNK_ROWS), n - far)
     buf = np.empty(_CHUNK_ROWS * cols)
-    below_buf, hit_buf = np.empty(buf.size, bool), np.empty(buf.size, bool)
+    under_buf, hit_buf = np.empty(buf.size, bool), np.empty(buf.size, bool)
     tri = np.tril_indices(_CHUNK_ROWS)
 
-    # A function of its own, as keep and place are: under tracemalloc, which perfbench's
-    # kernel spans run, each allocation looks up its line from the top of its function.
+    # A function of its own, as keep is: under tracemalloc, which perfbench's kernel spans
+    # run, each allocation looks up its line from the top of its function.
     def chunk(start, stop):  # every pair of rows start..stop-1 and a later row
-        nonlocal margin
+        nonlocal below, margin
         r = stop - start
-        below_lo, above_lo, below_hi, above_hi = U_lo[start], V_lo[start], U_hi[start], V_hi[start]
         for col in range(start, n, cols):
             c = min(cols, n - col)
             Q = buf[:r * c].reshape(r, c)
             _squared_distances(A[start:stop], G[col:col + c], Q)
             if col == start:  # a pair of two chunk rows is counted once, and no row with itself
                 Q[tri[0][:r * (r + 1) // 2], tri[1][:r * (r + 1) // 2]] = np.inf
-            below = np.less(Q, below_lo, out=below_buf[:r * c].reshape(r, c))
-            counts[0] += np.count_nonzero(below)
-            hit = np.less_equal(Q, above_hi, out=hit_buf[:r * c].reshape(r, c))
-            hit = np.flatnonzero(np.not_equal(hit, below, out=hit))  # not surely below lo or above hi
-            i, j = np.divmod(hit, c)
-            i += start
-            j += col
-            q = Q.reshape(-1)[hit]
-            sure = (q > above_lo) & (q < below_hi)
-            est = q[sure]
-            np.sqrt(np.maximum(est, 0.0, out=est), out=est)
-            if est.size:
-                keep(est, i[sure], j[sure])
-                counts[2] += est.size
-                margin = max(margin, reach[start] + 2 * _U * float(est.max()))
-            if est.size < q.size:
-                place(i[~sure], j[~sure])
+            under = np.less(Q, low[start], out=under_buf[:r * c].reshape(r, c))
+            below += np.count_nonzero(under)
+            hit = np.less_equal(Q, high[start], out=hit_buf[:r * c].reshape(r, c))
+            hit = np.flatnonzero(np.not_equal(hit, under, out=hit))  # neither counted nor dropped
+            if hit.size:
+                est = Q.reshape(-1)[hit]
+                np.sqrt(np.maximum(est, 0.0, out=est), out=est)
+                i, j = np.divmod(hit, c)
+                keep(est, i + start, j + col)
+                least, e = float(est.min()) * (1 - 4 * _U), float(E[start])
+                reach = e / least if least * least > e else np.sqrt(e)  # both bound the error
+                margin = max(margin, float(b[start]) + reach + 2 * _U * float(est.max()))
 
     for row in range(far):  # every pair of a far row is computed exactly
         j = np.arange(row + 1, n)
-        place(np.full(j.size, row), j)
+        dist = _exact_distances(X, np.full(j.size, order[row]), order[j])
+        below += np.count_nonzero(dist < lo)
+        inner = (dist >= lo) & (dist <= hi)
+        keep(dist[inner], row, j[inner])
     start, fall = far, -R
     while start < n:
         # A chunk's norms lie within a factor 2, so its first row's margin fits every row.
@@ -658,8 +638,7 @@ def _bracket_pass(X: np.ndarray, lo: float, hi: float):
         chunk(start, stop)
         start = stop
     kept.resize(size, refcheck=False)
-    below, at_lo, closed = counts.tolist()
-    return below, below + at_lo, below + closed, kept, 2 * margin
+    return below, kept, 2 * margin
 
 
 def _exact_rank(X: np.ndarray, kept: np.ndarray, t: int, margin: float) -> float:
@@ -669,9 +648,12 @@ def _exact_rank(X: np.ndarray, kept: np.ndarray, t: int, margin: float) -> float
     t-th distance lies within margin of v, the t-th estimate. A pair whose
     estimate is below v - 2 margin is below it, one above v + 2 margin above
     it, so the pairs between are computed exactly, and the t-th distance is
-    their (t - #{estimate < v - 2 margin})-th.
+    their (t - #{estimate < v - 2 margin})-th. An infinite v is a far pair's
+    exact distance, and is returned unchanged.
     """
     v = kept[t].real
+    if np.isinf(v):
+        return float(v)
     half = 2 * margin + 4 * _U * abs(v) + 2.0 ** -1070  # rounded v -+ half still passes v -+ 2 margin
     est = kept.real
     low, high = v - half, v + half
@@ -706,24 +688,27 @@ def median_bandwidth(data: Dataset) -> float:
     1. Bracket. Quantiles of a sample of about 16 n pair distances
        (_pair_sample), 4 standard errors either side of the median's rank,
        bracket the median as [lo, hi]. Each is selected by np.partition.
-    2. Filter. One pass over the pairs (_bracket_pass) counts those below
-       lo, up to lo and up to hi, and keeps those strictly between. The rows
-       are centred at their coordinate-wise median and sorted by norm,
-       largest first, into chunks of at most 64 rows whose norms lie within
-       a factor 2. One GEMM over the rows [-2y, |y|^2, 1] of a chunk and
-       [y, 1, |y|^2] of the later rows, 1024 columns at a time, estimates
-       |y_i - y_j|^2 for each of the chunk's pairs. A margin places each
-       estimate surely below lo, surely above hi, or surely strictly
-       between, where it is kept. Only a pair it cannot place against an
-       edge is computed exactly, by cdist on its own two rows, and so is
-       every pair of a row whose norm may pass 2^510.
-    3. Select. The counts place each middle rank at lo, at hi, or among the
-       kept pairs, where _exact_rank finds it by the window below. Two
-       middle values are averaged with np.mean, as np.median does.
-    4. Miss. If the counts place a middle rank outside the bracket, that
-       edge moves out in the sample by the ranks it missed by plus twice
-       the last step, and the pass runs again. An edge past the end of the
-       sample is -inf or inf, which no rank can miss, so the passes end.
+    2. Filter. One pass over the pairs (_bracket_pass) counts those surely
+       below lo, drops those surely above hi, and keeps every other pair
+       with its estimate. The rows are centred at their coordinate-wise
+       median and sorted by norm, largest first, into chunks of at most 64
+       rows whose norms lie within a factor 2. One GEMM over the rows
+       [-2y, |y|^2, 1] of a chunk and [y, 1, |y|^2] of the later rows, 1024
+       columns at a time, estimates |y_i - y_j|^2 for each of the chunk's
+       pairs, and a margin places it. The pass computes no distance exactly
+       but the pairs of a row whose norm may pass 2^510, which it filters by
+       their exact values.
+    3. Select. Middle rank k is the (k - below)-th of the kept pairs, which
+       _exact_rank finds by the window below. A value that lies in [lo, hi]
+       is the k-th of all the distances, since every counted pair lies
+       below it and every dropped pair above. Two middle values are
+       averaged with np.mean, as np.median does.
+    4. Miss. A middle rank that falls among the counted pairs, or whose
+       value lies below lo, missed lo; one that falls among the dropped
+       pairs, or whose value lies above hi, missed hi. That edge moves out
+       in the sample by the ranks it missed by, if any, plus twice the last
+       step, and the pass runs again. An edge past the end of the sample is
+       -inf or inf, which no rank can miss, so the passes end.
 
     The margin. Let u be the unit roundoff, gamma_k = k u / (1 - k u), y the
     rounded centred rows and R_i >= |y_i|. A sum of K rounded products errs
@@ -735,19 +720,26 @@ def median_bandwidth(data: Dataset) -> float:
     is within gamma_(d+2) + 2u of the true distance, so it lies within about
     (2 gamma_(d+2) + 6u) R_i of |y_i - y_j|. The filter takes
     E = 8 gamma_(2K) R^2 and b = 4 gamma_(2d+8) R at the chunk's first,
-    largest row, plus terms for underflow: an estimate below (t - b)^2 - E
-    places its pair below t, one above (t + b)^2 + E above it, and each
+    largest row, plus terms for underflow: an estimate below (lo - b)^2 - E
+    places its pair below lo, one above (hi + b)^2 + E above hi, and each
     threshold is rounded outward. A row more than twice as far out as the
     next starts a chunk of its own, so it widens only its own pairs'
     margins; a row past 2^510, whose squares could overflow, has none.
 
-    The window. A kept estimate sqrt(q) lies within b + min(sqrt(E), E / lo)
-    plus its own rounding of its pair's distance; m is twice the largest of
-    these. When every value moves by at most m, so does every order
-    statistic, so the t-th distance lies within m of v, the t-th estimate.
-    A pair whose estimate is below v - 2m then lies below it, and one above
-    v + 2m above it: the t-th distance is the (t - #{estimate < v - 2m})-th
-    of the pairs between, which alone are computed exactly.
+    Each tile bounds its kept estimates. An estimate q within E of D^2,
+    D = |y_i - y_j|, has sqrt(q) within min(sqrt(E), E / sqrt(q)) of D, so a
+    kept estimate s = sqrt(max(q, 0)) lies within
+        b + min(sqrt(E), E / s_min) + 2 u s_max
+    of pdist's value, with s_min the tile's smallest kept estimate rounded
+    down and s_max its largest. The bound holds on either side of an edge,
+    and the margin m is twice the largest tile's.
+
+    The window. When every value moves by at most m, so does every order
+    statistic, so the t-th distance of the kept pairs lies within m of v,
+    their t-th estimate. A pair whose estimate is below v - 2m then lies
+    below it, and one above v + 2m above it: the t-th distance is the
+    (t - #{estimate < v - 2m})-th of the pairs between, which alone are
+    computed exactly, one cdist call per distinct row.
 
     Memory is the sample, the filter's two n x (d + 2) row sets, one GEMM block of
     64 x 1024 floats with two byte masks of its size, and 16 bytes a kept
@@ -770,23 +762,23 @@ def median_bandwidth(data: Dataset) -> float:
     low, high = int(np.floor(ranks[0] * per_rank - step)), int(np.ceil(ranks[-1] * per_rank + step))
     while True:
         lo, hi = _order_statistic(sample, low), _order_statistic(sample, high)
-        below, upto_lo, upto_hi, kept, margin = _bracket_pass(X, lo, hi)
+        below, kept, margin = _bracket_pass(X, lo, hi)
+        at = [k - below for k in ranks]  # each middle rank's place among the kept pairs
+        inner = [i for i in at if 0 <= i < kept.size]
+        if inner:
+            kept.partition(inner)
+        got = [-np.inf if i < 0 else np.inf if i >= kept.size else _exact_rank(X, kept, i, margin)
+               for i in at]
         step *= 2
-        if ranks[0] < below:  # a middle value lies below lo
-            high = low if ranks[-1] < below else high
-            low = int(np.floor(low - (below - ranks[0]) * per_rank - step))
-        elif ranks[-1] >= upto_hi:  # a middle value lies above hi
-            low = high if ranks[0] >= upto_hi else low
-            high = int(np.ceil(high + (ranks[-1] - upto_hi + 1) * per_rank + step))
+        if got[0] < lo:  # a middle value lies below lo
+            high = low if got[-1] < lo else high
+            low = int(np.floor(low - max(below - ranks[0], 0) * per_rank - step))
+        elif got[-1] > hi:  # a middle value lies above hi
+            low = high if got[0] > hi else low
+            high = int(np.ceil(high + max(ranks[-1] + 1 - below - kept.size, 0) * per_rank + step))
         else:
             break
-    # Rank k is lo before upto_lo, then the kept pairs in order, then hi.
-    at = [k - upto_lo for k in ranks]
-    inner = [i for i in at if 0 <= i < kept.size]
-    if inner:
-        kept.partition(inner)
-    med = float(np.mean([lo if i < 0 else hi if i >= kept.size else _exact_rank(X, kept, i, margin)
-                         for i in at]))
+    med = float(np.mean(got))
     if not np.isfinite(med):
         raise NumericError("median pairwise distance is not finite (features too large)")
     if med <= 0.0:

@@ -230,13 +230,20 @@ def kkt_residual(w: WeightVector, K: KernelMatrix, mu: MeanMap, L: SupportSet) -
 def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
     """Upper bound on the objective gain of adding each index to w's support.
 
-    With S the support of w, g = mu - Kw its gradient and U(T) the
-    unconstrained maximum of l on a support T, entry j is
-    U(S + j) - l(w) = g_S' K_SS^-1 g_S / 2 + h_j^2 / (2 s_j), where
-    s_j = K_jj - k_j' K_SS^-1 k_j is the Schur complement of K_SS and
-    h_j = g_j - k_j' K_SS^-1 g_S the gradient at U(S). Any non-negative
-    weights on S + j gain at most this much. One Cholesky factor of K_SS and
-    one triangular solve against K[S, :] give every entry.
+    With S the support of w and g = mu - Kw its gradient, let rho_S be g on
+    the positive weights of S and max(g, 0) on its zero weights. Entry j is
+        rho_S' K_SS^-1 rho_S / 2 + h_j^2 / (2 s_j),
+    where s_j = K_jj - k_j' K_SS^-1 k_j is the Schur complement of K_SS and
+    h_j = g_j - k_j' K_SS^-1 rho_S. Any non-negative weights v on S + j gain
+    at most this much, by weak duality (Boyd & Vandenberghe, ch. 5): the
+    multipliers lambda = max(-g, 0) on the zero weights, 0 elsewhere, are
+    non-negative with lambda'w = 0, so l(v) <= l(v) + lambda'v. That
+    concave function equals l(w) at w, where its gradient is rho_S on S and
+    g_j at j, and its unconstrained maximum on S + j lies the entry above
+    l(w). Where every weight is positive, rho_S = g_S and the
+    entry is U(S + j) - l(w), U(T) the unconstrained maximum of l on T. One
+    Cholesky factor of K_SS and one triangular solve against K[S, :] give
+    every entry.
 
     The bound is +inf where it cannot be trusted: K_SS does not factor or a
     pivot of its factor, itself a Schur complement, is at most sqrt(eps)
@@ -257,7 +264,8 @@ def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
         if factor is None or np.any(np.diagonal(factor) ** 2 <= _SQRT_EPS * diag[idx]):
             return np.full(K.n2, np.inf)
         B = lapack.dtrtrs(factor, K.rows(idx), lower=1)[0]
-        r = lapack.dtrtrs(factor, g[idx], lower=1)[0]
+        rho = np.where(w.weights > 0.0, g[idx], np.maximum(g[idx], 0.0))
+        r = lapack.dtrtrs(factor, rho, lower=1)[0]
         s = diag - np.einsum("ij,ij->j", B, B)
         h = g - r @ B
         base = 0.5 * float(r @ r)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InputError, SolverError, as_held, as_index, as_indices, as_instance, as_real
-from .kernel import KernelMatrix, MeanMap
+from .kernel import KernelMatrix, MeanMap, _gamma
 from .nnqp import (SolverConfig, SupportSet, WeightVector, _check_sizes, as_solver, gain_bounds,
                    gradient, objective, solve_restricted)
 
@@ -31,7 +31,8 @@ PROTOGREEDY = "protogreedy"
 L2C_EQUAL = "l2c_equal"
 RANDOM_W = "random_w"
 
-# Relative roundoff allowance when a gain bound is compared with a realized gain.
+# Relative allowance for the roundoff of a gain bound: a Schur complement may have lost up
+# to half its digits before `gain_bounds` stops trusting it.
 _BOUND_SLACK = 1e-6
 
 
@@ -169,30 +170,53 @@ def _largest_gradient(grad, weights, f, extend):
     return (*extend(j), g[j]) if g[j] > 0.0 else None
 
 
-def _largest_gain(K: KernelMatrix):
+def _largest_gain(K: KernelMatrix, mu: MeanMap):
     """ProtoGreedy: take the candidate whose solve gains the most.
 
     Candidates with a non-positive gradient leave the objective unchanged
     and score zero without a solve. The others are solved in order of
-    decreasing gain bound (`nnqp.gain_bounds`) until the next bound, widened
-    by `_BOUND_SLACK` for roundoff, falls below the best gain so far: no
+    decreasing gain bound b_j (`nnqp.gain_bounds`) until the next bound,
+    widened by a slack for roundoff, falls below the best gain so far: no
     candidate left can then win or tie, so the pick is the one exhaustive
     scoring would make, ties going to the lowest index.
+
+    The slack is _BOUND_SLACK b_j for the bound's own roundoff, plus a bound
+    on the roundoff of a computed gain. Let u be the unit roundoff,
+    gamma_k = k u / (1 - k u) and sigma(v) = v'|mu| + v'|K|v for weights
+    v >= 0 on k indices. The objective v'mu - v'(Kv)/2 is two dot products
+    and a matrix-vector product of k terms each, and one difference, so it is
+    computed within gamma_(2k+2) sigma(v) (Higham 2002, §3.1). A gain
+    f_j - f, of weights v_j on the s + 1 indices S + j over the s weights w,
+    is then computed within gamma_(2s+4) (sigma(w) + sigma(v_j)), plus u of
+    itself, which the first term covers, of l(v_j) - l(w) <= b_j. Where K and
+    mu are non-negative, as for the gaussian kernel,
+    sigma(v) = 4 l(v) - 3 v'(mu - Kv), whose last term the KKT tolerance
+    keeps negligible at solved weights, so sigma(v_j) <= sigma(w) + 4 b_j.
+    A candidate is thus skipped when
+        b_j + _BOUND_SLACK b_j + gamma_(2s+4) (2 sigma(w) + 4 b_j) < best.
+    For a linear kernel with negative entries the second term is an
+    estimate of the same size, not a proof; the tests compare the picks
+    with exhaustive scoring there too.
+    A slack of 1e-6 |f| instead would pass every gain below 1e-6 of the
+    objective, and stop the pruning once the gains fall that low.
     """
     def pick(grad, weights, f, extend):
         g = grad()
+        idx, w = weights.support.as_array(), weights.weights
         candidate = np.ones(g.shape[0], dtype=bool)
-        candidate[weights.support.as_array()] = False
+        candidate[idx] = False
         if np.where(candidate, g, -np.inf).max() <= 0.0:
             return None
         gains = np.full(g.shape[0], -np.inf)
         gains[candidate & (g <= 0.0)] = 0.0
         best = gains.max()
         bounds = gain_bounds(weights, g, K)
+        roundoff = _gamma(2 * idx.size + 4)
+        sigma = float(w @ np.abs(mu.entries[idx]) + w @ (np.abs(K.block(idx)) @ w))
         positive = np.flatnonzero(candidate & (g > 0.0))
         extensions = {}
         for j in positive[np.argsort(-bounds[positive], kind="stable")]:
-            if bounds[j] + _BOUND_SLACK * (bounds[j] + abs(f)) < best:
+            if bounds[j] + _BOUND_SLACK * bounds[j] + roundoff * (2 * sigma + 4 * bounds[j]) < best:
                 break
             extensions[j] = extend(int(j))
             gains[j] = extensions[j][2] - f
@@ -284,7 +308,7 @@ def proto_greedy(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> Selectio
     bound from an earlier step proves nothing later (lazy evaluation across
     steps would change the picks). Termination matches proto_dash.
     """
-    return _with_oversampling(PROTOGREEDY, K, mu, cfg, _largest_gain(K))
+    return _with_oversampling(PROTOGREEDY, K, mu, cfg, _largest_gain(K, mu))
 
 
 def l2c_equal(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:

@@ -12,6 +12,7 @@ from protoselect import (
     gradient,
     kernel_matrix,
     mean_map,
+    median_bandwidth,
     objective,
     solve_restricted,
 )
@@ -152,6 +153,29 @@ def test_greedy_solves_few_candidates(monkeypatch):
     assert len(calls) <= 3 * 8
 
 
+def test_greedy_prunes_at_every_support_size(monkeypatch):
+    # Late in this run the gains fall below 1e-6 of the objective, and step-backs leave
+    # support weights at zero with a negative gradient. A slack of 1e-6 |f|, or a bound
+    # that adds those zero weights' gradients, solved 42 to 53 candidates a step.
+    rng = np.random.default_rng(7)
+    source = Dataset(rng.standard_normal((400, 5)))
+    target = Dataset(rng.standard_normal((400, 5)) + 0.3)
+    spec = KernelSpec("gaussian", bandwidth=median_bandwidth(source))
+    K, mu = kernel_matrix(source, spec), mean_map(target, source, spec)
+    cfg = SelectionConfig(m=100)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_restricted(*args, **kwargs)
+
+    monkeypatch.setattr(selectors, "solve_restricted", counted)
+    pruned = _outcome(proto_greedy, K, mu, cfg)
+    assert len(calls) <= 4 * cfg.m
+    monkeypatch.setattr(selectors, "gain_bounds", lambda w, g, K: np.full(K.n2, np.inf))
+    assert pruned == _outcome(proto_greedy, K, mu, cfg)  # every positive candidate solved
+
+
 class TestGainBounds:
     def test_bound_is_unconstrained_gain_and_covers_solved_gain(self, rng):
         # the bound holds at any non-negative weights on S, not just at the optimum
@@ -169,6 +193,29 @@ class TestGainBounds:
                 assert bounds[j] == pytest.approx(expected, rel=1e-6, abs=1e-12)
                 solved = solve_restricted(K, mu, SupportSet(tuple(T)), warm_start=w)
                 assert objective(solved, K, mu) - f <= bounds[j] + 1e-12
+
+    def test_zero_weights_bound_by_weak_duality(self, rng):
+        # A zero weight whose gradient is negative is held at zero by its multiplier
+        # lambda = max(-g, 0): the bound is how far the unconstrained maximum of l + lambda'v
+        # on S + j lies above l(w), and it still covers every solved gain.
+        held = 0
+        for _ in range(10):
+            K, mu = gaussian_instance(rng, n1=6, n2=12, sigma=0.8)
+            S = rng.choice(12, size=4, replace=False)
+            values = rng.uniform(1.0, 2.0, 4) * (np.arange(4) % 2)  # too heavy: g < 0 on S
+            w = WeightVector(SupportSet(tuple(S)), values, 12)
+            f, g = objective(w, K, mu), gradient(w, K, mu)
+            lam = np.where(values > 0.0, 0.0, np.maximum(-g[S], 0.0))
+            held += bool(np.any(lam > 0.0))
+            bounds = gain_bounds(w, g, K)
+            for j in set(range(12)) - set(S.tolist()):
+                T = np.append(S, j)
+                shifted = mu.entries[T] + np.append(lam, 0.0)
+                dual = 0.5 * shifted @ np.linalg.solve(entries_of(K)[np.ix_(T, T)], shifted) - f
+                assert bounds[j] == pytest.approx(dual, rel=1e-6, abs=1e-12)
+                solved = solve_restricted(K, mu, SupportSet(tuple(T)), warm_start=w)
+                assert objective(solved, K, mu) - f <= bounds[j] + 1e-12
+        assert held >= 5
 
     def test_empty_support_bound_is_single_coordinate_gain(self, rng):
         K, mu = gaussian_instance(rng, n1=5, n2=7)

@@ -1,12 +1,14 @@
 """The median bandwidth filters the distances and returns np.median(pdist(X))'s bits.
 
 `median_bandwidth` never holds the n(n-1)/2 distances: it brackets the median
-with a sample, places almost every pair against the bracket by a GEMM estimate
-and a rounding bound, and computes exactly only the pairs the bound cannot
-place and the few it must rank. On every fixture it must return exactly
-float(np.median(pdist(X))) and raise the same typed errors; whatever the sample
-says, a bracket that misses must end in the exact value; and its peak memory
-must stay a small share of the distance array.
+with a sample, and one pass counts the pairs whose GEMM estimate lies surely
+below the bracket, drops those surely above, and keeps the rest with their
+estimates. Only the kept pairs near the median's rank, and the pairs of a row
+too far out for the GEMM, are computed exactly. On every fixture it must return
+exactly float(np.median(pdist(X))) and raise the same typed errors; whatever the
+sample says, and however wide a valid margin is, a bracket that misses must end
+in the exact value; and its peak memory must stay a small share of the distance
+array.
 """
 
 import tracemalloc
@@ -163,9 +165,9 @@ def test_the_kept_distances_are_held_once():
     real_pass = kernel._bracket_pass
 
     def recorded(*args):
-        counts = real_pass(*args)
-        kept.append(counts[3].nbytes)
-        return counts
+        below, held, margin = real_pass(*args)
+        kept.append(held.nbytes)
+        return below, held, margin
 
     with mock.patch.object(kernel, "_bracket_pass", recorded):
         tracemalloc.start()
@@ -217,6 +219,39 @@ def test_a_row_past_the_norm_cut_is_computed_exactly_and_alone():
     got, computed = counted_distances(X)
     assert got == reference(X)
     assert n <= computed < 2 * n
+
+
+def test_a_kept_value_outside_the_bracket_moves_it(monkeypatch):
+    # The first chunk's margins, widened far past the roundoff, are still valid bounds: its
+    # pairs are neither counted nor dropped, so the pairs kept below lo shift the middle
+    # rank among the kept pairs off the median. A bracket that took that rank's value
+    # without checking it against [lo, hi] would return a distance below the median.
+    real_rows = kernel._filter_rows
+
+    def widened(X):
+        order, A, G, R, E, b = real_rows(X)
+        E, b = E.copy(), b.copy()
+        E[:64] *= 1e24
+        b[:64] *= 1e10
+        return order, A, G, R, E, b
+
+    monkeypatch.setattr(kernel, "_filter_rows", widened)
+    X = normal(400, seed=11)
+    dist = np.sort(pdist(X))
+    got, passes = median_and_passes(X, np.full(200, dist[dist.size // 2 + 2000]))
+    assert got == reference(X)
+    assert passes > 1
+
+
+@pytest.mark.parametrize("name", ["rounded", "rounded_d1"])
+def test_a_tie_class_at_an_edge_is_kept_not_computed(name):
+    # Rows on a 0.1 grid tie in classes of hundreds of pairs. The pass keeps a class near
+    # a bracket edge with its estimates; only the window at the median computes
+    # distances, of 44 850 and 11 175 pairs.
+    X = FIXTURES[name]
+    got, computed = counted_distances(X)
+    assert got == reference(X)
+    assert computed < 1000
 
 
 @pytest.mark.parametrize("seed", range(4))
