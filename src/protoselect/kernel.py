@@ -14,22 +14,27 @@ Where the bits come from. cdist computes each squared distance from its own
 two rows, so a value does not depend on what else is computed with it: the
 Gram's rows (`KernelMatrix._admit` requires exact symmetry), `kernel_eval`,
 and the median bandwidth's exact distances are all cdist's. The gaussian
-mean map's tiles come from one BLAS GEMM of centred rows augmented to d + 2
-columns (`_augmented`), within the rounding bound stated in `mean_map`; an
-input too small for the GEMM to pay, or one where the bound would be wide,
-takes cdist tiles instead. The median's filter uses the same rows and GEMM
-only to count the pairs surely below its bracket and drop those surely
-above; it keeps the rest with their estimates, and cdist computes only the
-few kept pairs near the median's rank, so its result is still pdist's.
+mean map's tiles come from one BLAS GEMM (`_gemm`) of centred rows augmented
+to d + 2 columns (`_augmented`), the source's scaled by -1 / (2 sigma^2) so
+that the GEMM gives each kernel exponent, within the rounding bound stated
+in `mean_map`; an input too small for the GEMM to pay, or one where the
+bound would be wide, takes cdist tiles instead. A dataset's own mean map,
+mean_map(X, X), computes each pair once, from the tiles on and above the
+diagonal. The median's filter uses the same unscaled rows and GEMM only to
+count the pairs surely below its bracket and drop those surely above; it
+keeps the rest with their estimates, and cdist computes only the few kept
+pairs near the median's rank, so its result is still pdist's.
 
 The gaussian mean map runs on every usable core through `_on_cores`, the
-one code that starts a thread: its n source rows are split into
-w = min(usable cores, n // _MIN_SLAB) slabs, at least one, so an input below
-2 x _MIN_SLAB runs serially on the calling thread. Slab edges fall on
-multiples of _CHUNK_ROWS, so every tile has the same shape and every sum
-adds the same tiles in the same order: the bits do not depend on the core
-count. The median bandwidth runs on the calling thread: its filter's numpy
-calls are short, and two threads split them slower than one.
+one code that starts a thread: its n source rows are split into bands of
+_MIN_SLAB rows, rounded up to whole chunks of _CHUNK_ROWS, and the bands go
+in snake order to w = min(usable cores, n // _MIN_SLAB) slabs, at least
+one, so an input below 2 x _MIN_SLAB runs serially on the calling thread.
+Band edges depend on n alone, so every tile has the same shape and every
+sum adds the same tiles in the same order, and a self map adds its bands'
+partial sums in band order after the slabs: the bits do not depend on the
+core count. The median bandwidth runs on the calling thread: its filter's
+numpy calls are short, and two threads split them slower than one.
 """
 
 from __future__ import annotations
@@ -97,7 +102,7 @@ class KernelSpec:
 
 # Rows computed, summed or checked at a time: 64 x 5000 floats is 2.5 MB.
 _CHUNK_ROWS = 64
-# Fewest source rows a slab of the threaded mean map takes: 8 chunks.
+# Fewest source rows a slab of the threaded mean map takes, and the rows of a band: 8 chunks.
 _MIN_SLAB = 512
 
 
@@ -331,19 +336,21 @@ def _cross_kernel(left: np.ndarray, right: np.ndarray, spec: KernelSpec,
                   out: np.ndarray | None = None, gemm: bool = False) -> np.ndarray:
     """The kernel between the rows of `left` and of `right`; a gaussian one fills `out`.
 
-    With `gemm`, left and right are rows of `_augmented`, left ones and right
-    ones, and `_squared_distances` gives the squared distances; otherwise cdist
-    computes each from its own two rows. Float errors are not warned: an
-    overflow, or a bandwidth whose square overflows or underflows, gives inf,
-    0 or NaN, which every caller refuses.
+    With `gemm`, left and right are the mean map's rows of `_gemm_rows`, whose
+    left rows carry the factor -1 / (2 sigma^2), so `_gemm` gives each pair's
+    exponent and np.exp takes it as it is. Otherwise cdist computes each
+    squared distance from its own two rows, and the distances are divided
+    by -2 sigma^2. Float errors are not warned: an overflow, or a bandwidth
+    whose square overflows or underflows, gives inf, 0 or NaN, which every
+    caller refuses.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if spec.family == GAUSSIAN:
             if gemm:
-                out = _squared_distances(left, right, out)
+                out = _gemm(left, right, out)
             else:
                 out = cdist(left, right, "sqeuclidean", out=out)
-            np.divide(out, -2.0 * np.float64(spec.bandwidth) ** 2, out=out)
+                np.divide(out, -2.0 * np.float64(spec.bandwidth) ** 2, out=out)
             return np.exp(out, out=out)
         return left @ right.T
 
@@ -367,9 +374,13 @@ def _augmented(X: np.ndarray, centre: np.ndarray, left: bool = False):
     return G, R
 
 
-def _squared_distances(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The squared distance of each pair of a left and a right row of `_augmented`, in out:
-    one GEMM."""
+def _gemm(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """left @ right.T in out: one GEMM of left and right rows of `_augmented`.
+
+    Of the median filter's rows it is each pair's squared distance; of the
+    mean map's, whose left rows `_gemm_rows` scales by -1 / (2 sigma^2), it
+    is each pair's kernel exponent.
+    """
     return np.matmul(left, right.T, out=out)
 
 
@@ -400,8 +411,9 @@ def kernel_matrix(source: Dataset, spec: KernelSpec) -> KernelMatrix:
 
 
 def _gemm_rows(source: np.ndarray, target: np.ndarray, spec: KernelSpec):
-    """(left rows of the source, right rows of the target), both of `_augmented` at the
-    source's mean, where the mean map's GEMM pays and keeps its bound; else None."""
+    """(left rows of the source times -1 / (2 sigma^2), right rows of the target), both of
+    `_augmented` at the source's mean, where the mean map's GEMM pays and keeps its bound;
+    else None."""
     (n2, d), n1 = source.shape, target.shape[0]
     if n1 * n2 * d < _GEMM_MIN_WORK:
         return None
@@ -411,8 +423,9 @@ def _gemm_rows(source: np.ndarray, target: np.ndarray, spec: KernelSpec):
         right, R_target = _augmented(target, centre)
         width = 2.0 * np.float64(spec.bandwidth) ** 2
     reach = (float(R_source.max()), float(R_target.max()))
-    if (max(reach) <= _NORM_CUT and _TINY <= width < np.inf
+    if (max(reach) <= _NORM_CUT and _TINY <= width <= 1 / _TINY
             and 4 * _gamma(d + 2) * sum(reach) ** 2 <= _GEMM_TOL * width):
+        left *= -1 / width  # a normal factor: a tile's GEMM gives the kernel's exponent
         return left, right
     return None
 
@@ -421,51 +434,76 @@ def mean_map(target: Dataset, source: Dataset, spec: KernelSpec) -> MeanMap:
     """Empirical mean-map vector of the target evaluated at the source rows.
 
     Entry j is the average of the kernel between every target row and
-    source row j. The linear kernel builds the whole n1 x n2 block. The
-    gaussian kernel is computed a tile at a time, _CHUNK_ROWS source rows by
-    _TILE_COLS target rows. Each tile's row sums are added, tile after tile
-    in target order, into its source rows' totals, which are divided by n1.
+    source row j. The linear kernel builds the whole n1 x n2 block, also
+    where the target is the source. The gaussian kernel is computed a tile
+    at a time, _CHUNK_ROWS source rows by _TILE_COLS target rows. Each
+    tile's row sums are added, tile after tile in target order, into its
+    source rows' totals, which are divided by n1.
+
+    The self map. Where `target is source`, as `rank_sources` calls it,
+    the block is symmetric, so each chunk's tiles run from the chunk's own
+    first row to the end: its 64 x 64 diagonal block is computed whole, and
+    every other pair once, sum over the chunks of rows x (n - start) values,
+    2 063 616 at n = 2000 against 4 000 000. A tile's columns past the
+    diagonal block are summed down its rows too, into one partial of the
+    chunk's band: _MIN_SLAB source rows rounded up to whole chunks. After
+    the slabs, the partials are added to the totals in band order.
 
     The tiles. Both sides are centred at the source's mean c. One GEMM of
-    the source rows [-2z, |z|^2, 1] and the target rows [y, 1, |y|^2] of
-    `_augmented` gives |z - y|^2 for every pair of a tile, and
-    `_cross_kernel` divides it by -2 sigma^2 and takes exp. cdist computes
-    the tiles instead, each pair from its own two rows, where the GEMM does
-    not pay (n1 x n2 x d below _GEMM_MIN_WORK), where a row's centred norm
-    may pass _NORM_CUT, where 2 sigma^2 overflows or underflows, or where the
+    the source rows [-2z, |z|^2, 1] of `_augmented`, each times
+    -1 / (2 sigma^2), and the target rows [y, 1, |y|^2] gives the exponent
+    -|z - y|^2 / (2 sigma^2) of every pair of a tile, which `_cross_kernel`
+    passes to exp. cdist computes the tiles instead, each squared distance
+    from its own two rows and divided by -2 sigma^2 after, where the
+    GEMM does not pay (n1 x n2 x d below _GEMM_MIN_WORK), where a row's
+    centred norm may pass _NORM_CUT, where 2 sigma^2 falls outside
+    [2^-1022, 2^1022], the range whose reciprocal is normal, or where the
     bound below passes _GEMM_TOL = 2^-30.
 
     The bound. Let u be the unit roundoff, gamma_k = k u / (1 - k u), z and y
     the rounded centred rows of a pair, R_z >= |z| and R_y >= |y| the norm
-    bounds of `_augmented`, S = R_z + R_y, and D the pair's true distance.
+    bounds of `_augmented`, S = R_z + R_y, D the pair's true distance, and
+    t = -D^2 / (2 sigma^2) its exponent.
     - Centring rounds each coordinate by at most u of itself, so |z - y| is
       within u S of D, and |z - y|^2 within 2.01 u S^2 of D^2.
-    - The GEMM's d + 2 products sum to -2 z.y + |z|^2 + |y|^2 = |z - y|^2
-      plus the rounding of the two squared norms, gamma_d (|z|^2 + |y|^2).
-      Their magnitudes add up to at most (1 + gamma_d) S^2, so any order of
-      the sum errs by at most gamma_(d+2) (1 + gamma_d) S^2 (Higham 2002,
-      §3.1). In all, the estimate is within 3 gamma_(d+2) S^2 of D^2, plus
-      (4d + 4) 2^-1075 where products or sums underflow.
-    - Rounding 2 sigma^2 and the quotient adds 2.01 u of the exponent
-      t = -D^2 / (2 sigma^2), and |t| <= (1 + u)^2 S^2 / (2 sigma^2).
-    So each computed exponent is within
+    - The factor f = 1 / (2 sigma^2) is rounded twice, in sigma^2 and in
+      the reciprocal: it is within gamma_2 of itself.
+    - Unscaled, the d + 2 products a_k b_k of a pair sum to |z - y|^2 plus
+      the rounding of the two squared norms, gamma_d (|z|^2 + |y|^2), and
+      their magnitudes add up to at most (1 + gamma_d) S^2. Each scaled
+      entry a_k f is rounded once before the GEMM, so any order of the
+      GEMM's sum errs by at most gamma_(d+3) (1 + gamma_d) f S^2 (Higham
+      2002, §3.1).
+    In all the exponent errs by at most (2d + 7.01) u S^2 / (2 sigma^2) to
+    first order, below the 4 gamma_(d+2) S^2 / (2 sigma^2) of the unscaled
+    estimate divided by -2 sigma^2. Where values underflow, the squared
+    norms add d 2^-1075 f each, a scaled entry 2^-1075 times the entry it
+    meets, and each of the d + 2 products 2^-1075. So each computed
+    exponent is within
         delta = 4 gamma_(d+2) S^2 / (2 sigma^2) + (2d + 2) 2^-1074 / sigma^2
-    of t, and each kernel value within a factor exp(+-delta) of exp(t),
-    before np.exp rounds it as it does on the cdist path. The sums add
-    non-negative values, so they err by at most gamma_n1 of the total, and
-    the division by n1 by u: entry j is within
+                + (d + 3 + sqrt(d) R_y) 2^-1075
+    of t, the last term at most sqrt(d) 2^-564 below _NORM_CUT, and each
+    kernel value within a factor exp(+-delta) of exp(t), before np.exp
+    rounds it as it does on the cdist path. The sums add non-negative
+    values, in any grouping, so they err by at most gamma_n1 of the total,
+    and the division by n1 by u: entry j is within
         mean_i exp(t_ij) (exp(delta_ij) - 1) + (gamma_n1 + u) mu_j
-    of the mean of exp(t_ij), plus np.exp's rounding. The GEMM runs only
-    where delta at the largest R on each side is at most 2^-30. On
-    `dash_5k`'s rows (5000 x 20, sigma 6.2) it is 2.7e-14, and the entries
-    lie within 8e-15 relative of cdist's.
+    of the mean of exp(t_ij), plus np.exp's rounding. A self map's pair
+    (i, j) with i in an earlier chunk comes from the tile of row i, whose
+    delta is the same, since S is. The GEMM runs only where delta at the
+    largest R on each side is at most 2^-30. On `dash_5k`'s rows
+    (5000 x 20, sigma 6.2) it is 2.7e-14, and the entries of the target's
+    map and of the source's own lie within 8e-15 relative of cdist's.
 
-    Threads and memory. `_on_cores` splits the source rows into slabs whose
-    edges fall on multiples of _CHUNK_ROWS, so every tile has the same shape
-    and each total adds the same tiles in the same order on any number of
-    cores. Each slab holds one tile buffer of 64 x 1024 floats, 512 kB; the
-    pass also holds the augmented rows, (n1 + n2) x (d + 2) floats, 1.8 MB
-    at 5000 x 5000 x 20, and no n1 x n2 block.
+    Threads and memory. `_on_cores` splits the bands over the slabs in
+    snake order, 0, 1, ..., w - 1, w - 1, ..., 0, 0, 1, ..., which evens
+    out a self map's work, largest in its first bands. Every tile has the
+    same shape and each total adds the same tiles and partials in the same
+    order on any number of cores. Each slab holds one tile buffer of
+    64 x 1024 floats, 512 kB; the pass also holds the augmented rows,
+    (n1 + n2) x (d + 2) floats, 1.8 MB at 5000 x 5000 x 20, and no n1 x n2
+    block. A self map also holds its bands' partials, n - (the band's first
+    row) floats each, about n^2 / 1024 floats in all: 3.1 MB at n = 20 000.
     """
     as_instance(target, Dataset, "target")
     as_instance(source, Dataset, "source")
@@ -481,23 +519,35 @@ def mean_map(target: Dataset, source: Dataset, spec: KernelSpec) -> MeanMap:
     gemm = rows is not None
     left, right = rows if gemm else (source.values, target.values)
     n2, n1 = source.n, target.n
-    totals = np.empty(n2)
-    chunks = -(-n2 // _CHUNK_ROWS)
+    own = target is source  # a self map computes each pair once
+    band = -(-_MIN_SLAB // _CHUNK_ROWS) * _CHUNK_ROWS
+    firsts = range(0, n2, band)
+    totals, partials = np.empty(n2), [None] * len(firsts)
 
     def slab(part: int, parts: int):
-        first, last = (_CHUNK_ROWS * (chunks * p // parts) for p in (part, part + 1))
         buf = np.empty(_CHUNK_ROWS * min(_TILE_COLS, n1))
-        for start in range(first, min(last, n2), _CHUNK_ROWS):
-            r = min(_CHUNK_ROWS, n2 - start)
-            total = np.zeros(r)
-            for col in range(0, n1, _TILE_COLS):
-                c = min(_TILE_COLS, n1 - col)
-                tile = _cross_kernel(left[start:start + r], right[col:col + c], spec,
-                                     out=buf[:r * c].reshape(r, c), gemm=gemm)
-                total += tile.sum(axis=1)
-            totals[start:start + r] = total
+        for b, first in enumerate(firsts):
+            if min(b % (2 * parts), 2 * parts - 1 - b % (2 * parts)) != part:  # snake order
+                continue
+            partial = np.zeros(n2 - first) if own else None
+            for start in range(first, min(first + band, n2), _CHUNK_ROWS):
+                r = min(_CHUNK_ROWS, n2 - start)
+                total = np.zeros(r)
+                for col in range(start if own else 0, n1, _TILE_COLS):
+                    c = min(_TILE_COLS, n1 - col)
+                    tile = _cross_kernel(left[start:start + r], right[col:col + c], spec,
+                                         out=buf[:r * c].reshape(r, c), gemm=gemm)
+                    total += tile.sum(axis=1)
+                    if own:  # the columns past the chunk's diagonal block, for their own rows
+                        past = max(col, start + r)
+                        partial[past - first:col + c - first] += tile[:, past - col:].sum(axis=0)
+                totals[start:start + r] = total
+            partials[b] = partial
 
     _on_cores(n2, slab)
+    if own:
+        for first, partial in zip(firsts, partials):
+            totals[first:] += partial
     return MeanMap(entries=totals / n1, n1=n1)
 
 
@@ -609,7 +659,7 @@ def _bracket_pass(X: np.ndarray, lo: float, hi: float):
         for col in range(start, n, cols):
             c = min(cols, n - col)
             Q = buf[:r * c].reshape(r, c)
-            _squared_distances(A[start:stop], G[col:col + c], Q)
+            _gemm(A[start:stop], G[col:col + c], Q)
             if col == start:  # a pair of two chunk rows is counted once, and no row with itself
                 Q[tri[0][:r * (r + 1) // 2], tri[1][:r * (r + 1) // 2]] = np.inf
             under = np.less(Q, low[start], out=under_buf[:r * c].reshape(r, c))

@@ -128,7 +128,9 @@ def rank_sources(datasets: list[Dataset], m: int, spec: KernelSpec,
 
     Each dataset's Gram comes from `kernel_matrix`, so a gaussian Gram
     computes only the rows the selection reads; its own mean map comes from
-    `mean_map`, n_j x n_j kernel values a tile at a time. The objective on
+    `mean_map(ds, ds)`, one Dataset on both sides, which computes each pair
+    once from the tiles on and above the diagonal: about n_j^2 / 2 gaussian
+    kernel values, a tile at a time. The objective on
     a fixed support reads the target's mean map only there, so each ordered
     pair takes one `mean_map` of target i at j's t prototypes: n_i x t
     kernel values, not n_i x n_j. Its solve and objective read the

@@ -228,6 +228,19 @@ def _kernel_entries(out):
     # threads: CI compares this digest with BLAS on one thread and on its default threads.
     target, source = Dataset(rng.normal(size=(1100, 20))), Dataset(rng.normal(size=(1100, 20)))
     out["kernel.gemm_tiles"] = mean_map(target, source, KernelSpec("gaussian", bandwidth=6.0)).entries
+    # A dataset's own mean map, as rank_sources takes it: each pair once, the column sums
+    # added in bands of 512 rows. 1200 x 4 spans three bands, two slabs or more wherever two
+    # cores are usable; 1100 x 20 has whole GEMM tiles that BLAS may split over its own
+    # threads; 150 x 3 takes cdist tiles; the linear map is the whole block's.
+    own = np.random.default_rng(28)
+    maps = []
+    for shape, spec in [((1200, 4), KernelSpec("gaussian", bandwidth=1.1)),
+                        ((1100, 20), KernelSpec("gaussian", bandwidth=6.0)),
+                        ((150, 3), KernelSpec("gaussian", bandwidth=0.9)),
+                        ((90, 5), KernelSpec("linear"))]:
+        X = Dataset(own.normal(size=shape))
+        maps.append(mean_map(X, X, spec).entries)
+    out["kernel.self_mean_map"] = maps
     # The median's filter: a row at 1e150 among 3000, rows shifted by 1e6, rows rounded
     # to 0.1 (ties at the bracket's edges), rows scaled by 1e-8 and by 1e8, and sorted
     # one-feature rows.

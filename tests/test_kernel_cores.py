@@ -1,13 +1,14 @@
 """The kernel passes give the same bits on any number of cores.
 
-`kernel._on_cores` splits the gaussian mean map by source rows into
-w = min(usable cores, n // _MIN_SLAB) slabs, whose edges fall on multiples of
-_CHUNK_ROWS. Here the usable cores are set to w and _MIN_SLAB is lowered to
+`kernel._on_cores` splits the gaussian mean map's bands of source rows, whole
+chunks of _CHUNK_ROWS, over w = min(usable cores, n // _MIN_SLAB) slabs. Here the usable cores are set to w and _MIN_SLAB is lowered to
 2, so that small inputs take w = 2 or 3 slabs, or 64 in a stress test, and
 every output must equal the serial one byte for byte, on the cdist tiles and
-on the GEMM tiles, with one tile more a thread. Below the width no thread
-starts at all. The median bandwidth's filter runs on the calling thread, so
-it starts no thread under any of these settings.
+on the GEMM tiles, with one tile more a thread. A self map's bands are fixed
+by n and _MIN_SLAB alone, so it is checked on 1, 2 and 3 usable cores at one
+_MIN_SLAB. Below the width no thread starts at all. The median bandwidth's
+filter runs on the calling thread, so it starts no thread under any of these
+settings.
 """
 
 import os
@@ -60,6 +61,32 @@ def test_mean_maps_equal_the_serial_pass(monkeypatch, started, w):
         del started[:]
         assert mean_map(target, source, SPEC).entries.tobytes() == expected
         assert len(started) == (w - 1 if source.n >= 2 * w else 0)
+
+
+@pytest.mark.parametrize("gemm", [False, True], ids=["cdist", "gemm"])
+@pytest.mark.parametrize("min_slab", [_CHUNK_ROWS, 2 * _CHUNK_ROWS])
+def test_self_mean_maps_equal_on_any_number_of_slabs(monkeypatch, started, gemm, min_slab):
+    # Each band of _MIN_SLAB rows adds its chunks' column sums into one partial, and the
+    # partials are added in band order after the slabs, so 1, 2 and 3 slabs, which take
+    # the bands in snake order, give the same bits; 200 and 300 rows end in part of a band.
+    # Up to 8 slabs, more than the cores, switching every microsecond, lose no sum.
+    monkeypatch.setattr(kernel, "_MIN_SLAB", min_slab)
+    monkeypatch.setattr(kernel, "_GEMM_MIN_WORK", 0 if gemm else 10 ** 18)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (_CHUNK_ROWS, 200, 300, 520):
+            X = Dataset(draw(n, 1, seed=n)[0])
+            maps = set()
+            for w in (1, 2, 3, 64):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(w)))
+                del started[:]
+                maps.add(mean_map(X, X, SPEC).entries.tobytes())
+                assert len(started) == max(1, min(w, n // min_slab)) - 1
+            assert len(maps) == 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in started)
 
 
 @pytest.mark.parametrize("w", [2, 3])

@@ -2,14 +2,15 @@
 
 `mean_map` computes the gaussian kernel a tile of rows at a time from one
 GEMM of centred, augmented rows. `rank_sources` takes one such pass per
-dataset against itself, and one per ordered pair of datasets at the source's
-prototypes alone. Every output must lie within `mean_map`'s stated rounding
-bound of the mean of the whole block written out below, on rows near the
-origin and on rows shifted by 1e6, and none may hold the whole n1 x n2 block
-on the gaussian path. The C, F and strided layouts of one input give the same
-bits. `rank_sources` is checked on one core and with its passes split over
-two. Below `kernel._GEMM_MIN_WORK` the mean map computes its tiles with
-cdist, so the tests lower it to 0 where they check the GEMM.
+dataset against itself, which computes each pair once, and one per ordered
+pair of datasets at the source's prototypes alone. Every output must lie
+within `mean_map`'s stated rounding bound of the mean of the whole block
+written out below, on rows near the origin and on rows shifted by 1e6, and
+none may hold the whole n1 x n2 block on the gaussian path. The C, F and
+strided layouts of one input give the same bits. `rank_sources` is checked
+on one core and with its passes split over two. Below
+`kernel._GEMM_MIN_WORK` the mean map computes its tiles with cdist, so the
+tests lower it to 0 where they check the GEMM.
 """
 
 import itertools
@@ -86,14 +87,14 @@ def gemm_tiles(monkeypatch):
     """Every gaussian mean map runs the GEMM, whatever its size; returns the list of
     (rows, columns) of each GEMM tile computed."""
     tiles = []
-    squared_distances = kernel._squared_distances
+    gemm = kernel._gemm
 
     def counted(left, right, out):
         tiles.append(out.shape)
-        return squared_distances(left, right, out)
+        return gemm(left, right, out)
 
     monkeypatch.setattr(kernel, "_GEMM_MIN_WORK", 0)
-    monkeypatch.setattr(kernel, "_squared_distances", counted)
+    monkeypatch.setattr(kernel, "_gemm", counted)
     return tiles
 
 
@@ -112,6 +113,13 @@ def assert_within_bound(target, source, family):
 def tiles(n1, n2):
     """The GEMM tiles of a mean map of n1 target rows at n2 source rows."""
     return -(-n2 // _CHUNK_ROWS) * -(-n1 // kernel._TILE_COLS)
+
+
+def self_tiles(n):
+    """The (rows, columns) of each tile of a self mean map of n rows: each chunk's tiles
+    run from the chunk's own first row to the last row."""
+    return [(min(_CHUNK_ROWS, n - start), min(kernel._TILE_COLS, n - col))
+            for start in range(0, n, _CHUNK_ROWS) for col in range(start, n, kernel._TILE_COLS)]
 
 
 # Every row count on one side against one row, two rows and a 37-row other side.
@@ -134,21 +142,48 @@ def test_mean_maps_equal_the_whole_block(gemm_tiles, family, n1, n2):
 
 
 @pytest.mark.parametrize("family", SPECS)
-@pytest.mark.parametrize("n", [1, 2, _CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n", [1, 2, _CHUNK_ROWS + 1, 2000])
 def test_self_mean_map_comes_with_the_gram(gemm_tiles, family, n):
-    # The mean map rank_sources selects each dataset's prototypes against.
+    # The mean map rank_sources selects each dataset's prototypes against. Each chunk
+    # computes its tiles from its own first row on: its diagonal block whole, and every
+    # other pair once, so a self map computes sum over its chunks of rows x (n - start)
+    # kernel values, not n x n.
     for shift in SHIFTS:
         X = Dataset(draw(n, 1, seed=n)[0] + shift)
         assert_within_bound(X, X, family)
-    assert len(gemm_tiles) == (2 * tiles(n, n) if family == "gaussian" else 0)
+    assert sorted(gemm_tiles) == sorted(2 * self_tiles(n) if family == "gaussian" else [])
+    if family == "gaussian":
+        values = {1: 1, 2: 4, _CHUNK_ROWS + 1: 64 * 65 + 1, 2000: 2_063_616}[n]
+        assert sum(r * c for r, c in gemm_tiles) == 2 * values
 
 
-@pytest.mark.parametrize("case", ["within", "past", "huge", "tiny", "far"])
+@pytest.mark.parametrize("family", SPECS)
+@pytest.mark.parametrize("n", ROWS)
+@pytest.mark.parametrize("min_slab", [512, _CHUNK_ROWS, 100], ids=["default", "band64", "band128"])
+def test_self_mean_maps_equal_the_whole_block(monkeypatch, gemm_tiles, family, n, min_slab):
+    # A self map adds each tile's columns past its chunk's diagonal block into the
+    # partial of the chunk's band, bands of _MIN_SLAB rows rounded up to whole chunks,
+    # and adds the partials to the rows' own sums in band order. Lowered, _MIN_SLAB puts
+    # band edges inside the larger inputs. Each layout gives the same bits.
+    monkeypatch.setattr(kernel, "_MIN_SLAB", min_slab)
+    for shift in SHIFTS:
+        X = draw(n, 1, seed=n + 7)[0] + shift
+        got = {}
+        for order in ("C", "F", "strided"):
+            del gemm_tiles[:]
+            ds = Dataset(layout(X, order))
+            got[order] = assert_within_bound(ds, ds, family).tobytes()
+            assert sorted(gemm_tiles) == sorted(self_tiles(n) if family == "gaussian" else [])
+        assert got["F"] == got["strided"] == got["C"]
+
+
+@pytest.mark.parametrize("case", ["within", "past", "huge", "wide", "tiny", "far"])
 def test_the_gemm_runs_only_where_its_bound_holds(gemm_tiles, case):
     # mean_map takes the GEMM only where 4 gamma_(d+2) (R_source + R_target)^2 / (2 sigma^2),
     # its bound on every exponent's error, is at most _GEMM_TOL, where no row's norm may
-    # pass _NORM_CUT, and where 2 sigma^2 neither overflows nor underflows. Bandwidths at
-    # 0.75 and 1.5 times the tolerance's edge fall on either side of it.
+    # pass _NORM_CUT, and where 2 sigma^2 lies in [2^-1022, 2^1022], so that its reciprocal,
+    # the GEMM's factor, is normal: at sigma = 2^511 it is 2^1023. Bandwidths at 0.75 and
+    # 1.5 times the tolerance's edge fall on either side of it.
     rng = np.random.default_rng(11)
     source, target = rng.standard_normal((70, 3)), rng.standard_normal((50, 3)) + 0.5
     if case == "far":  # past 2^510, yet the exponents' bound holds at this width
@@ -157,7 +192,7 @@ def test_the_gemm_runs_only_where_its_bound_holds(gemm_tiles, case):
     reach = sum(kernel._augmented(x, centre)[1].max() for x in (source, target))
     edge = np.sqrt(4 * gamma(5) * reach ** 2 / (2 * kernel._GEMM_TOL))  # sigma at the edge
     sigma = {"within": edge / np.sqrt(0.75), "past": edge / np.sqrt(1.5), "huge": 1e200,
-             "tiny": 1e-200, "far": 2.0 ** 509}[case]
+             "wide": 2.0 ** 511, "tiny": 1e-200, "far": 2.0 ** 509}[case]
     got = mean_map(Dataset(target), Dataset(source), KernelSpec("gaussian", bandwidth=sigma))
     assert bool(gemm_tiles) == (case == "within")
     if case in ("huge", "tiny"):
@@ -243,8 +278,9 @@ def test_rank_sources_at_the_smallest_selections(reweight):
 
 @pytest.mark.parametrize("m", [0, 1, 4])
 def test_rank_sources_computes_the_scored_kernel_values_only(monkeypatch, m):
-    # Each self mean map is n_j x n_j, each Gram computes its t_j prototype rows, and each
-    # ordered pair computes target i at source j's t_j prototypes alone.
+    # Each self mean map computes each chunk's rows from the chunk's first row on, each
+    # Gram computes its t_j prototype rows, and each ordered pair computes target i at
+    # source j's t_j prototypes alone.
     datasets = shifted_datasets()
     sizes = [ds.n for ds in datasets]
     spec = SPECS["gaussian"]
@@ -261,7 +297,9 @@ def test_rank_sources_computes_the_scored_kernel_values_only(monkeypatch, m):
     monkeypatch.setattr(kernel, "_cross_kernel", counted)
     rank_sources(datasets, m, spec)
     pairs = sum(n_i * t_j for i, n_i in enumerate(sizes) for j, t_j in enumerate(t) if i != j)
-    assert sum(computed) == sum(n * n for n in sizes) + sum(map(operator.mul, t, sizes)) + pairs
+    own = sum(r * c for n in sizes for r, c in self_tiles(n))
+    assert own == 64 * 73 + 9 * 9 + 1 + 40 * 40 + 64 * 128 + 64 * 64 + 2 * 2
+    assert sum(computed) == own + sum(map(operator.mul, t, sizes)) + pairs
 
 
 def peak_bytes(call):
@@ -277,6 +315,16 @@ def test_mean_map_holds_no_cross_kernel():
     target, source = (Dataset(x) for x in draw(2000, 1000, seed=3))
     cross_bytes = 8 * target.n * source.n
     assert peak_bytes(lambda: mean_map(target, source, SPECS["gaussian"])) < cross_bytes / 4
+
+
+def test_self_mean_map_holds_one_partial_a_band():
+    # Beyond the tile buffers a cross map of the same rows holds, a self map holds one
+    # partial of at most n floats for each band of _MIN_SLAB rows: 4 at n = 2000.
+    X = Dataset(draw(2000, 1, seed=3)[0])
+    copy, bands = Dataset(X.values), -(-X.n // kernel._MIN_SLAB)
+    cross = peak_bytes(lambda: mean_map(copy, X, SPECS["gaussian"]))
+    own = peak_bytes(lambda: mean_map(X, X, SPECS["gaussian"]))
+    assert bands == 4 and own <= cross + bands * 8 * X.n
 
 
 def test_rank_sources_holds_no_cross_kernel():

@@ -50,12 +50,13 @@ def test_every_exported_name_resolves():
 # The functions that may call each primitive: a second copy of the kernel formula, or a
 # second way to factor a block, fails. Distances are not kernel values, so the one
 # function that computes the median bandwidth's exact distances may call cdist too, and
-# pdist has no caller. The GEMM of augmented rows that estimates squared distances, for
-# the mean map and the median's filter, is kernel._squared_distances alone. nnqp._factor
-# is the one Cholesky factorization, so scipy.linalg's wrappers have no caller at all.
+# pdist has no caller. The GEMM of augmented rows, which estimates the median filter's
+# squared distances and the mean map's kernel exponents, is kernel._gemm alone.
+# nnqp._factor is the one Cholesky factorization, so scipy.linalg's wrappers have no
+# caller at all.
 _ONLY_CALLER = {"cdist": {"kernel._cross_kernel", "kernel._exact_distances"},
                 "exp": {"kernel._cross_kernel"}, "pdist": set(),
-                "matmul": {"kernel._squared_distances"},
+                "matmul": {"kernel._gemm"},
                 "dpotrf": {"nnqp._factor"}, "cho_factor": set(), "cho_solve": set(),
                 "cholesky": set(), "solve_triangular": set()}
 

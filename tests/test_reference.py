@@ -12,7 +12,8 @@ another outcome, so the comparison ends at the first step where
   gradient, so from there on the weights, and the gradients, may differ by
   more than roundoff.
 Each drawn instance runs twice, the second time with the mean map's GEMM at
-any size.
+any size. Some select a dataset's prototypes against its own mean map, as
+`rank_sources` does, which `mean_map` computes from each pair once.
 """
 
 from unittest import mock
@@ -36,11 +37,14 @@ KKT = SolverConfig().kkt_tolerance
 
 def compared_steps(source, target, m):
     """How many of ProtoDash's steps agree with the reference before the first step that
-    ends the comparison; fails at the first step that differs."""
+    ends the comparison; fails at the first step that differs. A target of None selects
+    against the source's own mean map, passed to mean_map as one Dataset on both sides."""
     sigma = reference.median_bandwidth(source)
     spec = KernelSpec("gaussian", bandwidth=sigma)
-    got = proto_dash(kernel_matrix(Dataset(source), spec),
-                     mean_map(Dataset(target), Dataset(source), spec), SelectionConfig(m=m))
+    data = Dataset(source)
+    mu = mean_map(data if target is None else Dataset(target), data, spec)
+    got = proto_dash(kernel_matrix(data, spec), mu, SelectionConfig(m=m))
+    target = source if target is None else target
     indices, objectives, leads = reference.proto_dash(
         reference.gram(source, sigma), reference.mean_map(target, source, sigma), m)
     for step, (first, second) in enumerate(leads):
@@ -64,9 +68,21 @@ def test_proto_dash_matches_the_reference(n2, n1, d, m, seed):
         compared_steps(source, target, min(m, n2))
 
 
+@RULES
+@given(n=st.integers(5, 300), d=st.integers(1, 8), m=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_proto_dash_on_its_own_mean_map_matches_the_reference(n, d, m, seed):
+    source = np.random.default_rng(seed).normal(size=(n, d))
+    compared_steps(source, None, min(m, n))
+    with mock.patch.object(kernel, "_GEMM_MIN_WORK", 0):  # the GEMM mean map at any size
+        compared_steps(source, None, min(m, n))
+
+
 def test_proto_dash_matches_the_reference_on_threaded_tiles():
     # 1200 source rows split into two slabs of the mean map wherever two cores are usable,
     # and 1500 target rows span two GEMM tiles of 1024 columns.
     rng = np.random.default_rng(26)
     source, target = rng.normal(size=(1200, 5)), rng.normal(size=(1500, 5)) + 0.3
     assert compared_steps(source, target, 40) == 40
+    # The source's own mean map: three bands of 512 rows, split over two slabs.
+    assert compared_steps(source, None, 40) == 40
