@@ -5,7 +5,8 @@ SelectionResult whose traces record the objective and the selected
 coordinate's gradient after each step. Argmax ties always break toward the
 lowest index so runs are reproducible.
 
-All five selectors share one loop, `_grow`. Each step calls a pick policy,
+All five selectors share one loop, `_grow`, which each calls after its own
+checks. Each step calls a pick policy,
 `pick(grad, weights, f, extend) -> (j, weights, f_new, g_j) | None`, and
 records the traces; `grad()` computes the gradient only for a pick that asks.
 The picks are ProtoDash's largest gradient; ProtoGreedy's largest realized
@@ -41,17 +42,13 @@ class SelectionConfig:
     """Termination rule and knobs shared by the selectors.
 
     Exactly one of `m` (sparsity level) and `epsilon` (minimal objective
-    increase) must be set. `seed` is only consulted by random_w;
-    `oversample_factor` > 1 selects factor*m prototypes and keeps the m of
-    largest weight, which requires m-termination and a weight-learning
-    method.
+    increase) must be set. `seed` is only consulted by random_w.
     """
 
     m: int | None = None
     epsilon: float | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     seed: int | None = None
-    oversample_factor: int = 1
 
     def __post_init__(self):
         if (self.m is None) == (self.epsilon is None):
@@ -63,10 +60,6 @@ class SelectionConfig:
             object.__setattr__(self, "epsilon", as_real(self.epsilon, "epsilon"))
         if self.seed is not None:
             object.__setattr__(self, "seed", as_index(self.seed, "seed", least=0))
-        object.__setattr__(self, "oversample_factor",
-                           as_index(self.oversample_factor, "oversample_factor", least=1))
-        if self.oversample_factor > 1 and self.m is None:
-            raise InputError("oversampling requires m-termination")
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,21 +255,6 @@ def _uniform(K: KernelMatrix, mu: MeanMap):
     return pick
 
 
-def _grown_config(cfg: SelectionConfig, n2: int) -> SelectionConfig:
-    """The config actually grown: oversampling widens m to factor * m, capped at n2."""
-    if cfg.oversample_factor == 1:
-        return cfg
-    return replace(cfg, m=min(cfg.m * cfg.oversample_factor, n2), oversample_factor=1)
-
-
-def _with_oversampling(method, K, mu, cfg: SelectionConfig, pick) -> SelectionResult:
-    _check_instance(K, mu, cfg)
-    full = _grow(method, K, mu, _grown_config(cfg, K.n2), pick)
-    if cfg.m is None or len(full.indices) <= cfg.m:
-        return full
-    return top_m_by_weight(full, cfg.m, K, mu, cfg.solver)
-
-
 def proto_dash(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:
     """Select prototypes by repeatedly taking the largest-gradient candidate.
 
@@ -286,7 +264,8 @@ def proto_dash(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionR
     increase falls below epsilon, or early once no remaining gradient is
     positive (further additions cannot change the objective).
     """
-    return _with_oversampling(PROTODASH, K, mu, cfg, _largest_gradient)
+    _check_instance(K, mu, cfg)
+    return _grow(PROTODASH, K, mu, cfg, _largest_gradient)
 
 
 def proto_greedy(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:
@@ -308,7 +287,8 @@ def proto_greedy(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> Selectio
     bound from an earlier step proves nothing later (lazy evaluation across
     steps would change the picks). Termination matches proto_dash.
     """
-    return _with_oversampling(PROTOGREEDY, K, mu, cfg, _largest_gain(K, mu))
+    _check_instance(K, mu, cfg)
+    return _grow(PROTOGREEDY, K, mu, cfg, _largest_gain(K, mu))
 
 
 def l2c_equal(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionResult:
@@ -321,8 +301,6 @@ def l2c_equal(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionRe
     _check_instance(K, mu, cfg)
     if cfg.m is None:
         raise InputError("uniform-weight baseline supports m-termination only")
-    if cfg.oversample_factor != 1:
-        raise InputError("oversampling is meaningless with uniform weights")
     return _grow(L2C_EQUAL, K, mu, cfg, _uniform(K, mu))
 
 
@@ -334,8 +312,8 @@ def random_w(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> SelectionRes
     if cfg.seed is None:
         raise InputError("random_w needs a seed")
     rng = np.random.default_rng(cfg.seed)
-    order = rng.choice(K.n2, size=_grown_config(cfg, K.n2).m, replace=False)
-    return _with_oversampling(RANDOM_W, K, mu, cfg, _in_order(order))
+    order = rng.choice(K.n2, size=cfg.m, replace=False)
+    return _grow(RANDOM_W, K, mu, cfg, _in_order(order))
 
 
 def top_m_by_weight(result: SelectionResult, m: int, K: KernelMatrix, mu: MeanMap,
@@ -345,6 +323,10 @@ def top_m_by_weight(result: SelectionResult, m: int, K: KernelMatrix, mu: MeanMa
     Ties break toward the earlier-selected index. The kept indices retain
     their selection order and the objective trace is recomputed over the
     kept prefixes.
+
+    Oversampling by a factor f is this after a larger selection:
+        full = select(K, mu, SelectionConfig(m=min(f * m, K.n2), solver=solver))
+        full if len(full.indices) <= m else top_m_by_weight(full, m, K, mu, solver)
     """
     as_instance(result, SelectionResult, "result")
     as_instance(mu, MeanMap, "mu")

@@ -37,6 +37,7 @@ from protoselect.oracle import _lattice, verify_instance  # noqa: E402
 from protoselect.ranking import (AverageRanks, GraphExport, RankMatrix,  # noqa: E402
                                  average_ranks, export_graph)
 from protoselect.selectors import CriticismResult, SelectionConfig, SelectionResult  # noqa: E402
+from helpers import oversampled  # noqa: E402
 
 
 def _feed(h, x):
@@ -114,7 +115,7 @@ def _selector_entries(out):
             out[f"selectors.{family}.{name}"] = [
                 by_m,
                 _outcome(select, K, mu, SelectionConfig(epsilon=1e-3)),
-                _outcome(select, K, mu, SelectionConfig(m=4, oversample_factor=3)),
+                _outcome(oversampled, select, K, mu, 4, 3),
             ]
             if isinstance(by_m, SelectionResult):
                 out[f"selectors.{family}.{name}.criticisms"] = [
@@ -125,7 +126,7 @@ def _selector_entries(out):
             _outcome(l2c_equal, K, mu, SelectionConfig(m=m)) for m in (0, 5)]
         out[f"selectors.{family}.random_w"] = [
             _outcome(random_w, K, mu, SelectionConfig(m=5, seed=4)),
-            _outcome(random_w, K, mu, SelectionConfig(m=3, seed=9, oversample_factor=2)),
+            _outcome(oversampled, random_w, K, mu, 3, 2, seed=9),
         ]
     # Rank-2 linear data at a large feature scale ends in a SolverError with a partial result.
     rng = np.random.default_rng(0)

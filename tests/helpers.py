@@ -3,8 +3,9 @@
 import numpy as np
 from hypothesis import settings
 
-from protoselect import Dataset, KernelSpec, gradient, kernel_matrix, mean_map
+from protoselect import Dataset, KernelSpec, gradient, kernel_matrix, mean_map, top_m_by_weight
 from protoselect.kernel import KernelMatrix, MeanMap
+from protoselect.selectors import SelectionConfig
 
 # Derandomized and capped, so a property test runs the same way, and quickly, every time.
 RULES = settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -32,6 +33,12 @@ def random_gaussian_instance(rng, max_n1=15, max_n2=10, max_m=3):
     source = Dataset(rng.normal(size=(n2, d)))
     target = Dataset(rng.normal(size=(n1, d)))
     return kernel_matrix(source, spec), mean_map(target, source, spec), m
+
+
+def oversampled(select, K, mu, m, factor, seed=None, solver=None):
+    """Select factor * m prototypes (at most n2), then keep the m of largest weight."""
+    full = select(K, mu, SelectionConfig(m=min(factor * m, K.n2), seed=seed, solver=solver))
+    return full if len(full.indices) <= m else top_m_by_weight(full, m, K, mu, solver)
 
 
 def entries_of(K):

@@ -71,3 +71,66 @@ def proto_dash(K, mu, m):
         w = weights(K, mu, L)
         objectives.append(objective(K, mu, L, w))
     return L, objectives, leads
+
+
+def proto_greedy(K, mu, m):
+    """(indices, objectives, leads) of ProtoGreedy's first m steps.
+
+    Each step solves every candidate with a positive gradient, with no bound
+    to skip any, and takes the one that gains the most, ties to the lowest
+    index; it stops early once no gradient is positive. A candidate whose
+    gradient is not positive would gain nothing, so it scores 0. leads[s]
+    holds step s's largest gain, the next candidate's (-inf if there is
+    none) and the largest gradient.
+    """
+    L, w, f = [], np.zeros(0), 0.0
+    objectives, leads = [], []
+    for _ in range(m):
+        g = mu - K[:, L] @ w
+        gains, solved = np.full(len(mu), -np.inf), {}
+        for j in range(len(mu)):
+            if j in L:
+                continue
+            gains[j] = 0.0
+            if g[j] > 0.0:
+                solved[j] = weights(K, mu, L + [j])
+                gains[j] = objective(K, mu, L + [j], solved[j]) - f
+        top = np.argsort(-gains, kind="stable")[:2]
+        leads.append((gains[top[0]], gains[top[1]] if top.size > 1 else -np.inf,
+                      max(g[j] for j in range(len(mu)) if j not in L)))
+        if not solved:
+            break
+        L.append(int(top[0]))
+        w = solved[L[-1]]
+        f = objective(K, mu, L, w)
+        objectives.append(f)
+    return L, objectives, leads
+
+
+def l2c(K, mu, m):
+    """(indices, objectives, leads) of L2C's m steps.
+
+    Step t takes the candidate whose objective at the uniform weights 1/t on
+    the support grown by it is largest, ties to the lowest index. leads[s]
+    holds step s's largest objective and the next candidate's, -inf if there
+    is none.
+    """
+    L, objectives, leads = [], [], []
+    for t in range(1, m + 1):
+        values = np.full(len(mu), -np.inf)
+        for j in range(len(mu)):
+            if j not in L:
+                values[j] = objective(K, mu, L + [j], np.full(t, 1.0 / t))
+        top = np.argsort(-values, kind="stable")[:2]
+        leads.append((values[top[0]], values[top[1]] if top.size > 1 else -np.inf))
+        L.append(int(top[0]))
+        objectives.append(float(values[top[0]]))
+    return L, objectives, leads
+
+
+def criticisms(K, mu, L, w, c):
+    """(indices, scores): the c largest witness deviations |mu_j - K_j w| off the
+    support L, descending, ties to the lower index."""
+    scores = np.abs(mu - K[:, L] @ w)
+    kept = sorted((j for j in range(len(mu)) if j not in L), key=lambda j: (-scores[j], j))[:c]
+    return kept, scores[kept]

@@ -48,8 +48,6 @@ def _rank_matrix():
 COUNTS = {
     "SelectionConfig.m": (lambda v: SelectionConfig(m=v), 0, None, True),
     "SelectionConfig.seed": (lambda v: SelectionConfig(m=1, seed=v), 0, None, True),
-    "SelectionConfig.oversample_factor": (
-        lambda v: SelectionConfig(m=1, oversample_factor=v), 1, None, False),
     "SolverConfig.max_iterations": (lambda v: SolverConfig(max_iterations=v), 1, None, True),
     "MeanMap.n1": (lambda v: MeanMap(np.ones(2), n1=v), 1, None, False),
     "WeightVector.dimension": (lambda v: WeightVector.zeros(v), 0, None, False),
@@ -82,7 +80,6 @@ REALS = {
 STORED_COUNTS = {
     "SelectionConfig.m": lambda made: made.m,
     "SelectionConfig.seed": lambda made: made.seed,
-    "SelectionConfig.oversample_factor": lambda made: made.oversample_factor,
     "SolverConfig.max_iterations": lambda made: made.max_iterations,
     "MeanMap.n1": lambda made: made.n1,
     "WeightVector.dimension": lambda made: made.dimension,

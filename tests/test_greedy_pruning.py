@@ -16,21 +16,20 @@ from protoselect import (
     objective,
     solve_restricted,
 )
-from protoselect import selectors
+from protoselect import kernel, selectors
 from protoselect.nnqp import gain_bounds
-from protoselect.selectors import SelectionConfig, SelectionResult, proto_greedy, top_m_by_weight
-from helpers import entries_of, gaussian_instance, synthetic_instance
+from protoselect.selectors import SelectionConfig, SelectionResult, proto_greedy
+from helpers import entries_of, gaussian_instance, oversampled, synthetic_instance
 
 
 def exhaustive_greedy(K, mu, cfg):
     """Reference ProtoGreedy: solve every positive-gradient candidate at every step.
 
     Ties go to the lowest index; a non-positive-gradient candidate scores zero
-    and, if it wins, joins with weight 0. Oversampling grows factor * m
-    indices and keeps the m of largest weight through top_m_by_weight.
+    and, if it wins, joins with weight 0.
     """
     n2 = K.n2
-    target = n2 if cfg.m is None else min(cfg.m * cfg.oversample_factor, n2)
+    target = n2 if cfg.m is None else cfg.m
     weights, f = WeightVector.zeros(n2), 0.0
     obj, grad, early = [], [], False
 
@@ -66,10 +65,7 @@ def exhaustive_greedy(K, mu, cfg):
         weights, f = solved, f_new
         obj.append(f)
         grad.append(g[j])
-    res = result()
-    if cfg.m is not None and len(res.indices) > cfg.m:
-        return top_m_by_weight(res, cfg.m, K, mu, cfg.solver)
-    return res
+    return result()
 
 
 def awkward_instance(seed):
@@ -98,17 +94,18 @@ def awkward_instance(seed):
 
 
 def _config(seed, K, mu):
+    """The seed's config, and the factor by which it oversamples."""
     m = min(K.n2, 1 + seed % 7)
     if seed % 3 == 1:
-        return SelectionConfig(epsilon=10.0 ** -(3 + seed % 5) * float(mu.entries.max() ** 2))
+        return SelectionConfig(epsilon=10.0 ** -(3 + seed % 5) * float(mu.entries.max() ** 2)), 1
     if seed % 3 == 2 and 2 * m <= K.n2:
-        return SelectionConfig(m=m, oversample_factor=2)
-    return SelectionConfig(m=m)
+        return SelectionConfig(m=m), 2
+    return SelectionConfig(m=m), 1
 
 
-def _outcome(select, K, mu, cfg):
+def _outcome(select, K, mu, cfg, factor=1):
     try:
-        res = select(K, mu, cfg)
+        res = select(K, mu, cfg) if factor == 1 else oversampled(select, K, mu, cfg.m, factor)
     except SolverError as err:
         part = err.partial
         return ("error", str(err), part.indices.indices, part.weights.weights.tobytes(),
@@ -123,13 +120,13 @@ def test_pruned_greedy_matches_exhaustive_scoring():
         K, mu = awkward_instance(seed)
         if not np.any(mu.entries > 0):
             continue
-        cfg = _config(seed, K, mu)
-        pruned = _outcome(proto_greedy, K, mu, cfg)
-        assert pruned == _outcome(exhaustive_greedy, K, mu, cfg), f"seed {seed}"
+        cfg, factor = _config(seed, K, mu)
+        pruned = _outcome(proto_greedy, K, mu, cfg, factor)
+        assert pruned == _outcome(exhaustive_greedy, K, mu, cfg, factor), f"seed {seed}"
         seen["errors"] += pruned[0] == "error"
         seen["early"] += pruned[-1] is True
         seen["epsilon"] += cfg.epsilon is not None
-        seen["oversampled"] += cfg.oversample_factor > 1
+        seen["oversampled"] += factor > 1
     assert min(seen.values()) >= 5, seen
 
 
@@ -153,15 +150,20 @@ def test_greedy_solves_few_candidates(monkeypatch):
     assert len(calls) <= 3 * 8
 
 
-def test_greedy_prunes_at_every_support_size(monkeypatch):
-    # Late in this run the gains fall below 1e-6 of the objective, and step-backs leave
-    # support weights at zero with a negative gradient. A slack of 1e-6 |f|, or a bound
-    # that adds those zero weights' gradients, solved 42 to 53 candidates a step.
+def late_gains_instance():
+    """n2 = 400, d = 5: by m = 100 the gains fall below 1e-6 of the objective, and
+    step-backs leave support weights at zero with a negative gradient."""
     rng = np.random.default_rng(7)
     source = Dataset(rng.standard_normal((400, 5)))
     target = Dataset(rng.standard_normal((400, 5)) + 0.3)
     spec = KernelSpec("gaussian", bandwidth=median_bandwidth(source))
-    K, mu = kernel_matrix(source, spec), mean_map(target, source, spec)
+    return kernel_matrix(source, spec), mean_map(target, source, spec)
+
+
+def test_greedy_prunes_at_every_support_size(monkeypatch):
+    # A slack of 1e-6 |f|, or a bound that adds the zero weights' gradients, solved 42 to
+    # 53 candidates a step here.
+    K, mu = late_gains_instance()
     cfg = SelectionConfig(m=100)
     calls = []
 
@@ -174,6 +176,53 @@ def test_greedy_prunes_at_every_support_size(monkeypatch):
     assert len(calls) <= 4 * cfg.m
     monkeypatch.setattr(selectors, "gain_bounds", lambda w, g, K: np.full(K.n2, np.inf))
     assert pruned == _outcome(proto_greedy, K, mu, cfg)  # every positive candidate solved
+
+
+def test_solved_gains_stay_within_their_bounds_where_the_support_holds_a_zero_weight(
+        monkeypatch):
+    # There the bound is weak duality's, not the unconstrained maximum: no candidate that
+    # _largest_gain solves may gain more than its bound plus the slack with which it prunes.
+    K, mu = late_gains_instance()
+    steps = []  # (weights, bounds, weights solved in the step)
+
+    def bounds_of(w, g, K):
+        steps.append((w, gain_bounds(w, g, K), []))
+        return steps[-1][1]
+
+    def solved(K, mu, L, cfg, warm_start=None):
+        steps[-1][2].append(solve_restricted(K, mu, L, cfg, warm_start=warm_start))
+        return steps[-1][2][-1]
+
+    monkeypatch.setattr(selectors, "gain_bounds", bounds_of)
+    monkeypatch.setattr(selectors, "solve_restricted", solved)
+    proto_greedy(K, mu, SelectionConfig(m=100))
+    zero_steps = checked = 0
+    for w, bounds, solves in steps:
+        if np.all(w.weights > 0.0):
+            continue
+        idx, v = w.support.as_array(), w.weights
+        f = objective(w, K, mu)
+        sigma = v @ np.abs(mu.entries[idx]) + v @ (np.abs(K.block(idx)) @ v)
+        roundoff = kernel._gamma(2 * idx.size + 4)
+        zero_steps += 1
+        for grown in solves:
+            b = bounds[grown.support.indices[-1]]
+            slack = selectors._BOUND_SLACK * b + roundoff * (2 * sigma + 4 * b)
+            assert objective(grown, K, mu) - f <= b + slack
+            checked += bool(np.isfinite(b))
+    assert zero_steps >= 50 and checked >= 150, (zero_steps, checked)
+
+
+@pytest.mark.parametrize("d1, ulps", [(1.2, 1), (1.4, 0)])
+def test_a_near_tie_within_roundoff_is_solved_not_pruned(d1, ulps):
+    # Two candidates whose exact gains mu_j^2 / (2 d_j) agree to within an ulp or two: the
+    # computed bounds order them one way and the computed gains the other. Pruning the
+    # second on its bound alone, without the slack, picks the first.
+    mu0 = 0.9
+    mu1 = mu0 * np.sqrt(d1 / 1.2)
+    K, mu = synthetic_instance(np.diag([1.2, d1]), [mu0, mu1 + ulps * np.spacing(mu1)])
+    cfg = SelectionConfig(m=1)
+    assert _outcome(proto_greedy, K, mu, cfg) == _outcome(exhaustive_greedy, K, mu, cfg)
 
 
 class TestGainBounds:

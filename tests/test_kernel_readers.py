@@ -35,7 +35,7 @@ from protoselect.selectors import (
     random_w,
     top_m_by_weight,
 )
-from helpers import entries_of, gaussian_instance
+from helpers import entries_of, gaussian_instance, oversampled
 
 
 class ReadersOnly(KernelMatrix):
@@ -108,7 +108,7 @@ def _calls(K, mu):
     return {
         "proto_dash": dash,
         "proto_greedy": proto_greedy(K, mu, cfg),
-        "proto_dash_oversampled": proto_dash(K, mu, SelectionConfig(m=3, oversample_factor=2)),
+        "proto_dash_oversampled": oversampled(proto_dash, K, mu, 3, 2),
         "proto_dash_epsilon": proto_dash(K, mu, SelectionConfig(epsilon=1e-4)),
         "l2c_equal": l2c_equal(K, mu, cfg),
         "random_w": random_w(K, mu, SelectionConfig(m=4, seed=5)),

@@ -1,4 +1,4 @@
-"""ProtoDash end to end against the plain reference pipeline of `reference.py`.
+"""The selectors end to end against the plain reference pipeline of `reference.py`.
 
 The package's lazy Gram, GEMM mean map and warm-started active-set solve
 must pick what the dense reference picks, with objectives within 1e-10
@@ -14,6 +14,13 @@ another outcome, so the comparison ends at the first step where
 Each drawn instance runs twice, the second time with the mean map's GEMM at
 any size. Some select a dataset's prototypes against its own mean map, as
 `rank_sources` does, which `mean_map` computes from each pair once.
+
+ProtoGreedy, L2C and the criticisms are compared under the same rule: a step
+ends the comparison where its two best gains, objectives or scores lie
+within TIE, or where ProtoGreedy's largest gradient is at most the KKT
+tolerance. Each of
+these tests also asserts the share of steps it compared over its draws, so
+that it cannot pass by ending every comparison at once.
 """
 
 from unittest import mock
@@ -25,7 +32,8 @@ from hypothesis import strategies as st
 
 import reference
 from helpers import RULES
-from protoselect import Dataset, KernelSpec, SolverConfig, kernel, kernel_matrix, mean_map, proto_dash
+from protoselect import (Dataset, KernelSpec, SolverConfig, criticisms, kernel, kernel_matrix,
+                         l2c_equal, mean_map, proto_dash, proto_greedy)
 from protoselect.selectors import SelectionConfig
 
 # 2^16 unit roundoffs, about 7.3e-12. The gradients are differences of kernel means and
@@ -86,3 +94,83 @@ def test_proto_dash_matches_the_reference_on_threaded_tiles():
     assert compared_steps(source, target, 40) == 40
     # The source's own mean map: three bands of 512 rows, split over two slabs.
     assert compared_steps(source, None, 40) == 40
+
+
+def _instance(n2, n1, d, seed):
+    """Seeded source and target rows, the package's Gram and mean map, and the reference's."""
+    rng = np.random.default_rng(seed)
+    source = rng.normal(size=(n2, d))
+    target = rng.normal(size=(n1, d)) + 0.3
+    sigma = reference.median_bandwidth(source)
+    spec = KernelSpec("gaussian", bandwidth=sigma)
+    K, mu = kernel_matrix(Dataset(source), spec), mean_map(Dataset(target), Dataset(source), spec)
+    return K, mu, reference.gram(source, sigma), reference.mean_map(target, source, sigma)
+
+
+def _agreeing_steps(got, indices, objectives, ends):
+    """How many steps agree before the first that ends the comparison; fails at the first
+    step that differs."""
+    for step, end in enumerate(ends):
+        if end:
+            return step
+        assert got.indices.indices[step] == indices[step], f"step {step}"
+        assert got.objective_trace[step] == pytest.approx(objectives[step], rel=1e-10, abs=0)
+    assert len(got.indices) == len(indices)
+    return len(indices)
+
+
+def _share_compared(draw):
+    """Run the draws of a `given` test whose body returns (steps compared, steps), and
+    return the share of all steps compared."""
+    counts = []
+
+    @RULES
+    @given(n2=st.integers(5, 60), n1=st.integers(1, 100), d=st.integers(1, 6),
+           m=st.integers(1, 15), seed=st.integers(0, 2 ** 32 - 1))
+    def each(n2, n1, d, m, seed):
+        counts.append(draw(n2, n1, d, m, seed))
+
+    each()
+    compared, steps = np.sum(counts, axis=0)
+    return compared / steps
+
+
+def test_proto_greedy_matches_the_reference():
+    def draw(n2, n1, d, m, seed):
+        K, mu, Kd, mud = _instance(n2, n1, d, seed)
+        got = proto_greedy(K, mu, SelectionConfig(m=min(m, n2)))
+        indices, objectives, leads = reference.proto_greedy(Kd, mud, min(m, n2))
+        ends = [first - second <= TIE or top <= KKT for first, second, top in leads]
+        return _agreeing_steps(got, indices, objectives, ends), len(leads)
+
+    assert _share_compared(draw) >= 0.9
+
+
+def test_l2c_matches_the_reference():
+    def draw(n2, n1, d, m, seed):
+        K, mu, Kd, mud = _instance(n2, n1, d, seed)
+        got = l2c_equal(K, mu, SelectionConfig(m=min(m, n2)))
+        indices, objectives, leads = reference.l2c(Kd, mud, min(m, n2))
+        ends = [first - second <= TIE for first, second in leads]
+        return _agreeing_steps(got, indices, objectives, ends), len(leads)
+
+    assert _share_compared(draw) >= 0.9
+
+
+def test_criticisms_match_the_reference():
+    def draw(n2, n1, d, m, seed):
+        K, mu, Kd, mud = _instance(n2, n1, d, seed)
+        res = proto_dash(K, mu, SelectionConfig(m=min(m, n2 - 1)))
+        c = n2 - len(res.indices)
+        got = criticisms(res, K, mu, c)
+        indices, scores = reference.criticisms(Kd, mud, list(res.indices), res.weights.weights, c)
+        for k in range(c):
+            if k + 1 < c and scores[k] - scores[k + 1] <= TIE:
+                return k, c
+            assert got.indices[k] == indices[k], f"criticism {k}"
+            # a score is a gradient's magnitude: a difference of order-1 terms, whose
+            # roundoff TIE bounds, as it bounds the gradients'
+            assert got.scores[k] == pytest.approx(scores[k], rel=1e-10, abs=TIE)
+        return c, c
+
+    assert _share_compared(draw) >= 0.9

@@ -22,7 +22,7 @@ from protoselect.selectors import (
     random_w,
     top_m_by_weight,
 )
-from helpers import entries_of, gaussian_instance, identity_instance, synthetic_instance
+from helpers import entries_of, gaussian_instance, identity_instance, oversampled, synthetic_instance
 
 
 def brute_force_singleton(K, mu):
@@ -323,7 +323,7 @@ class TestTopMByWeight:
     def test_oversample_config_path(self, rng):
         K, mu = gaussian_instance(rng, n1=8, n2=10)
         for select in (proto_dash, proto_greedy, random_w):
-            res = select(K, mu, SelectionConfig(m=3, seed=0, oversample_factor=2))
+            res = oversampled(select, K, mu, 3, 2, seed=0)
             assert len(res.indices) == 3
             assert kkt_residual(res.weights, K, mu, res.indices) <= 1e-8
 
@@ -411,12 +411,12 @@ class TestConfigValidation:
 
     def test_m_bounds_checked_at_call(self, rng):
         K, mu = gaussian_instance(rng, n1=4, n2=4)
-        with pytest.raises(InputError):
-            proto_dash(K, mu, SelectionConfig(m=9))
-        for select in (proto_dash, proto_greedy, random_w):
+        # oversampling's two calls each check m: the selector against n2, and
+        # top_m_by_weight against the selection it keeps from
+        for select in (proto_dash, proto_greedy, random_w, l2c_equal):
+            for m in (5, 9):
+                with pytest.raises(InputError):
+                    select(K, mu, SelectionConfig(m=m, seed=0))
+            full = select(K, mu, SelectionConfig(m=3, seed=0))
             with pytest.raises(InputError):
-                select(K, mu, SelectionConfig(m=9, seed=0, oversample_factor=2))
-
-    def test_oversample_needs_m(self):
-        with pytest.raises(InputError):
-            SelectionConfig(epsilon=0.1, oversample_factor=2)
+                top_m_by_weight(full, 4, K, mu)

@@ -105,7 +105,6 @@ def instance(rng):
     [
         lambda K, mu, res: SelectionConfig(m=2.5),
         lambda K, mu, res: SelectionConfig(m=2.0),
-        lambda K, mu, res: SelectionConfig(m=2, oversample_factor=1.5),
         lambda K, mu, res: SolverConfig(max_iterations=2.5),
         lambda K, mu, res: SupportSet((1.5,)),
         lambda K, mu, res: criticisms(res, K, mu, 1.5),
@@ -119,7 +118,7 @@ def instance(rng):
         lambda K, mu, res: WeightVector.zeros(2.5),
         lambda K, mu, res: WeightVector(SupportSet((0,)), np.ones(1), 2.5).dense(),
     ],
-    ids=["m", "m_float_integral", "oversample_factor", "max_iterations", "support_index",
+    ids=["m", "m_float_integral", "max_iterations", "support_index",
          "criticisms_c", "top_m", "exhaustive_m", "rsc_rsm_k", "submodularity_r", "mean_map_n1",
          "export_top_t", "random_w_seed", "weight_zeros_dimension",
          "weight_dimension"],
@@ -406,8 +405,6 @@ def _one_prototype():
          "datasets must be a list or tuple of Dataset"),
         (lambda K, mu: SelectionConfig(m=-1), InputError, "m must be at least 0"),
         (lambda K, mu: SelectionConfig(epsilon=0.0), InputError, "epsilon must be positive"),
-        (lambda K, mu: SelectionConfig(m=2, oversample_factor=0), InputError,
-         "oversample_factor must be at least 1"),
         (lambda K, mu: SelectionResult("x", _one_prototype(), [1.0, 2.0], [1.0], [0.0]),
          InputError, r"objective_trace must have shape \(1,\)"),
         (lambda K, mu: SelectionResult("x", np.zeros(0), [], [], []), InputError,
@@ -418,8 +415,6 @@ def _one_prototype():
         (lambda K, mu: CriticismResult((0.5,), [1.0]), InputError, "criticism indices must be int"),
         (lambda K, mu: proto_dash(K, MeanMap(np.ones(5), n1=1), SelectionConfig(m=2)),
          InputError, "does not fit a kernel matrix"),
-        (lambda K, mu: l2c_equal(K, mu, SelectionConfig(m=2, oversample_factor=2)), InputError,
-         "meaningless"),
         (lambda K, mu: random_w(K, mu, SelectionConfig(epsilon=0.1, seed=1)), InputError,
          "m-termination"),
         (lambda K, mu: SelectionConfig(m=2, solver="x"), InputError, "solver must be a Solver"),
@@ -525,9 +520,9 @@ def _one_prototype():
          "gamma_no_prefix_gains", "rank_matrix_shape", "rank_objective_nan",
          "rank_objective_infinite", "average_ranks_alignment",
          "rank_duplicate_names", "rank_names_int", "rank_names_generator", "rank_raw_arrays",
-         "rank_datasets_iterator", "m_negative", "epsilon_zero", "oversample_zero",
+         "rank_datasets_iterator", "m_negative", "epsilon_zero",
          "selection_result_trace", "selection_result_weights_type", "criticism_alignment", "criticism_order",
-         "criticism_index_non_integer", "selector_mu_size", "l2c_oversampling",
+         "criticism_index_non_integer", "selector_mu_size",
          "random_w_epsilon_mode", "selection_solver", "solve_restricted_cfg", "top_m_solver",
          "verify_solver", "rank_solver", "criticisms_arguments_out_of_order",
          "proto_dash_arguments_out_of_order", "mean_map_raw_target", "kernel_matrix_raw_source",
