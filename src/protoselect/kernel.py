@@ -563,17 +563,19 @@ def _pair_sample(X: np.ndarray) -> np.ndarray:
 
     Each round pairs row i with row perm[i] of a fixed permutation, so every
     row is in two pairs a round and no row weighs more than another. The
-    values only bracket the median, so they need not be pdist's bits.
+    values only bracket the median, so they need not be pdist's bits. A round
+    gathers X[perm] into one held n x d buffer and subtracts X in place; a row
+    that perm fixes pairs with itself, and its distance is dropped.
     """
     n = X.shape[0]
     rng = np.random.default_rng(0)
-    rounds = []
+    diff, squares, rounds = np.empty(X.shape), np.empty(n), []
     with np.errstate(over="ignore"):  # a pair too far apart is inf, as in pdist
         for _ in range(_SAMPLE_ROUNDS):
             partner = rng.permutation(n)
-            moved = partner != np.arange(n)
-            diff = X[moved] - X[partner[moved]]
-            rounds.append(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+            np.subtract(np.take(X, partner, axis=0, out=diff), X, out=diff)
+            np.einsum("ij,ij->i", diff, diff, out=squares)
+            rounds.append(np.sqrt(squares[partner != np.arange(n)]))
     return np.concatenate(rounds)
 
 

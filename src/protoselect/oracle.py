@@ -16,6 +16,12 @@ block; a block that is not clearly one takes its value from the weight
 solver, `objective(solve_restricted(...))`, which raises SolverError when it
 meets a block that does not factor.
 
+Where K itself is clearly definite, with room for two eigvalsh errors, one
+spectrum of K settles the question for every block (`_certified`): by Cauchy
+interlacing each principal block's eigenvalues lie between K's smallest and
+largest, so every block passes its own test, and no block's spectrum is
+computed.
+
 `verify_instance` is the one guarantee check: it scores ProtoDash and
 ProtoGreedy against their bounds on the exhaustive optimum and returns one
 verify-report row, or raises DegenerateDataError when a bound is vacuous.
@@ -77,32 +83,60 @@ def _lattice(K: KernelMatrix, mu: MeanMap, depth: int) -> np.ndarray:
 
     Entry `mask` holds f(S) for the subset S whose bitmask is mask, and NaN
     beyond `depth`. Each size k is filled chunk by chunk from the identity
-    f(S) = max(U+(S), max over j in S of f(S - j)) of the module docstring: one
-    batched eigvalsh decides which blocks are positive definite, their smallest
-    eigenvalue above k·eps times their largest, and one batched solve gives
-    K_SS^-1 mu_S on those. Each other block's U+ is replaced by the weight
-    solver's optimum on S, which raises SolverError where a block on S does not
-    factor. Guarded like every enumeration, by its count of subsets.
+    f(S) = max(U+(S), max over j in S of f(S - j)) of the module docstring: a
+    block of k rows is clearly positive definite when its smallest eigenvalue is
+    above k·eps times its largest, which `_certified` settles for every block at
+    once where it can, and one batched eigvalsh a chunk decides where it cannot.
+    One batched solve gives K_SS^-1 mu_S on the definite blocks. Each other
+    block's U+ is replaced by the weight solver's optimum on S, which raises
+    SolverError where a block on S does not factor. Guarded like every
+    enumeration, by its count of subsets.
     """
     n2 = as_instance(K, KernelMatrix, "K").n2
     _check_sizes(K, as_instance(mu, MeanMap, "mu").entries)
     _guard_subsets(n2, sum(math.comb(n2, k) for k in range(1, depth + 1)))
+    certified = _certified(K, depth)
     table = np.full(1 << n2, np.nan)
     table[0] = 0.0
     for k in range(1, depth + 1):
         for idx, blocks in _minors(K, k):
             masks = _masks(idx)
             below = table[masks[:, None] - (1 << idx)].max(axis=1)
-            table[masks] = np.maximum(_peak(K, mu, idx, blocks), below)
+            table[masks] = np.maximum(_peak(K, mu, idx, blocks, certified), below)
     return table
 
 
-def _peak(K: KernelMatrix, mu: MeanMap, idx: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+def _certified(K: KernelMatrix, depth: int) -> bool:
+    """Whether every principal block of K of at most `depth` rows passes `_peak`'s test,
+    its computed eigenvalues e_1 <= ... <= e_k having e_1 > k·eps·e_k, as shown by one
+    spectrum of K.
+
+    Let λ_1 <= ... <= λ_n be K's eigenvalues. By Cauchy interlacing, every principal
+    block's eigenvalues lie in [λ_1, λ_n], and its 2-norm is at most K's. LAPACK's
+    symmetric eigensolver returns each eigenvalue within p(n)·eps·‖A‖₂ of the true one
+    (Anderson et al., LAPACK Users' Guide, §4.7), and the rule assumes p(n) < 1024 for
+    the n <= 20 rows an enumeration allows; the computed spectrum λ̂ of K then gives the
+    error bound δ = 1024·eps·max|λ̂| for K's eigenvalues and for any block's. So a
+    block's computed e_1 >= λ̂_1 - 2δ and e_k <= λ̂_n + 2δ, and
+        λ̂_1 - 2δ > depth·eps·(λ̂_n + 2δ)
+    gives e_1 > k·eps·e_k for every k <= depth. The part of 1024 that p(n) leaves
+    covers the gap between max|λ̂| and ‖K‖₂ and the roundings of the test itself.
+    """
+    eig = np.linalg.eigvalsh(K.block(range(K.n2)))
+    delta = 1024 * _EPS * np.abs(eig).max()
+    return bool(eig[0] - 2 * delta > depth * _EPS * (eig[-1] + 2 * delta))
+
+
+def _peak(K: KernelMatrix, mu: MeanMap, idx: np.ndarray, blocks: np.ndarray,
+          certified: bool) -> np.ndarray:
     """U+ on each support idx[i], or the weight solver's optimum on it where its block
-    is not clearly positive definite."""
+    is not clearly positive definite; with `certified`, every block is."""
     rhs = mu.entries[idx]
-    eig = np.linalg.eigvalsh(blocks)
-    definite = eig[:, 0] > idx.shape[1] * _EPS * eig[:, -1]
+    if certified:
+        definite = np.ones(len(idx), dtype=bool)
+    else:
+        eig = np.linalg.eigvalsh(blocks)
+        definite = eig[:, 0] > idx.shape[1] * _EPS * eig[:, -1]
     A, b = blocks[definite], rhs[definite]
     x = np.linalg.solve(A, b[..., None])[..., 0]
     value = np.einsum("ij,ij->i", x, b) - 0.5 * np.einsum("ij,ijk,ik->i", x, A, x)

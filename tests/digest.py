@@ -33,11 +33,11 @@ from protoselect import (Dataset, KernelMatrix, KernelSpec, MeanMap, ProtoSelect
                          median_bandwidth, objective, proto_dash, proto_greedy, random_w,
                          rank_sources, solve_restricted, top_m_by_weight)
 from protoselect.nnqp import gain_bounds  # noqa: E402
-from protoselect.oracle import _lattice, verify_instance  # noqa: E402
+from protoselect.oracle import _certified, _lattice, verify_instance  # noqa: E402
 from protoselect.ranking import (AverageRanks, GraphExport, RankMatrix,  # noqa: E402
                                  average_ranks, export_graph)
 from protoselect.selectors import CriticismResult, SelectionConfig, SelectionResult  # noqa: E402
-from helpers import oversampled  # noqa: E402
+from helpers import margin_instances, oversampled  # noqa: E402
 
 
 def _feed(h, x):
@@ -278,6 +278,10 @@ def _oracle_entries(out):
         for depth in (2, 4)
     ] + [_outcome(_lattice, KernelMatrix(np.diag([1.0, 1.0, 0.0])),
               MeanMap([0.5, 0.4, 0.1], n1=1), 2)]
+    # One Gram either side of the certificate's margin: the per-chunk path and the
+    # certified one, with the decision itself.
+    out["oracle.certified_margin"] = [(_certified(K, 2), _lattice(K, mu, 2))
+                                      for K, mu in margin_instances().values()]
 
 
 def _ranking_entries(out):

@@ -35,6 +35,20 @@ def random_gaussian_instance(rng, max_n1=15, max_n2=10, max_m=3):
     return kernel_matrix(source, spec), mean_map(target, source, spec), m
 
 
+def margin_instances():
+    """Two instances on K = diag(1, t), t either side of the oracle's certificate margin at
+    depth 2, with mu = (0.6, t): {"below": ..., "above": ...}.
+
+    eigvalsh returns (t, 1) exactly, so delta = 1024 eps = 2^-42, and the certificate needs
+    t - 2^-41 > 2 eps (1 + 2^-41). Below, t - 2^-41 = 1.5 eps: certified with no slack, or
+    with depth 1 in place of 2. Above, it is 2.5 eps. Every block of either passes its own
+    test, so both tables come from the closed form.
+    """
+    eps = float(np.finfo(float).eps)
+    return {side: (KernelMatrix(np.diag([1.0, t])), MeanMap(entries=[0.6, t], n1=1))
+            for side, t in (("below", 2.0 ** -41 + 1.5 * eps), ("above", 2.0 ** -41 + 2.5 * eps))}
+
+
 def oversampled(select, K, mu, m, factor, seed=None, solver=None):
     """Select factor * m prototypes (at most n2), then keep the m of largest weight."""
     full = select(K, mu, SelectionConfig(m=min(factor * m, K.n2), seed=seed, solver=solver))

@@ -271,3 +271,35 @@ def test_estimates_anywhere_within_the_margin_rank_exactly(seed):
         kept = (exact + shift) + 1j * (a * n + b)
         kept.partition(t)
         assert kernel._exact_rank(X, kept, t, margin) == np.sort(exact)[t]
+
+
+def sample_by_gathered_pairs(X):
+    """The pair sample built as it first was: each round gathers the moved rows and their
+    partners, so a row that the round's permutation fixes is never paired."""
+    n = X.shape[0]
+    rng = np.random.default_rng(0)
+    rounds = []
+    with np.errstate(over="ignore"):
+        for _ in range(kernel._SAMPLE_ROUNDS):
+            partner = rng.permutation(n)
+            moved = partner != np.arange(n)
+            diff = X[moved] - X[partner[moved]]
+            rounds.append(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+    return np.concatenate(rounds)
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 1), (3, 4), (7, 2), (1000, 20), (2000, 20),
+                                  (5000, 20), (300, 33)])
+def test_the_pair_sample_equals_the_gathered_pairs(n, d):
+    X = normal(n, d, seed=n + d) * 10.0 ** (d % 7 - 3)
+    sample = kernel._pair_sample(X)
+    assert sample.tobytes() == sample_by_gathered_pairs(X).tobytes()
+    if n <= 3:  # some round's permutation fixes a row, whose distance is dropped
+        assert sample.size < kernel._SAMPLE_ROUNDS * n
+
+
+def test_the_pair_sample_of_far_rows_is_inf_as_gathered():
+    X = np.array([[1e300, 0.0], [-1e300, 1.0], [0.0, 0.0], [3.0, -1e300]])
+    sample = kernel._pair_sample(X)
+    assert np.isinf(sample).any()
+    assert sample.tobytes() == sample_by_gathered_pairs(X).tobytes()

@@ -1,22 +1,31 @@
 import itertools
 import json
+import math
 from importlib import resources
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
 
 from protoselect import (
+    Dataset,
     GuardError,
+    KernelSpec,
     SolverError,
     SupportSet,
     WeightVector,
+    kernel_matrix,
+    mean_map,
     objective,
     solve_restricted,
 )
+from protoselect import oracle
 from protoselect.errors import DegenerateDataError
 from protoselect.nnqp import NOT_POSITIVE_DEFINITE
 from protoselect.oracle import (
+    _certified,
+    _lattice,
     exhaustive_optimal,
     gamma_over_prefixes,
     rsc_rsm_bounds,
@@ -31,8 +40,8 @@ from protoselect.selectors import (
     random_w,
 )
 from helpers import (entries_of, finite_difference_check, gaussian_instance,
-                     identity_instance, identity_kernel_instance, random_gaussian_instance,
-                     synthetic_instance)
+                     identity_instance, identity_kernel_instance, margin_instances,
+                     random_gaussian_instance, synthetic_instance)
 
 
 class TestExhaustiveOptimal:
@@ -273,3 +282,63 @@ class TestGammaOverPrefixes:
         gamma = gamma_over_prefixes(K, mu, res.indices, 2)
         assert gamma <= submodularity_ratio(K, mu, SupportSet(), 2) + 1e-12
         assert gamma > 0
+
+
+def counted_eigvalsh():
+    """A patch of np.linalg.eigvalsh that counts its calls, and the mock that counts them."""
+    counter = mock.Mock(wraps=np.linalg.eigvalsh)
+    return mock.patch.object(np.linalg, "eigvalsh", counter), counter
+
+
+class TestCertificate:
+    """One spectrum of K settles every block's definiteness test where it can."""
+
+    def test_certified_tables_equal_the_per_chunk_path(self):
+        # The oracle_sweep pool's size grid, with its data drawn as the pool draws it.
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            for n2 in range(2, 17):
+                for m in range(1, min(4, n2) + 1):
+                    d, n1 = int(rng.choice((2, 3))), int(rng.integers(2, 21))
+                    spec = KernelSpec("gaussian", bandwidth=float(rng.uniform(0.5, 2.0)))
+                    source = Dataset(rng.standard_normal((n2, d)))
+                    target = Dataset(rng.standard_normal((n1, d)))
+                    K, mu = kernel_matrix(source, spec), mean_map(target, source, spec)
+                    depth = min(n2, 2 * m)
+                    assert _certified(K, depth), (seed, n2, m)
+                    certified = _lattice(K, mu, depth)
+                    with mock.patch.object(oracle, "_certified", return_value=False):
+                        per_chunk = _lattice(K, mu, depth)
+                    assert certified.tobytes() == per_chunk.tobytes(), (seed, n2, m)
+
+    def test_a_certified_table_runs_one_eigvalsh(self, rng):
+        K, mu = gaussian_instance(rng, n1=6, n2=12)
+        patch, counter = counted_eigvalsh()
+        with patch:
+            _lattice(K, mu, 6)
+        assert counter.call_count == 1
+        # the per-chunk path: the spectrum of K, then one call per chunk of 256 subsets
+        chunks = sum(-(-math.comb(12, k) // oracle._CHUNK) for k in range(1, 7))
+        with patch, mock.patch.object(oracle, "_certified", return_value=False):
+            _lattice(K, mu, 6)
+        assert counter.call_count == 1 + chunks
+
+    def test_the_margin_decides_the_path(self):
+        instances = margin_instances()
+        for (K, mu), certified in ((instances["below"], False), (instances["above"], True)):
+            assert _certified(K, 2) is certified
+            patch, counter = counted_eigvalsh()
+            with patch:
+                table = _lattice(K, mu, 2)
+            assert counter.call_count == (1 if certified else 3)  # K, then sizes 1 and 2
+            # every block passes its own test either side, so the closed form fills both
+            t = float(entries_of(K)[1, 1])
+            assert table.tolist() == [0.0, 0.18, t / 2, 0.18 + t / 2]
+
+    def test_a_singular_gram_is_not_certified(self):
+        K, _ = synthetic_instance(np.diag([1.0, 1.0, 0.0]), [0.5, 0.4, 0.1])
+        assert not _certified(K, 1)
+        rows = [0, 0, 1]
+        K, _ = synthetic_instance(np.array([[1.0, 0.3], [0.3, 1.0]])[np.ix_(rows, rows)],
+                                  [0.5, 0.5, 0.4])
+        assert not _certified(K, 1)
