@@ -1,10 +1,10 @@
 """Brute-force and spectral checks of the selection guarantees.
 
 Everything here is deliberately exhaustive: optimal subsets and the
-submodularity ratio come from the restricted optimum tabulated on every
-small subset, and curvature constants from principal-minor spectra. One
-guard, `_guard_subsets`, keeps every enumeration at desk scale, where
-exactness is the point.
+submodularity ratio come from the restricted optimum tabulated on small
+subsets, and curvature constants from principal-minor spectra. One guard,
+`_guard_subsets`, keeps every enumeration at desk scale, where exactness is
+the point.
 
 The table does not run the weight solver it checks. Let f(S) be the largest
 value of l(w) = w'mu - w'Kw/2 over w >= 0 supported on S, and T the positive
@@ -16,14 +16,29 @@ block; a block that is not clearly one takes its value from the weight
 solver, `objective(solve_restricted(...))`, which raises SolverError when it
 meets a block that does not factor.
 
+The table holds only the subsets its readers read (`_lattice`): every subset
+of at most `full` rows, which `exhaustive_optimal` scans, and, for each pick
+set P, every A ∪ B with A ⊆ P and B a set of at most r rows outside P, which
+holds each L ∪ S that `submodularity_ratio` reads at a prefix L of P's order.
+Removing one row from A ∪ B leaves a subset of A with a subset of B, so the
+set is closed under removing one element: the recursion only reads children
+the table holds, and each entry has the bits a table of every subset gives
+it. Each subset is keyed by its int64 bitmask, the sum of 2**j over its rows
+j, so an instance may have up to 62 rows. Each size k has one sorted key
+array and one value array beside it, and np.searchsorted finds a subset's k
+children among the keys of size k - 1. The guard counts the subsets the
+table will hold, exactly for one pick set and as a sum over the pick sets
+for more, before any key is made.
+
 Where K itself is clearly definite, with room for two eigvalsh errors, one
 spectrum of K settles the question for every block (`_certified`): by Cauchy
 interlacing each principal block's eigenvalues lie between K's smallest and
 largest, so every block passes its own test, and no block's spectrum is
 computed.
 
-`verify_instance` is the one guarantee check: it scores ProtoDash and
-ProtoGreedy against their bounds on the exhaustive optimum and returns one
+`verify_instance` is the one guarantee check: it runs ProtoDash and
+ProtoGreedy, tabulates f on the union of the two sets their picks read,
+scores both against their bounds on the exhaustive optimum and returns one
 verify-report row, or raises DegenerateDataError when a bound is vacuous.
 """
 
@@ -40,69 +55,107 @@ from .nnqp import SolverConfig, SupportSet, _check_sizes, objective, solve_restr
 from .selectors import SelectionConfig, proto_dash, proto_greedy
 
 ENUMERATION_CAP = 1_000_000
-MAX_ENUMERABLE_ROWS = 20
+MAX_ENUMERABLE_ROWS = 62  # a subset's key is an int64 bitmask
+_CERTIFIED_ROWS = 20  # the rows up to which `_certified`'s error bound is stated
 _SLACK = 1e-9
 # Subsets per chunk of an enumeration: enough to batch LAPACK's small calls, and few
-# enough that one chunk's blocks, never a list of every subset, are held at a time.
+# enough that one chunk's blocks, never the blocks of every subset, are held at a time.
 _CHUNK = 256
 _EPS = float(np.finfo(float).eps)
+_ONE = np.int64(1)
 
 
 def _guard_subsets(n2: int, count: int):
-    """Refuse an enumeration over more than 20 rows or a million subsets."""
+    """Refuse an enumeration over more than 62 rows or a million subsets."""
     if n2 > MAX_ENUMERABLE_ROWS:
         raise GuardError(f"instance too large to enumerate: n2={n2} > {MAX_ENUMERABLE_ROWS}")
     if count > ENUMERATION_CAP:
         raise GuardError(f"too many subsets to enumerate: {count} > {ENUMERATION_CAP}")
 
 
-def _combinations(items, k: int):
-    """The size-k combinations of items in lexicographic order, as (N, k) index arrays
-    of at most _CHUNK rows each."""
-    combos = itertools.combinations(items, k)
-    while len(chunk := np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, _CHUNK)),
-                                   dtype=np.intp).reshape(-1, k)):
-        yield chunk
-
-
-def _minors(K: KernelMatrix, k: int):
-    """(indices, blocks) for each chunk of the size-k subsets of K's rows, where
-    blocks[i] is K's principal block at the rows indices[i]."""
-    full = K.block(range(K.n2))
-    for idx in _combinations(range(K.n2), k):
-        yield idx, full[idx[:, :, None], idx[:, None, :]]
+def _combinations(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) as the ascending int64 rows of an (N, k) array, in
+    lexicographic order."""
+    combos, count = itertools.combinations(range(n), k), math.comb(n, k)
+    return np.fromiter(itertools.chain.from_iterable(combos), dtype=np.int64,
+                       count=count * k).reshape(count, k)
 
 
 def _masks(idx: np.ndarray) -> np.ndarray:
-    """The bitmask, the sum of 2**j over its indices j, of each row of an index array."""
-    return (1 << idx).sum(axis=1)
+    """The int64 bitmask, the sum of 2**j over its indices j, of each row of an index array."""
+    return (_ONE << idx).sum(axis=1, dtype=np.int64)
 
 
-def _lattice(K: KernelMatrix, mu: MeanMap, depth: int) -> np.ndarray:
-    """The restricted optimum f on every subset of at most `depth` rows.
+def _indices(masks: np.ndarray, k: int) -> np.ndarray:
+    """The ascending int64 rows of the size-k subsets with these bitmasks: each column
+    takes the lowest bit left, 2**j, whose exponent frexp reads exactly as j + 1."""
+    idx, left = np.empty((len(masks), k), dtype=np.int64), masks.copy()
+    for col in range(k):
+        low = left & -left
+        idx[:, col] = np.frexp(low)[1] - 1
+        left ^= low
+    return idx
 
-    Entry `mask` holds f(S) for the subset S whose bitmask is mask, and NaN
-    beyond `depth`. Each size k is filled chunk by chunk from the identity
-    f(S) = max(U+(S), max over j in S of f(S - j)) of the module docstring: a
-    block of k rows is clearly positive definite when its smallest eigenvalue is
-    above k·eps times its largest, which `_certified` settles for every block at
-    once where it can, and one batched eigvalsh a chunk decides where it cannot.
-    One batched solve gives K_SS^-1 mu_S on the definite blocks. Each other
-    block's U+ is replaced by the weight solver's optimum on S, which raises
-    SolverError where a block on S does not factor. Guarded like every
-    enumeration, by its count of subsets.
+
+def _split(P, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of range(n2) in P and those outside it, each ascending, as int64 arrays."""
+    return (np.array(sorted(P), dtype=np.int64),
+            np.array([j for j in range(n2) if j not in P], dtype=np.int64))
+
+
+def _minors(rows: np.ndarray, idx: np.ndarray):
+    """(indices, blocks) for each chunk of the subsets idx, where blocks[i] is the
+    principal block of rows at indices[i]."""
+    for start in range(0, len(idx), _CHUNK):
+        chunk = idx[start:start + _CHUNK]
+        yield chunk, rows[chunk[:, :, None], chunk[:, None, :]]
+
+
+def _read(table: list, k: int, masks: np.ndarray) -> np.ndarray:
+    """f on the size-k subsets with these bitmasks, each of which the table must hold."""
+    keys, values = table[k]
+    return values[keys.searchsorted(masks)]
+
+
+def _lattice(K: KernelMatrix, mu: MeanMap, full: int, picks: tuple = (), r: int = 0) -> list:
+    """The restricted optimum f on every subset of at most `full` rows and, for each
+    selection P in `picks`, on every A ∪ B with A ⊆ P and B at most r rows outside P.
+
+    Entry k of the list is (keys, values) for the subsets of k rows: their sorted int64
+    bitmasks and f on each. Each size k is filled from the identity
+    f(S) = max(U+(S), max over j in S of f(S - j)) of the module docstring, whose
+    children the set holds: a block of k rows is clearly positive definite when its
+    smallest eigenvalue is above k·eps times its largest, which `_certified` settles for
+    every block at once where it can, and one batched eigvalsh a chunk decides where it
+    cannot. One batched solve gives K_SS^-1 mu_S on the definite blocks. Each other
+    block's U+ is replaced by the weight solver's optimum on S, which raises SolverError
+    where a block on S does not factor. Guarded like every enumeration, by its count of
+    subsets, before any key is made.
     """
     n2 = as_instance(K, KernelMatrix, "K").n2
     _check_sizes(K, as_instance(mu, MeanMap, "mu").entries)
-    _guard_subsets(n2, sum(math.comb(n2, k) for k in range(1, depth + 1)))
+    splits = [_split(P, n2) for P in dict.fromkeys(map(frozenset, picks))]
+    grown = [[(a, b) for a in range(len(P) + 1) for b in range(min(r, len(rest)) + 1)
+              if a + b > full] for P, rest in splits]
+    _guard_subsets(n2, sum(math.comb(n2, k) for k in range(1, full + 1))
+                   + sum(math.comb(len(P), a) * math.comb(len(rest), b)
+                         for (P, rest), sizes in zip(splits, grown) for a, b in sizes))
+    depth = max([full] + [a + b for sizes in grown for a, b in sizes])
     certified = _certified(K, depth)
-    table = np.full(1 << n2, np.nan)
-    table[0] = 0.0
+    rows = K.block(range(n2))
+    table = [(np.zeros(1, dtype=np.int64), np.zeros(1))]
     for k in range(1, depth + 1):
-        for idx, blocks in _minors(K, k):
-            masks = _masks(idx)
-            below = table[masks[:, None] - (1 << idx)].max(axis=1)
-            table[masks] = np.maximum(_peak(K, mu, idx, blocks, certified), below)
+        if k <= full:
+            keys = np.sort(_masks(_combinations(n2, k)))
+        else:
+            keys = np.unique(np.concatenate([
+                (_masks(P[_combinations(len(P), a)])[:, None]
+                 + _masks(rest[_combinations(len(rest), k - a)])).ravel()
+                for (P, rest), sizes in zip(splits, grown) for a, b in sizes if a + b == k]))
+        values = [np.maximum(_peak(K, mu, idx, blocks, certified),
+                             _read(table, k - 1, _masks(idx)[:, None] - (_ONE << idx)).max(axis=1))
+                  for idx, blocks in _minors(rows, _indices(keys, k))]
+        table.append((keys, np.concatenate(values)))
     return table
 
 
@@ -115,13 +168,17 @@ def _certified(K: KernelMatrix, depth: int) -> bool:
     block's eigenvalues lie in [λ_1, λ_n], and its 2-norm is at most K's. LAPACK's
     symmetric eigensolver returns each eigenvalue within p(n)·eps·‖A‖₂ of the true one
     (Anderson et al., LAPACK Users' Guide, §4.7), and the rule assumes p(n) < 1024 for
-    the n <= 20 rows an enumeration allows; the computed spectrum λ̂ of K then gives the
-    error bound δ = 1024·eps·max|λ̂| for K's eigenvalues and for any block's. So a
-    block's computed e_1 >= λ̂_1 - 2δ and e_k <= λ̂_n + 2δ, and
+    n <= 20 rows; the computed spectrum λ̂ of K then gives the error bound
+    δ = 1024·eps·max|λ̂| for K's eigenvalues and for any block's. So a block's computed
+    e_1 >= λ̂_1 - 2δ and e_k <= λ̂_n + 2δ, and
         λ̂_1 - 2δ > depth·eps·(λ̂_n + 2δ)
     gives e_1 > k·eps·e_k for every k <= depth. The part of 1024 that p(n) leaves
-    covers the gap between max|λ̂| and ‖K‖₂ and the roundings of the test itself.
+    covers the gap between max|λ̂| and ‖K‖₂ and the roundings of the test itself. The
+    assumption is not made past 20 rows: a K of more rows is not certified, and each of
+    its blocks takes its own test.
     """
+    if K.n2 > _CERTIFIED_ROWS:
+        return False
     eig = np.linalg.eigvalsh(K.block(range(K.n2)))
     delta = 1024 * _EPS * np.abs(eig).max()
     return bool(eig[0] - 2 * delta > depth * _EPS * (eig[-1] + 2 * delta))
@@ -148,12 +205,12 @@ def _peak(K: KernelMatrix, mu: MeanMap, idx: np.ndarray, blocks: np.ndarray,
 
 
 def exhaustive_optimal(K: KernelMatrix, mu: MeanMap, m: int,
-                       _table: np.ndarray | None = None) -> tuple[SupportSet, float]:
+                       _table: list | None = None) -> tuple[SupportSet, float]:
     """Best support of size at most m by full enumeration, and its value.
 
     The support is the optimum's positive support: ties keep the smaller,
     lexicographically earlier subset, and a superset that only adds zero
-    weights holds the very same value in the table. Guarded to n2 <= 20 and
+    weights holds the very same value in the table. Guarded to n2 <= 62 and
     at most one million subsets.
     """
     n2 = as_instance(K, KernelMatrix, "K").n2
@@ -162,16 +219,16 @@ def exhaustive_optimal(K: KernelMatrix, mu: MeanMap, m: int,
     best_set: tuple[int, ...] = ()
     best_val = 0.0
     for size in range(1, m + 1):
-        for idx in _combinations(range(n2), size):
-            values = table[_masks(idx)]
-            top = int(np.argmax(values))
-            if values[top] > best_val:
-                best_set, best_val = tuple(idx[top]), float(values[top])
+        keys, values = table[size]
+        top = values.max()
+        if top > best_val:
+            tied = _indices(keys[values == top], size).tolist()
+            best_set, best_val = tuple(min(tied)), float(top)
     return SupportSet(best_set), best_val
 
 
 def submodularity_ratio(K: KernelMatrix, mu: MeanMap, L: SupportSet, r: int,
-                        _table: np.ndarray | None = None) -> float:
+                        _table: list | None = None) -> float:
     """Minimum over disjoint candidate sets S, |S| <= r, of the ratio of
     summed singleton gains over the joint gain at L.
 
@@ -182,29 +239,30 @@ def submodularity_ratio(K: KernelMatrix, mu: MeanMap, L: SupportSet, r: int,
     r = as_index(r, "r", least=1)
     if any(j >= n2 for j in as_instance(L, SupportSet, "L")):
         raise InputError(f"L holds an index beyond the {n2} rows of K")
-    rest = [j for j in range(n2) if j not in L]
+    _, rest = _split(L, n2)
     sizes = range(1, min(r, len(rest)) + 1)
-    table = _table if _table is not None else _lattice(K, mu, len(L) + len(sizes))
-    at_L = sum(1 << j for j in L)
-    base = table[at_L]
-    gain = table[at_L | (1 << np.arange(n2))] - base  # zero inside L, never read there
+    table = _table if _table is not None else _lattice(K, mu, 0, (L,), len(sizes))
+    at_L = np.int64(sum(1 << j for j in L))
+    base = _read(table, len(L), at_L)
     best = math.inf
+    if len(rest):
+        gain = _read(table, len(L) + 1, at_L | (_ONE << rest)) - base
     for size in sizes:
-        for S in _combinations(rest, size):
-            denom = table[at_L | _masks(S)] - base
-            summed = gain[S[:, 0]]
-            for col in range(1, size):  # in order, as the sum of a Python loop adds
-                summed = summed + gain[S[:, col]]
-            rising = denom > 1e-12
-            if rising.any():
-                best = min(best, float((summed[rising] / denom[rising]).min()))
+        S = _combinations(len(rest), size)  # positions in rest, so rows of gain
+        denom = _read(table, len(L) + size, at_L | _masks(rest[S])) - base
+        summed = gain[S[:, 0]]
+        for col in range(1, size):  # in order, as the sum of a Python loop adds
+            summed = summed + gain[S[:, col]]
+        rising = denom > 1e-12
+        if rising.any():
+            best = min(best, float((summed[rising] / denom[rising]).min()))
     if best == math.inf:
         raise DegenerateDataError("no candidate set strictly increases the objective at L")
     return best
 
 
 def gamma_over_prefixes(K: KernelMatrix, mu: MeanMap, selection: SupportSet, r: int,
-                        _table: np.ndarray | None = None) -> float:
+                        _table: list | None = None) -> float:
     """Submodularity ratio minimized over all prefixes of a selection order.
 
     This is the quantity the selection guarantee consumes: the greedy
@@ -212,10 +270,10 @@ def gamma_over_prefixes(K: KernelMatrix, mu: MeanMap, selection: SupportSet, r: 
     Prefixes at which nothing can strictly increase the objective are
     skipped.
     """
-    n2 = as_instance(K, KernelMatrix, "K").n2
+    as_instance(K, KernelMatrix, "K")
     order = tuple(as_instance(selection, SupportSet, "selection"))
     r = as_index(r, "r", least=1)
-    table = _table if _table is not None else _lattice(K, mu, min(n2, len(order) + r))
+    table = _table if _table is not None else _lattice(K, mu, 0, (order,), r)
     best = None
     for cut in range(len(order) + 1):
         prefix = SupportSet(order[:cut])
@@ -243,7 +301,7 @@ def rsc_rsm_bounds(K: KernelMatrix, k: int) -> tuple[float, float]:
         _guard_subsets(n2, math.comb(n2, k))
     c = np.inf
     C = -np.inf
-    for _, blocks in _minors(K, k):
+    for _, blocks in _minors(K.block(range(n2)), _combinations(n2, k)):
         eig = np.linalg.eigvalsh(blocks)
         c = min(c, float(eig[:, 0].min()))
         C = max(C, float(eig[:, -1].max()))
@@ -257,8 +315,10 @@ def verify_instance(K: KernelMatrix, mu: MeanMap, m: int,
     ProtoDash must clear (1 - exp(-3*c*gamma / (4*C_tilde))) * f_opt and
     ProtoGreedy (1 - exp(-gamma_greedy)) * f_opt, each within numerical
     slack; gamma and gamma_greedy are minimized over the prefixes of each
-    selector's own order. The selectors solve with `solver`; the oracle's
-    values come from one table of every subset of at most 2m rows.
+    selector's own order. The selectors solve with `solver` and run first;
+    the oracle's values then come from one table of every subset of at most
+    m rows, for f_opt, and of each selector's subsets of its picks with at
+    most m other rows, for its ratios.
 
     Raises:
         DegenerateDataError: c, gamma or gamma_greedy is not positive, so a
@@ -266,15 +326,15 @@ def verify_instance(K: KernelMatrix, mu: MeanMap, m: int,
     """
     cfg = SelectionConfig(m=m, solver=solver)
     dash = proto_dash(K, mu, cfg)
+    greedy = proto_greedy(K, mu, cfg)
     f_dash = dash.final_objective
+    f_greedy = greedy.final_objective
     m = as_index(m, "m", least=1, most=K.n2)
-    table = _lattice(K, mu, min(K.n2, 2 * m))
+    table = _lattice(K, mu, m, (dash.indices, greedy.indices), m)
     _, f_opt = exhaustive_optimal(K, mu, m, _table=table)
     gamma = gamma_over_prefixes(K, mu, dash.indices, m, _table=table)
     c, _ = rsc_rsm_bounds(K, m)
     C_tilde = float(K.diag().max())
-    greedy = proto_greedy(K, mu, cfg)
-    f_greedy = greedy.final_objective
     gamma_greedy = gamma_over_prefixes(K, mu, greedy.indices, m, _table=table)
     for name, value in (("c", c), ("gamma", gamma), ("gamma_greedy", gamma_greedy)):
         if value <= 0:

@@ -37,7 +37,7 @@ from protoselect.oracle import _certified, _lattice, verify_instance  # noqa: E4
 from protoselect.ranking import (AverageRanks, GraphExport, RankMatrix,  # noqa: E402
                                  average_ranks, export_graph)
 from protoselect.selectors import CriticismResult, SelectionConfig, SelectionResult  # noqa: E402
-from helpers import margin_instances, oversampled  # noqa: E402
+from helpers import dense, margin_instances, oversampled  # noqa: E402
 
 
 def _feed(h, x):
@@ -270,18 +270,25 @@ def _workload_entries(out):
 def _oracle_entries(out):
     # Rows 0 and 1 of the first Gram coincide, so each block that holds both is singular and
     # takes its table value from the weight solver; on the second Gram, row 2's zero block
-    # with a positive mean-map entry makes the table raise.
+    # with a positive mean-map entry makes the table raise. Tables are hashed as one array
+    # over every bitmask, NaN where no subset is held.
     rows = [0, 0, 1, 2]
     gram = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])[np.ix_(rows, rows)]
     out["oracle.set_function"] = [
-        _lattice(KernelMatrix(gram), MeanMap([0.5, 0.5, 0.4, 0.3], n1=1), depth)
+        dense(_lattice(KernelMatrix(gram), MeanMap([0.5, 0.5, 0.4, 0.3], n1=1), depth), 4)
         for depth in (2, 4)
     ] + [_outcome(_lattice, KernelMatrix(np.diag([1.0, 1.0, 0.0])),
               MeanMap([0.5, 0.4, 0.1], n1=1), 2)]
     # One Gram either side of the certificate's margin: the per-chunk path and the
     # certified one, with the decision itself.
-    out["oracle.certified_margin"] = [(_certified(K, 2), _lattice(K, mu, 2))
+    out["oracle.certified_margin"] = [(_certified(K, 2), dense(_lattice(K, mu, 2), 2))
                                       for K, mu in margin_instances().values()]
+    # One report past the certificate's 20 rows: 40 rows, m = 3.
+    rng = np.random.default_rng(40)
+    source, target = Dataset(rng.normal(size=(40, 2))), Dataset(rng.normal(size=(12, 2)))
+    spec = KernelSpec("gaussian", bandwidth=1.0)
+    out["oracle.verify_instance_wide"] = verify_instance(
+        kernel_matrix(source, spec), mean_map(target, source, spec), 3)
 
 
 def _ranking_entries(out):

@@ -49,6 +49,15 @@ def margin_instances():
             for side, t in (("below", 2.0 ** -41 + 1.5 * eps), ("above", 2.0 ** -41 + 2.5 * eps))}
 
 
+def dense(table, n2):
+    """The oracle's keyed table as one array over every bitmask of n2 rows: entry mask holds
+    f on the subset whose bitmask is mask, and NaN where the table holds no subset."""
+    out = np.full(1 << n2, np.nan)
+    for keys, values in table:
+        out[keys] = values
+    return out
+
+
 def oversampled(select, K, mu, m, factor, seed=None, solver=None):
     """Select factor * m prototypes (at most n2), then keep the m of largest weight."""
     full = select(K, mu, SelectionConfig(m=min(factor * m, K.n2), seed=seed, solver=solver))

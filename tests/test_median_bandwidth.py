@@ -303,3 +303,47 @@ def test_the_pair_sample_of_far_rows_is_inf_as_gathered():
     sample = kernel._pair_sample(X)
     assert np.isinf(sample).any()
     assert sample.tobytes() == sample_by_gathered_pairs(X).tobytes()
+
+
+def far_simplex(seed, far=100.0, n_far=40, n_near=60):
+    """Rows whose middle distances differ by a few ulps: n_far vertices of a regular simplex
+    of unit edge, `far` out along the first axis, and n_near rows in a small cloud at the
+    origin, whose pairs all lie below the edge.
+
+    The vertices' pairs, 16% of all pairs, hold the median. Rounded, they take dozens of
+    distinct values within a few hundred ulps of 1, while the centred rows' norms, about
+    `far`, make each GEMM estimate err by thousands of ulps of the edge: only the margins
+    place these pairs.
+    """
+    rng = np.random.default_rng(seed)
+    d = n_far
+    simplex = np.linalg.qr(rng.normal(size=(d, d)))[0][:n_far] / np.sqrt(2.0)
+    simplex[:, 0] += far
+    return np.vstack([rng.normal(size=(n_near, d)) * 0.05, simplex])
+
+
+@pytest.mark.parametrize("seed, far", [(0, 100.0), (1, 100.0), (2, 100.0), (0, 1e3), (1, 10.0)])
+def test_distances_within_ulps_of_the_edge_and_the_window(seed, far):
+    # A bracket edge lies among the simplex's distinct distances, and the window's middle
+    # value, an estimate, within its error of them, so a filter threshold or a window
+    # without its margin moves the median.
+    X = far_simplex(seed, far)
+    edges, middles = [], []
+    real_pass, real_rank = kernel._bracket_pass, kernel._exact_rank
+
+    def bracket(X, lo, hi):
+        edges.extend((lo, hi))
+        return real_pass(X, lo, hi)
+
+    def window(X, kept, t, margin):
+        middles.append(kept[t].real)
+        return real_rank(X, kept, t, margin)
+
+    with mock.patch.object(kernel, "_bracket_pass", bracket), \
+            mock.patch.object(kernel, "_exact_rank", window):
+        got = median_bandwidth(Dataset(X))
+    assert got == reference(X)
+    edge_class = np.unique(pdist(X)[np.abs(pdist(X) - 1.0) < 1e-12])
+    assert edge_class.size >= 5
+    assert any(abs(e - 1.0) < 1e-12 for e in edges)
+    assert middles and all(abs(v - 1.0) < 1e-9 for v in middles)

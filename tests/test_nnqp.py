@@ -26,7 +26,7 @@ from protoselect import nnqp
 from protoselect.nnqp import _restricted, gain_bounds
 from protoselect.oracle import _lattice
 from protoselect.selectors import SelectionConfig, SelectionResult, proto_dash
-from helpers import entries_of, gaussian_instance, identity_instance, synthetic_instance
+from helpers import dense, entries_of, gaussian_instance, identity_instance, synthetic_instance
 
 
 def dense_objective(K, mu, w):
@@ -281,7 +281,7 @@ class TestIndependentReferences:
         tol = SolverConfig().kkt_tolerance
         for n2 in (8, 9, 10):
             K, mu = gaussian_instance(rng, n1=7, n2=n2, sigma=float(rng.uniform(0.5, 2.0)))
-            table = _lattice(K, mu, n2)
+            table = dense(_lattice(K, mu, n2), n2)
             for size in range(1, n2 + 1):
                 for combo in itertools.combinations(range(n2), size):
                     L = SupportSet(combo)

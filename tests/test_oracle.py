@@ -39,9 +39,10 @@ from protoselect.selectors import (
     proto_greedy,
     random_w,
 )
-from helpers import (entries_of, finite_difference_check, gaussian_instance,
+from helpers import (dense, entries_of, finite_difference_check, gaussian_instance,
                      identity_instance, identity_kernel_instance, margin_instances,
                      random_gaussian_instance, synthetic_instance)
+import reference
 
 
 class TestExhaustiveOptimal:
@@ -71,16 +72,16 @@ class TestExhaustiveOptimal:
                 assert f_opt >= res.final_objective - 1e-9
 
     def test_guard_rejects_large(self):
-        from protoselect.kernel import KernelMatrix, MeanMap
-
-        big = KernelMatrix(entries=np.eye(25))
-        bigmu = MeanMap(entries=np.ones(25), n1=1)
-        with pytest.raises(GuardError):
-            exhaustive_optimal(big, bigmu, 3)
+        # a subset's key is an int64 bitmask: 62 rows are enumerable, 63 are not
+        K, mu = identity_instance(np.ones(63))
+        with pytest.raises(GuardError, match="n2=63 > 62"):
+            exhaustive_optimal(K, mu, 1)
+        K, mu = identity_instance(np.linspace(0.1, 1.0, 62))
+        assert exhaustive_optimal(K, mu, 2)[0].indices == (60, 61)
         # C(20, 14) is under the cap, but sizes 1..14 together are over it
-        K20 = KernelMatrix(entries=np.eye(20))
+        K, mu = identity_instance(np.ones(20))
         with pytest.raises(GuardError):
-            exhaustive_optimal(K20, MeanMap(entries=np.ones(20), n1=1), 14)
+            exhaustive_optimal(K, mu, 14)
 
     def test_returns_the_positive_support(self):
         # A superset of the optimum's support that only adds zero weights ties with it, and the
@@ -242,13 +243,31 @@ class TestVerifyGuarantee:
             row = verify_instance(K, mu, m)
             jsonschema.validate(row, schema)
 
-    def test_guard_counts_every_subset_of_up_to_2m_rows(self, rng):
-        # The table holds every subset of at most 2m of the 20 rows: at m = 7 that is
-        # sum of C(20, k) for k <= 14, over the cap, though each enumeration alone is under.
+    def test_guard_counts_the_subsets_the_table_holds(self, rng):
+        # At m = 7 of 20 rows the table holds every subset of at most 7 rows, 137 979 of
+        # them, and, for each selector's 7 picks, every subset of the picks joined with up to
+        # 7 other rows: 605 956 more of at least 8 rows. The guard adds the two selectors'
+        # counts, 1 349 891, over the cap, though the subsets of at most 7 rows and each
+        # selector's set alone are under it.
         K, mu = gaussian_instance(rng, n1=5, n2=20)
-        for m in (7, 13):
-            with pytest.raises(GuardError, match="too many subsets"):
-                verify_instance(K, mu, m)
+        with pytest.raises(GuardError, match="too many subsets to enumerate: 1349891 > "):
+            verify_instance(K, mu, 7)
+        # One pick set's count is exact: the guard's count is the number of subsets held.
+        counted = mock.Mock(wraps=oracle._guard_subsets)
+        with mock.patch.object(oracle, "_guard_subsets", counted):
+            table = oracle._lattice(K, mu, 2, (SupportSet((3, 1, 4)),), 2)
+        held = sum(len(keys) for keys, _ in table) - 1  # the empty set is not counted
+        assert counted.call_args.args == (20, held)
+
+    def test_a_bound_over_the_cap_refuses_before_any_key_is_made(self, rng):
+        # 62 rows at m = 6: the bound is about 1.3e9 subsets, and no subset is enumerated
+        K, mu = gaussian_instance(rng, n1=5, n2=62)
+        refuse = mock.Mock(side_effect=AssertionError("a subset was enumerated"))
+        with (mock.patch.object(oracle, "_combinations", refuse),
+              mock.patch.object(oracle, "_masks", refuse),
+              pytest.raises(GuardError, match="too many subsets")):
+            verify_instance(K, mu, 6)
+        assert not refuse.called
 
     def test_vacuous_bound_is_degenerate(self):
         # c = 0 on the minors that hold the zero diagonal entry: no guarantee to check
@@ -306,9 +325,9 @@ class TestCertificate:
                     K, mu = kernel_matrix(source, spec), mean_map(target, source, spec)
                     depth = min(n2, 2 * m)
                     assert _certified(K, depth), (seed, n2, m)
-                    certified = _lattice(K, mu, depth)
+                    certified = dense(_lattice(K, mu, depth), n2)
                     with mock.patch.object(oracle, "_certified", return_value=False):
-                        per_chunk = _lattice(K, mu, depth)
+                        per_chunk = dense(_lattice(K, mu, depth), n2)
                     assert certified.tobytes() == per_chunk.tobytes(), (seed, n2, m)
 
     def test_a_certified_table_runs_one_eigvalsh(self, rng):
@@ -333,7 +352,7 @@ class TestCertificate:
             assert counter.call_count == (1 if certified else 3)  # K, then sizes 1 and 2
             # every block passes its own test either side, so the closed form fills both
             t = float(entries_of(K)[1, 1])
-            assert table.tolist() == [0.0, 0.18, t / 2, 0.18 + t / 2]
+            assert dense(table, 2).tolist() == [0.0, 0.18, t / 2, 0.18 + t / 2]
 
     def test_a_singular_gram_is_not_certified(self):
         K, _ = synthetic_instance(np.diag([1.0, 1.0, 0.0]), [0.5, 0.4, 0.1])
@@ -342,3 +361,91 @@ class TestCertificate:
         K, _ = synthetic_instance(np.array([[1.0, 0.3], [0.3, 1.0]])[np.ix_(rows, rows)],
                                   [0.5, 0.5, 0.4])
         assert not _certified(K, 1)
+
+    def test_more_than_20_rows_take_the_per_chunk_path(self, rng):
+        # The eigensolver's error bound is stated up to 20 rows, so a wider K is not
+        # certified, without a spectrum of K, and each chunk of each size runs eigvalsh.
+        K, mu = gaussian_instance(rng, n1=10, n2=40)
+        picks = (SupportSet((7, 3, 31)), SupportSet((7, 12, 3)))
+        patch, counter = counted_eigvalsh()
+        with patch:
+            assert not _certified(K, 6)
+            assert counter.call_count == 0
+            table = _lattice(K, mu, 3, picks, 3)
+        assert counter.call_count == sum(-(-len(keys) // oracle._CHUNK) for keys, _ in table[1:])
+
+
+def held_by_definition(n2, full, picks, r):
+    """How many subsets of each size a table holds, counted from the definition."""
+    counts = [0] * (n2 + 1)
+    for size in range(n2 + 1):
+        for S in itertools.combinations(range(n2), size):
+            if size <= full or any(len(set(S) - set(P)) <= r for P in picks):
+                counts[size] += 1
+    while counts[-1] == 0:
+        counts.pop()
+    return counts
+
+
+class TestDemandTable:
+    """The table holds only the subsets its readers read, keyed by sorted int64 bitmasks."""
+
+    def test_held_subsets_per_size(self, rng):
+        K, mu = gaussian_instance(rng, n1=6, n2=12)
+        cases = [
+            # (full, picks, r): the held count of each size, from the empty set up
+            ((3, ((0, 1, 2), (2, 5, 7)), 3), [1, 12, 66, 220, 460, 456, 161]),
+            ((3, ((4, 9, 1),), 3), [1, 12, 66, 220, 369, 288, 84]),
+            ((0, ((6, 2),), 2), [1, 12, 66, 100, 45]),
+            ((4, (), 0), [1, 12, 66, 220, 495]),
+        ]
+        for (full, picks, r), counts in cases:
+            table = _lattice(K, mu, full, tuple(map(SupportSet, picks)), r)
+            assert [len(keys) for keys, _ in table] == counts
+            assert counts == held_by_definition(12, full, picks, r)
+            for k, (keys, values) in enumerate(table):
+                assert keys.dtype == np.int64 and np.all(np.diff(keys) > 0)
+                assert all(bin(key).count("1") == k for key in keys.tolist())
+        # every value equals the full table's at the same subset
+        picks = (SupportSet((0, 1, 2)), SupportSet((2, 5, 7)))
+        held, full = dense(_lattice(K, mu, 3, picks, 3), 12), dense(_lattice(K, mu, 6), 12)
+        kept = ~np.isnan(held)
+        assert held[kept].tobytes() == full[kept].tobytes()
+
+    def test_the_oracle_sweep_pool_holds_178997_subsets(self):
+        # The seed-1 oracle_sweep pool: tables of every subset of at most 2m rows would hold
+        # 437 481 nonempty subsets, the sets the reports read hold 178 997.
+        from perfbench.workloads import WORKLOADS
+
+        w = WORKLOADS["oracle_sweep"]
+        held = []
+
+        def counted(*args, **kwargs):
+            table = _lattice(*args, **kwargs)
+            held.append(sum(len(keys) for keys, _ in table) - 1)
+            return table
+
+        with mock.patch.object(oracle, "_lattice", counted):
+            for target, source, spec, m in w.make_pool(np.random.default_rng(1), w.sizes):
+                verify_instance(kernel_matrix(source, spec), mean_map(target, source, spec), m)
+        assert (len(held), sum(held)) == (369, 178_997)
+
+    def test_a_wide_instance_meets_both_bounds(self):
+        # 40 rows, m = 3: past the old 20-row limit, and f_opt is the NNLS optimum of the
+        # dense reference on the subset the table names.
+        rng = np.random.default_rng(40)
+        source, target = rng.normal(size=(40, 2)), rng.normal(size=(12, 2))
+        spec = KernelSpec("gaussian", bandwidth=1.0)
+        data = Dataset(source)
+        K, mu = kernel_matrix(data, spec), mean_map(Dataset(target), data, spec)
+        row = verify_instance(K, mu, 3)
+        assert row["satisfied"] and row["greedy_satisfied"]
+        best, f_opt = exhaustive_optimal(K, mu, 3)
+        assert f_opt == row["f_opt"]
+        L = list(best)
+        gram, mean = reference.gram(source, 1.0), reference.mean_map(target, source, 1.0)
+        w = reference.weights(gram, mean, L)
+        assert np.all(w > 0)
+        assert reference.objective(gram, mean, L, w) == pytest.approx(f_opt, rel=1e-10)
+        # ProtoDash falls short of the optimum here, so f_opt is not its own value read back
+        assert row["f_dash"] < f_opt * (1 - 1e-3)
