@@ -8,22 +8,26 @@ value in them: it warns of no float error, and a result that is not finite
 is refused with NumericError.
 
 Every Gram is a KernelMatrix, read through n2, diag(), rows(idx) and
-block(idx) alone; the gaussian one is its subclass GaussianGram.
+block(idx) alone; `kernel_matrix` returns its subclass LazyGram, for either
+family.
 
 Where the bits come from. cdist computes each squared distance from its own
-two rows, so a value does not depend on what else is computed with it: the
+two rows, and numpy's einsum, not BLAS, each linear value from its own two
+rows, so a value does not depend on what else is computed with it: the
 Gram's rows (`KernelMatrix._admit` requires exact symmetry), `kernel_eval`,
-and the median bandwidth's exact distances are all cdist's. The gaussian
-mean map's tiles come from one BLAS GEMM (`_gemm`) of centred rows augmented
-to d + 2 columns (`_augmented`), the source's scaled by -1 / (2 sigma^2) so
-that the GEMM gives each kernel exponent, within the rounding bound stated
-in `mean_map`; an input too small for the GEMM to pay, or one where the
-bound would be wide, takes cdist tiles instead. A dataset's own mean map,
-mean_map(X, X), computes each pair once, from the tiles on and above the
-diagonal. The median's filter uses the same unscaled rows and GEMM only to
-count the pairs surely below its bracket and drop those surely above; it
-keeps the rest with their estimates, and cdist computes only the few kept
-pairs near the median's rank, so its result is still pdist's.
+and the median bandwidth's exact distances are all cdist's or einsum's. The
+linear mean map is the target's mean row against each source row, by the
+same einsum. The gaussian mean map's tiles come from one BLAS GEMM
+(`_gemm`) of centred rows augmented to d + 2 columns (`_augmented`), the
+source's scaled by -1 / (2 sigma^2) so that the GEMM gives each kernel
+exponent, within the rounding bound stated in `mean_map`; an input too
+small for the GEMM to pay, or one where the bound would be wide, takes
+cdist tiles instead. A dataset's own mean map, mean_map(X, X), computes
+each pair once, from the tiles on and above the diagonal. The median's
+filter uses the same unscaled rows and GEMM only to count the pairs surely
+below its bracket and drop those surely above; it keeps the rest with their
+estimates, and cdist computes only the few kept pairs near the median's
+rank, so its result is still pdist's.
 
 The gaussian mean map runs on every usable core through `_on_cores`, the
 one code that starts a thread: its n source rows are split into bands of
@@ -191,7 +195,7 @@ class KernelMatrix:
     writes to the caller's array change no entry.
 
     Every function that takes a Gram requires a KernelMatrix. A subclass may
-    compute its rows its own way, as GaussianGram does.
+    compute its rows its own way, as LazyGram does.
     """
 
     def __init__(self, entries):
@@ -201,8 +205,11 @@ class KernelMatrix:
         self._hold(arr, np.diagonal(arr).copy())
 
     def _hold(self, buf: np.ndarray, diag: np.ndarray):
-        """Take `buf`, which no one else holds, as the buffer and `diag` as the diagonal.
-        The rows of buf, source rows 0, 1, ..., are admitted _CHUNK_ROWS at a time."""
+        """Take `buf`, which no one else holds, as the buffer and `diag` as the diagonal,
+        which must be finite. The rows of buf, source rows 0, 1, ..., are admitted
+        _CHUNK_ROWS at a time."""
+        if not np.all(np.isfinite(diag)):
+            raise NumericError("kernel matrix contains non-finite entries")
         n2 = diag.shape[0]
         diag.flags.writeable = False
         self._diag = diag
@@ -266,20 +273,22 @@ class KernelMatrix:
         self._filled = stop
 
 
-class GaussianGram(KernelMatrix):
-    """Gaussian Gram over the source rows, each row computed when first read.
+class LazyGram(KernelMatrix):
+    """Gram over the source rows, of either family, each row computed when first read.
 
     Row i is _cross_kernel(X[[i]], X), entry for entry that row of the
-    whole block, with 1 + jitter on the diagonal. The buffer grows as rows
-    are read, so m prototypes cost m rows of time and memory, not n2.
+    whole block, with k(x_i, x_i) + jitter on the diagonal: 1 + jitter for
+    the gaussian family, |x_i|^2 + jitter for the linear one. The buffer
+    grows as rows are read, so m prototypes cost m rows of time and memory,
+    not n2.
     """
 
     def __init__(self, source: Dataset, spec: KernelSpec):
-        if spec.family != GAUSSIAN:
-            raise InputError("GaussianGram needs a gaussian kernel spec")
-        self._X = source.values
+        X = self._X = source.values
         self._spec = spec
-        self._hold(np.empty((0, source.n)), np.full(source.n, 1.0 + spec.jitter))
+        with np.errstate(over="ignore"):  # a linear square can overflow, which _hold refuses
+            own = np.ones(source.n) if spec.family == GAUSSIAN else np.einsum("ij,ij->i", X, X)
+        self._hold(np.empty((0, source.n)), own + spec.jitter)
 
     def _fill(self, idx: np.ndarray):
         """Compute and admit the rows of idx not yet held."""
@@ -293,7 +302,7 @@ class GaussianGram(KernelMatrix):
             self._buf = grown
         new = self._buf[start:stop]
         _cross_kernel(self._X[missing], self._X, self._spec, out=new)
-        new[np.arange(missing.size), missing] = self._diag[0]
+        new[np.arange(missing.size), missing] = self._diag[missing]
         self._admit(missing)
 
 
@@ -315,11 +324,8 @@ class MeanMap:
 
 
 def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
-    """The kernel between two 1-D feature vectors: `_cross_kernel` on one row each.
-
-    A gaussian value equals the Gram's entry bit for bit; a linear one can
-    differ from it in the last bits, because BLAS tiles X @ X.T by its shape.
-    """
+    """The kernel between two 1-D feature vectors: `_cross_kernel` on one row each,
+    so it equals the Gram's entry off its diagonal bit for bit."""
     as_instance(spec, KernelSpec, "spec")
     x, y = as_reals(x, "kernel arguments"), as_reals(y, "kernel arguments")
     if x.ndim != 1 or x.size == 0 or x.shape != y.shape:
@@ -334,15 +340,18 @@ def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
 
 def _cross_kernel(left: np.ndarray, right: np.ndarray, spec: KernelSpec,
                   out: np.ndarray | None = None, gemm: bool = False) -> np.ndarray:
-    """The kernel between the rows of `left` and of `right`; a gaussian one fills `out`.
+    """The kernel between the rows of `left` and of `right`, in `out` if given.
 
-    With `gemm`, left and right are the mean map's rows of `_gemm_rows`, whose
-    left rows carry the factor -1 / (2 sigma^2), so `_gemm` gives each pair's
-    exponent and np.exp takes it as it is. Otherwise cdist computes each
-    squared distance from its own two rows, and the distances are divided
-    by -2 sigma^2. Float errors are not warned: an overflow, or a bandwidth
-    whose square overflows or underflows, gives inf, 0 or NaN, which every
-    caller refuses.
+    A linear value is numpy's einsum of its own two rows, not BLAS's: a
+    sum of products in an order set by d alone, the same for (i, j) and
+    (j, i) and for any other rows computed with them. A gaussian one:
+    with `gemm`, left and right are the mean map's rows of `_gemm_rows`,
+    whose left rows carry the factor -1 / (2 sigma^2), so `_gemm` gives
+    each pair's exponent and np.exp takes it as it is. Otherwise cdist
+    computes each squared distance from its own two rows, and the
+    distances are divided by -2 sigma^2. Float errors are not warned: an
+    overflow, or a bandwidth whose square overflows or underflows, gives
+    inf, 0 or NaN, which every caller refuses.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if spec.family == GAUSSIAN:
@@ -352,7 +361,7 @@ def _cross_kernel(left: np.ndarray, right: np.ndarray, spec: KernelSpec,
                 out = cdist(left, right, "sqeuclidean", out=out)
                 np.divide(out, -2.0 * np.float64(spec.bandwidth) ** 2, out=out)
             return np.exp(out, out=out)
-        return left @ right.T
+        return np.einsum("ij,kj->ik", left, right, out=out)
 
 
 def _augmented(X: np.ndarray, centre: np.ndarray, left: bool = False):
@@ -385,29 +394,20 @@ def _gemm(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def kernel_matrix(source: Dataset, spec: KernelSpec) -> KernelMatrix:
-    """Gram matrix over the source rows.
+    """Gram matrix over the source rows: a LazyGram, which computes a row when it is
+    first read.
 
-    The gaussian Gram is a GaussianGram, which computes a row when it is
-    first read. The linear Gram is built whole, because rows of
-    X[idx] @ X.T can differ in the last bits from those of X @ X.T, and
-    held as its buffer without a copy.
-
-    Either is exactly symmetric as computed: the pairwise distances do the
-    same arithmetic for (i, j) and (j, i), and numpy forms X @ X.T as one
-    triangle mirrored. KernelMatrix._admit still refuses any asymmetry and
-    any non-finite entry. Jitter is added to the diagonal only; for the
-    gaussian family the diagonal is exactly 1 + jitter.
+    It is exactly symmetric as computed, in any order of reads: cdist and
+    einsum do the same arithmetic for (i, j) and (j, i).
+    KernelMatrix._admit still refuses any asymmetry and any non-finite
+    entry, so a numpy whose einsum breaks this raises InputError rather
+    than return a wrong value. Jitter is added to the diagonal only, which
+    `_hold` checks is finite when the Gram is built; for the gaussian
+    family it is exactly 1 + jitter.
     """
     as_instance(source, Dataset, "source")
     as_instance(spec, KernelSpec, "spec")
-    if spec.family == GAUSSIAN:
-        return GaussianGram(source, spec)
-    entries = _cross_kernel(source.values, source.values, spec)
-    diag = np.diagonal(entries) + spec.jitter
-    np.fill_diagonal(entries, diag)
-    K = KernelMatrix.__new__(KernelMatrix)
-    K._hold(entries, diag)
-    return K
+    return LazyGram(source, spec)
 
 
 def _gemm_rows(source: np.ndarray, target: np.ndarray, spec: KernelSpec):
@@ -434,11 +434,18 @@ def mean_map(target: Dataset, source: Dataset, spec: KernelSpec) -> MeanMap:
     """Empirical mean-map vector of the target evaluated at the source rows.
 
     Entry j is the average of the kernel between every target row and
-    source row j. The linear kernel builds the whole n1 x n2 block, also
-    where the target is the source. The gaussian kernel is computed a tile
-    at a time, _CHUNK_ROWS source rows by _TILE_COLS target rows. Each
-    tile's row sums are added, tile after tile in target order, into its
-    source rows' totals, which are divided by n1.
+    source row j. A linear entry is the kernel of the target's mean row at
+    source row j, since mean_i <y_i, x_j> = <mean_i y_i, x_j>: O((n1 + n2) d)
+    work and no n1 x n2 block, also where the target is the source. The
+    mean row sums the target rows divided by n1, so no sum passes the
+    largest row entry. Each term y_ik x_jk / n1 passes through at most
+    n1 + d roundings, so the entry lies within
+    gamma_(n1 + d) mean_i sum_k |y_ik x_jk| of the exact mean, as a column
+    mean of the whole block does (Higham 2002, §3.1), away from underflow;
+    an entry that overflows is refused with NumericError. The gaussian kernel is computed a tile at a time,
+    _CHUNK_ROWS source rows by _TILE_COLS target rows. Each tile's row sums
+    are added, tile after tile in target order, into its source rows'
+    totals, which are divided by n1.
 
     The self map. Where `target is source`, as `rank_sources` calls it,
     the block is symmetric, so each chunk's tiles run from the chunk's own
@@ -510,11 +517,10 @@ def mean_map(target: Dataset, source: Dataset, spec: KernelSpec) -> MeanMap:
     as_instance(spec, KernelSpec, "spec")
     if target.d != source.d:
         raise InputError(f"feature dimension mismatch: target {target.d}, source {source.d}")
-    # Linear rows of A @ B.T depend on how BLAS tiles the product, so they stay one block.
     if spec.family != GAUSSIAN:
-        with np.errstate(over="ignore", invalid="ignore"):  # a linear sum can overflow
-            entries = _cross_kernel(target.values, source.values, spec).mean(axis=0)
-        return MeanMap(entries=entries, n1=target.n)
+        with np.errstate(over="ignore"):  # rounding past the largest float gives inf
+            centre = (target.values / target.n).sum(axis=0)
+        return MeanMap(entries=_cross_kernel(centre[None], source.values, spec)[0], n1=target.n)
     rows = _gemm_rows(source.values, target.values, spec)
     gemm = rows is not None
     left, right = rows if gemm else (source.values, target.values)

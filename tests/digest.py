@@ -202,23 +202,33 @@ def _warm_record_outputs(K, mu, order):
 def _kernel_entries(out):
     rng = np.random.default_rng(11)
     shapes = [(1, 1, 1), (3, 1, 2), (1, 5, 3), (70, 130, 3), (129, 64, 2), (65, 2, 5)]
-    maps = []
+    maps = {"gaussian": [], "linear": []}
     for n1, n2, d in shapes:
         target, source = Dataset(rng.normal(size=(n1, d))), Dataset(rng.normal(size=(n2, d)))
         for spec in (KernelSpec("gaussian", bandwidth=0.9), KernelSpec("linear")):
-            maps.append(mean_map(target, source, spec).entries)
-            maps.append(mean_map(target, Dataset(source.values[::-2]), spec).entries)
-    out["kernel.mean_map"] = maps
+            maps[spec.family].append(mean_map(target, source, spec).entries)
+            maps[spec.family].append(mean_map(target, Dataset(source.values[::-2]), spec).entries)
+    for family, entries in maps.items():
+        out[f"kernel.mean_map.{family}"] = entries
     data = [rng.normal(size=(2, 3)), rng.normal(size=(3, 1)), rng.normal(size=(65, 4)),
             rng.integers(0, 4, size=(200, 2)).astype(float), np.repeat(rng.normal(size=(9, 2)), 7, 0)]
     out["kernel.median_bandwidth"] = [_outcome(median_bandwidth, Dataset(x)) for x in data]
     X = Dataset(rng.normal(size=(150, 3)))
-    reads = []
     for spec in (KernelSpec("gaussian", bandwidth=1.3), KernelSpec("linear")):
         K = kernel_matrix(X, spec)
-        reads += [K.diag(), K.rows([5, 3, 5, 140]), K.block([2, 9, 2, 70]), K.rows([3, 5]),
-                  K.block(range(0, 150, 7)), K.rows(np.arange(150))]
-    out["kernel.gram_reads"] = reads
+        out[f"kernel.gram_reads.{spec.family}"] = [
+            K.diag(), K.rows([5, 3, 5, 140]), K.block([2, 9, 2, 70]), K.rows([3, 5]),
+            K.block(range(0, 150, 7)), K.rows(np.arange(150))]
+    # A linear Gram filled in a scrambled order, groups of 1 to 70 rows read as rows or as
+    # blocks, then read whole: each entry is einsum's of its own two rows.
+    scramble = np.random.default_rng(32)
+    K = kernel_matrix(Dataset(scramble.normal(size=(300, 20))), KernelSpec("linear"))
+    perm, start, reads = scramble.permutation(K.n2), 0, []
+    while start < K.n2:
+        group = perm[start:start + int(scramble.integers(1, 71))]
+        reads.append((K.rows if scramble.random() < 0.5 else K.block)(group))
+        start += group.size
+    out["kernel.gram_reads.linear_scrambled"] = reads + [K.block(np.arange(K.n2))]
     # Above the width of kernel._on_cores: two slabs or more wherever two cores are usable,
     # and the serial pass on one core, as under `taskset -c 0`.
     target, source = Dataset(rng.normal(size=(300, 4))), Dataset(rng.normal(size=(1200, 4)))
@@ -232,16 +242,25 @@ def _kernel_entries(out):
     # A dataset's own mean map, as rank_sources takes it: each pair once, the column sums
     # added in bands of 512 rows. 1200 x 4 spans three bands, two slabs or more wherever two
     # cores are usable; 1100 x 20 has whole GEMM tiles that BLAS may split over its own
-    # threads; 150 x 3 takes cdist tiles; the linear map is the whole block's.
+    # threads; 150 x 3 takes cdist tiles; the linear map is the mean row's against each row.
     own = np.random.default_rng(28)
-    maps = []
+    maps = {"gaussian": [], "linear": []}
     for shape, spec in [((1200, 4), KernelSpec("gaussian", bandwidth=1.1)),
                         ((1100, 20), KernelSpec("gaussian", bandwidth=6.0)),
                         ((150, 3), KernelSpec("gaussian", bandwidth=0.9)),
                         ((90, 5), KernelSpec("linear"))]:
         X = Dataset(own.normal(size=shape))
-        maps.append(mean_map(X, X, spec).entries)
-    out["kernel.self_mean_map"] = maps
+        maps[spec.family].append(mean_map(X, X, spec).entries)
+    for family, entries in maps.items():
+        out[f"kernel.self_mean_map.{family}"] = entries
+    # Linear maps of 5000 x 20 rows, a cross map and a self map: the sizes at which a BLAS
+    # product would split over BLAS's threads. CI compares this digest with BLAS on one
+    # thread and on its default threads; the mean row and einsum call no BLAS.
+    wide = np.random.default_rng(320)
+    target = Dataset(wide.normal(size=(5000, 20)) + 0.3)
+    source = Dataset(wide.normal(size=(5000, 20)))
+    out["kernel.linear_mean_map_wide"] = [mean_map(target, source, KernelSpec("linear")).entries,
+                                          mean_map(source, source, KernelSpec("linear")).entries]
     # The median's filter: a row at 1e150 among 3000, rows shifted by 1e6, rows rounded
     # to 0.1 (ties at the bracket's edges), rows scaled by 1e-8 and by 1e8, and sorted
     # one-feature rows.
