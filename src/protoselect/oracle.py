@@ -36,10 +36,18 @@ interlacing each principal block's eigenvalues lie between K's smallest and
 largest, so every block passes its own test, and no block's spectrum is
 computed.
 
+Each reader comes in two parts. A public one (`exhaustive_optimal`,
+`submodularity_ratio`, `gamma_over_prefixes`) checks its arguments and builds
+its own table; a private one (`_optimal`, `_ratio`, `_least_ratio`) reads a
+table already built, with the same arithmetic in the same order. `_lattice`
+is the one range check of a selection: an index at or past n2 raises
+InputError before any key is made.
+
 `verify_instance` is the one guarantee check: it runs ProtoDash and
 ProtoGreedy, tabulates f on the union of the two sets their picks read,
-scores both against their bounds on the exhaustive optimum and returns one
-verify-report row, or raises DegenerateDataError when a bound is vacuous.
+reads the exhaustive optimum and both selectors' ratios from that one table
+through the private readers, scores both against their bounds and returns
+one verify-report row, or raises DegenerateDataError when a bound is vacuous.
 """
 
 from __future__ import annotations
@@ -129,11 +137,14 @@ def _lattice(K: KernelMatrix, mu: MeanMap, full: int, picks: tuple = (), r: int 
     every block at once where it can, and one batched eigvalsh a chunk decides where it
     cannot. One batched solve gives K_SS^-1 mu_S on the definite blocks. Each other
     block's U+ is replaced by the weight solver's optimum on S, which raises SolverError
-    where a block on S does not factor. Guarded like every enumeration, by its count of
-    subsets, before any key is made.
+    where a block on S does not factor. A selection with an index at or past n2 raises
+    InputError, and the enumeration is guarded like every other, by its count of
+    subsets; both before any key is made.
     """
     n2 = as_instance(K, KernelMatrix, "K").n2
     _check_sizes(K, as_instance(mu, MeanMap, "mu").entries)
+    if any(j >= n2 for P in picks for j in P):
+        raise InputError(f"a selection holds an index beyond the {n2} rows of K")
     splits = [_split(P, n2) for P in dict.fromkeys(map(frozenset, picks))]
     grown = [[(a, b) for a in range(len(P) + 1) for b in range(min(r, len(rest)) + 1)
               if a + b > full] for P, rest in splits]
@@ -204,18 +215,8 @@ def _peak(K: KernelMatrix, mu: MeanMap, idx: np.ndarray, blocks: np.ndarray,
     return peak
 
 
-def exhaustive_optimal(K: KernelMatrix, mu: MeanMap, m: int,
-                       _table: list | None = None) -> tuple[SupportSet, float]:
-    """Best support of size at most m by full enumeration, and its value.
-
-    The support is the optimum's positive support: ties keep the smaller,
-    lexicographically earlier subset, and a superset that only adds zero
-    weights holds the very same value in the table. Guarded to n2 <= 62 and
-    at most one million subsets.
-    """
-    n2 = as_instance(K, KernelMatrix, "K").n2
-    m = as_index(m, "m", least=1, most=n2)
-    table = _table if _table is not None else _lattice(K, mu, m)
+def _optimal(table: list, m: int) -> tuple[SupportSet, float]:
+    """`exhaustive_optimal` read from a table of every subset of at most m rows."""
     best_set: tuple[int, ...] = ()
     best_val = 0.0
     for size in range(1, m + 1):
@@ -227,27 +228,16 @@ def exhaustive_optimal(K: KernelMatrix, mu: MeanMap, m: int,
     return SupportSet(best_set), best_val
 
 
-def submodularity_ratio(K: KernelMatrix, mu: MeanMap, L: SupportSet, r: int,
-                        _table: list | None = None) -> float:
-    """Minimum over disjoint candidate sets S, |S| <= r, of the ratio of
-    summed singleton gains over the joint gain at L.
-
-    Candidate sets whose joint gain is at most 1e-12 are skipped; the
-    ratio is only defined under a strict objective increase.
-    """
-    n2 = as_instance(K, KernelMatrix, "K").n2
-    r = as_index(r, "r", least=1)
-    if any(j >= n2 for j in as_instance(L, SupportSet, "L")):
-        raise InputError(f"L holds an index beyond the {n2} rows of K")
+def _ratio(table: list, n2: int, L: tuple, r: int) -> float:
+    """`submodularity_ratio` at L read from a table that holds L's sets, or math.inf
+    where no set of at most r rows raises f by more than 1e-12."""
     _, rest = _split(L, n2)
-    sizes = range(1, min(r, len(rest)) + 1)
-    table = _table if _table is not None else _lattice(K, mu, 0, (L,), len(sizes))
     at_L = np.int64(sum(1 << j for j in L))
     base = _read(table, len(L), at_L)
     best = math.inf
     if len(rest):
         gain = _read(table, len(L) + 1, at_L | (_ONE << rest)) - base
-    for size in sizes:
+    for size in range(1, min(r, len(rest)) + 1):
         S = _combinations(len(rest), size)  # positions in rest, so rows of gain
         denom = _read(table, len(L) + size, at_L | _masks(rest[S])) - base
         summed = gain[S[:, 0]]
@@ -256,13 +246,46 @@ def submodularity_ratio(K: KernelMatrix, mu: MeanMap, L: SupportSet, r: int,
         rising = denom > 1e-12
         if rising.any():
             best = min(best, float((summed[rising] / denom[rising]).min()))
-    if best == math.inf:
-        raise DegenerateDataError("no candidate set strictly increases the objective at L")
     return best
 
 
-def gamma_over_prefixes(K: KernelMatrix, mu: MeanMap, selection: SupportSet, r: int,
-                        _table: list | None = None) -> float:
+def _least_ratio(table: list, n2: int, order: tuple, r: int) -> float:
+    """`gamma_over_prefixes` read from a table that holds the sets of order's picks."""
+    best = min(_ratio(table, n2, order[:cut], r) for cut in range(len(order) + 1))
+    if best == math.inf:
+        raise DegenerateDataError("objective cannot be increased from any prefix")
+    return best
+
+
+def exhaustive_optimal(K: KernelMatrix, mu: MeanMap, m: int) -> tuple[SupportSet, float]:
+    """Best support of size at most m by full enumeration, and its value.
+
+    The support is the optimum's positive support: ties keep the smaller,
+    lexicographically earlier subset, and a superset that only adds zero
+    weights holds the very same value in the table. Guarded to n2 <= 62 and
+    at most one million subsets.
+    """
+    m = as_index(m, "m", least=1, most=as_instance(K, KernelMatrix, "K").n2)
+    return _optimal(_lattice(K, mu, m), m)
+
+
+def submodularity_ratio(K: KernelMatrix, mu: MeanMap, L: SupportSet, r: int) -> float:
+    """Minimum over disjoint candidate sets S, |S| <= r, of the ratio of
+    summed singleton gains over the joint gain at L.
+
+    Candidate sets whose joint gain is at most 1e-12 are skipped; the
+    ratio is only defined under a strict objective increase.
+    """
+    n2 = as_instance(K, KernelMatrix, "K").n2
+    r = as_index(r, "r", least=1)
+    L = as_instance(L, SupportSet, "L").indices
+    ratio = _ratio(_lattice(K, mu, 0, (L,), r), n2, L, r)
+    if ratio == math.inf:
+        raise DegenerateDataError("no candidate set strictly increases the objective at L")
+    return ratio
+
+
+def gamma_over_prefixes(K: KernelMatrix, mu: MeanMap, selection: SupportSet, r: int) -> float:
     """Submodularity ratio minimized over all prefixes of a selection order.
 
     This is the quantity the selection guarantee consumes: the greedy
@@ -270,22 +293,10 @@ def gamma_over_prefixes(K: KernelMatrix, mu: MeanMap, selection: SupportSet, r: 
     Prefixes at which nothing can strictly increase the objective are
     skipped.
     """
-    as_instance(K, KernelMatrix, "K")
-    order = tuple(as_instance(selection, SupportSet, "selection"))
+    n2 = as_instance(K, KernelMatrix, "K").n2
+    order = as_instance(selection, SupportSet, "selection").indices
     r = as_index(r, "r", least=1)
-    table = _table if _table is not None else _lattice(K, mu, 0, (order,), r)
-    best = None
-    for cut in range(len(order) + 1):
-        prefix = SupportSet(order[:cut])
-        try:
-            ratio = submodularity_ratio(K, mu, prefix, r, _table=table)
-        except DegenerateDataError:
-            continue
-        if best is None or ratio < best:
-            best = ratio
-    if best is None:
-        raise DegenerateDataError("objective cannot be increased from any prefix")
-    return float(best)
+    return _least_ratio(_lattice(K, mu, 0, (order,), r), n2, order, r)
 
 
 def rsc_rsm_bounds(K: KernelMatrix, k: int) -> tuple[float, float]:
@@ -331,11 +342,11 @@ def verify_instance(K: KernelMatrix, mu: MeanMap, m: int,
     f_greedy = greedy.final_objective
     m = as_index(m, "m", least=1, most=K.n2)
     table = _lattice(K, mu, m, (dash.indices, greedy.indices), m)
-    _, f_opt = exhaustive_optimal(K, mu, m, _table=table)
-    gamma = gamma_over_prefixes(K, mu, dash.indices, m, _table=table)
+    _, f_opt = _optimal(table, m)
+    gamma = _least_ratio(table, K.n2, dash.indices.indices, m)
     c, _ = rsc_rsm_bounds(K, m)
     C_tilde = float(K.diag().max())
-    gamma_greedy = gamma_over_prefixes(K, mu, greedy.indices, m, _table=table)
+    gamma_greedy = _least_ratio(table, K.n2, greedy.indices.indices, m)
     for name, value in (("c", c), ("gamma", gamma), ("gamma_greedy", gamma_greedy)):
         if value <= 0:
             raise DegenerateDataError(f"{name}={value:.3g} is not positive; the bound is vacuous")

@@ -33,7 +33,8 @@ from protoselect import (Dataset, KernelMatrix, KernelSpec, MeanMap, ProtoSelect
                          median_bandwidth, objective, proto_dash, proto_greedy, random_w,
                          rank_sources, solve_restricted, top_m_by_weight)
 from protoselect.nnqp import gain_bounds  # noqa: E402
-from protoselect.oracle import _certified, _lattice, verify_instance  # noqa: E402
+from protoselect.oracle import (_certified, _lattice, exhaustive_optimal,  # noqa: E402
+                                gamma_over_prefixes, submodularity_ratio, verify_instance)
 from protoselect.ranking import (AverageRanks, GraphExport, RankMatrix,  # noqa: E402
                                  average_ranks, export_graph)
 from protoselect.selectors import CriticismResult, SelectionConfig, SelectionResult  # noqa: E402
@@ -302,6 +303,23 @@ def _oracle_entries(out):
     # certified one, with the decision itself.
     out["oracle.certified_margin"] = [(_certified(K, 2), dense(_lattice(K, mu, 2), 2))
                                       for K, mu in margin_instances().values()]
+    # The public readers, each on a table of its own, on both margin instances and one of
+    # 10 rows: the optimum, the ratio at every prefix of ProtoDash's order, and gamma over
+    # both selectors' orders.
+    rng = np.random.default_rng(10)
+    source, target = Dataset(rng.normal(size=(10, 2))), Dataset(rng.normal(size=(8, 2)))
+    spec = KernelSpec("gaussian", bandwidth=1.0)
+    readers = []
+    for K, mu in [*margin_instances().values(),
+                  (kernel_matrix(source, spec), mean_map(target, source, spec))]:
+        m = min(K.n2, 3)
+        dash, greedy = (select(K, mu, SelectionConfig(m=m)).indices
+                        for select in (proto_dash, proto_greedy))
+        readers += ([_outcome(exhaustive_optimal, K, mu, m)]
+                    + [_outcome(submodularity_ratio, K, mu, SupportSet(dash.indices[:cut]), m)
+                       for cut in range(len(dash) + 1)]
+                    + [_outcome(gamma_over_prefixes, K, mu, order, m) for order in (dash, greedy)])
+    out["oracle.readers"] = readers
     # One report past the certificate's 20 rows: 40 rows, m = 3.
     rng = np.random.default_rng(40)
     source, target = Dataset(rng.normal(size=(40, 2))), Dataset(rng.normal(size=(12, 2)))

@@ -302,6 +302,28 @@ class TestGammaOverPrefixes:
         assert gamma <= submodularity_ratio(K, mu, SupportSet(), 2) + 1e-12
         assert gamma > 0
 
+    def test_the_report_reads_what_the_public_readers_return(self):
+        # verify_instance reads one table shared by f_opt and both selectors' ratios; each
+        # public reader builds a table of its own. Every entry a table holds has the bits a
+        # table of every subset gives it, so the values are equal, not merely close, and
+        # gamma over the prefixes is the least ratio at any prefix where one is defined.
+        rng = np.random.default_rng(7)
+        for draw in range(60):
+            K, mu, m = random_gaussian_instance(rng)
+            report = verify_instance(K, mu, m)
+            assert report["f_opt"] == exhaustive_optimal(K, mu, m)[1], draw
+            for key, select in (("gamma", proto_dash), ("gamma_greedy", proto_greedy)):
+                order = select(K, mu, SelectionConfig(m=m)).indices
+                gamma = gamma_over_prefixes(K, mu, order, m)
+                assert report[key] == gamma, (draw, key)
+                ratios = []
+                for cut in range(len(order) + 1):
+                    try:
+                        ratios.append(submodularity_ratio(K, mu, SupportSet(order.indices[:cut]), m))
+                    except DegenerateDataError:
+                        continue
+                assert gamma == min(ratios), (draw, key)
+
 
 def counted_eigvalsh():
     """A patch of np.linalg.eigvalsh that counts its calls, and the mock that counts them."""

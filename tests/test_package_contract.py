@@ -1,9 +1,9 @@
 """The package declares only what its code keeps: every console script imports, every
-exported name resolves, every module uses each name it imports, the kernel formula,
-the distance GEMM, the Cholesky factorization and the freezing of an array are each
-written in one place,
-ranking computes kernel values only through the kernel module's public passes, and
-every function that takes a Gram is checked with a raw array in its place."""
+exported name resolves, every module uses each name it imports, no public function
+takes a parameter named with a leading underscore, the kernel formula, the distance
+GEMM, the Cholesky factorization and the freezing of an array are each written in one
+place, ranking computes kernel values only through the kernel module's public passes,
+and every function that takes a Gram is checked with a raw array in its place."""
 
 import ast
 import importlib
@@ -119,6 +119,27 @@ def test_arrays_are_frozen_in_one_place():
     found = sorted(where for path in _MODULES
                    for where in _freezes(ast.parse(path.read_text()), path.stem))
     assert found == ["errors.read_only", "kernel.KernelMatrix._hold", "kernel.KernelMatrix.rows"]
+
+
+def _public_functions(tree):
+    """Each module-level function and each method of a module-level class, where neither
+    the class's name nor the function's starts with an underscore."""
+    for node in tree.body:
+        public_class = isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        yield from (f for f in (node.body if public_class else [node])
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not f.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_public_function_takes_a_private_parameter(path):
+    # A parameter named with an underscore is a setting a caller is told not to set: a
+    # caller that needs a private input calls the private function that takes it.
+    hidden = [f"{f.name}({a.arg})" for f in _public_functions(ast.parse(path.read_text()))
+              for a in (f.args.posonlyargs + f.args.args + f.args.kwonlyargs
+                        + [a for a in (f.args.vararg, f.args.kwarg) if a])
+              if a.arg.startswith("_")]
+    assert not hidden, f"{path.name} has public functions with private parameters: {hidden}"
 
 
 def test_every_gram_argument_is_checked():

@@ -473,6 +473,12 @@ def _one_prototype():
          "L must be a SupportSet, got tuple"),
         (lambda K, mu: gamma_over_prefixes(K, mu, [0, 1], 1), InputError,
          "selection must be a SupportSet, got list"),
+        (lambda K, mu: gamma_over_prefixes(K, mu, SupportSet((0, 6)), 1), InputError,
+         "beyond the 6 rows of K"),
+        (lambda K, mu: gamma_over_prefixes(K, mu, SupportSet((0, 70)), 1), InputError,
+         "beyond the 6 rows of K"),
+        (lambda K, mu: submodularity_ratio(K, mu, SupportSet((6,)), 1), InputError,
+         "beyond the 6 rows of K"),
         (lambda K, mu: RankMatrix(5, np.zeros((2, 2))), InputError,
          "names must be a list or tuple of unique strings"),
         (lambda K, mu: AverageRanks(5, [1.0, 2.0]), InputError,
@@ -530,6 +536,7 @@ def _one_prototype():
          "gain_bounds_no_weights", "gain_bounds_non_finite_gradient",
          "solve_restricted_raw_warm_start",
          "weight_vector_tuple_support", "submodularity_tuple_L", "gamma_list_selection",
+         "gamma_index_at_n2", "gamma_index_past_n2", "submodularity_index_at_n2",
          "rank_matrix_names_int", "average_ranks_names_int", "rank_names_repeated",
          "rank_names_bare_string", "export_graph_raw_rm", "average_ranks_raw_rm",
          "rank_names_misaligned", "support_index_overflow", "criticism_index_overflow",
