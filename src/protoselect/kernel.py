@@ -176,10 +176,10 @@ def _checked(idx, n2: int) -> np.ndarray:
     if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
         raise InputError("kernel indices must be a 1-D sequence of integers")
     idx = idx.astype(np.intp, copy=False)
-    # one reduction checks both ends: a negative index reads as a huge unsigned one;
-    # a single index, as a grown row or a column read asks, is read without one
+    # one count checks both ends: a negative index reads as a huge unsigned one; a
+    # single index, as a grown row or a column read asks, is read without one
     top = idx.view(np.uintp)
-    if idx.size and (top[0] if idx.size == 1 else top.max()) >= n2:
+    if (top[0] >= n2) if idx.size == 1 else np.count_nonzero(top >= n2):
         raise InputError("support index out of range")
     return idx
 
@@ -238,7 +238,7 @@ class KernelMatrix:
         """
         slots = self._slots(_checked(idx, self.n2))
         if slots.size and slots[-1] - slots[0] == slots.size - 1 and (
-                slots.size < 3 or (slots[1:] > slots[:-1]).all()):
+                slots.size < 3 or not np.count_nonzero(slots[1:] <= slots[:-1])):
             view = self._buf[slots[0]:slots[-1] + 1]
             view.flags.writeable = False
             return view
@@ -264,10 +264,10 @@ class KernelMatrix:
         They must be finite and equal every held row, and each other, where they meet."""
         start, stop = self._filled, self._filled + rows.size
         new = self._buf[start:stop]
-        if not np.all(np.isfinite(new)):
+        if not np.isfinite(new).all():
             raise NumericError("kernel matrix contains non-finite entries")
         self._held[start:stop] = rows
-        if not np.array_equal(new[:, self._held[:stop]], self._buf[:stop, rows].T):
+        if not (new[:, self._held[:stop]] == self._buf[:stop, rows].T).all():
             raise InputError("kernel matrix must be exactly symmetric")
         self._slot[rows] = np.arange(start, stop)
         self._filled = stop
@@ -291,17 +291,19 @@ class LazyGram(KernelMatrix):
         self._hold(np.empty((0, source.n)), own + spec.jitter)
 
     def _fill(self, idx: np.ndarray):
-        """Compute and admit the rows of idx not yet held."""
-        missing = np.array(list(dict.fromkeys(idx[self._slot[idx] < 0].tolist())), dtype=np.intp)
+        """Compute and admit the rows of idx not yet held, each once, in the order first read."""
+        missing = idx[self._slot[idx] < 0]
+        if missing.size > 1:
+            missing = np.array(list(dict.fromkeys(missing.tolist())), dtype=np.intp)
         start, stop = self._filled, self._filled + missing.size
         if start == stop:  # another thread filled them while this one waited for the lock
             return
-        if stop > self._buf.shape[0]:
-            grown = np.empty((min(self.n2, max(2 * self._buf.shape[0], stop)), self.n2))
+        if stop > len(self._buf):  # at least _CHUNK_ROWS rows, doubled as they fill
+            grown = np.empty((min(self.n2, max(2 * len(self._buf), stop, _CHUNK_ROWS)), self.n2))
             grown[:start] = self._buf[:start]
             self._buf = grown
         new = self._buf[start:stop]
-        _cross_kernel(self._X[missing], self._X, self._spec, out=new)
+        _cross_kernel(self._X.take(missing, 0), self._X, self._spec, out=new)
         new[np.arange(missing.size), missing] = self._diag[missing]
         self._admit(missing)
 

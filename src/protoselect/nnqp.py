@@ -10,15 +10,18 @@ downstream KKT-based checks rely on; a block that does not factor ends it.
 
 A weight vector that `solve_restricted` returns remembers its solve: the Gram
 and mean map it was solved against, their block and entries at its support, and
-the final passive set (`_Record`). Solved again from it as a warm start, against
-the same Gram and mean map, on its support or on that support plus one index,
-the block is read from the record, grown by one row of K, not gathered, and the
-warm start itself is not solved again. `objective` and `kkt_residual` read the
-record too. Every output has the same bits as from a vector without a record.
+the final passive set, and its objective (`_Record`). The solve computes that
+objective once, by `_value` on the record's block, entries and weights, and
+`objective` of the vector returns it. Solved again from it as a warm start,
+against the same Gram and mean map, on its support or on that support plus one
+index, the block is read from the record, grown by one row of K, not gathered,
+and the warm start itself is not solved again. `kkt_residual` reads the record
+too. Every output has the same bits as from a vector without a record.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -80,6 +83,7 @@ class _Record(NamedTuple):
     block: np.ndarray  # K's block at the support, read-only
     mu_entries: np.ndarray  # mu's entries at the support, read-only
     passive: np.ndarray  # the passive set of the solve's last pass
+    objective: float  # `_value` of the weights on the block and entries above
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +103,7 @@ class WeightVector:
         as_instance(self.support, SupportSet, "support")
         object.__setattr__(self, "dimension", as_index(self.dimension, "dimension", least=0))
         w = as_held(self.weights, "weights", (len(self.support),))
-        if np.any(w < 0):
+        if (w < 0).any():
             raise InputError("weights must be non-negative")
         if max(self.support.indices, default=-1) >= self.dimension:
             raise InputError("support index out of range")
@@ -144,8 +148,8 @@ def as_solver(cfg) -> SolverConfig:
 
 def _check_sizes(K: KernelMatrix, v: np.ndarray, w: WeightVector | None = None):
     """InputError unless K is a KernelMatrix that v (mu's entries or a gradient) and w fit."""
-    if np.shape(v) != (as_instance(K, KernelMatrix, "K").n2,):
-        raise InputError(f"vector of shape {np.shape(v)} does not fit a kernel matrix of {K.n2} rows")
+    if v.shape != (as_instance(K, KernelMatrix, "K").n2,):
+        raise InputError(f"vector of shape {v.shape} does not fit a kernel matrix of {K.n2} rows")
     if w is not None and w.dimension != K.n2:
         raise InputError(f"weight vector has dimension {w.dimension}, kernel matrix has {K.n2}")
 
@@ -175,22 +179,23 @@ def _restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet, w: WeightVector | N
     rec = _record_of(w, K, mu)
     if rec is not None:
         held = w.support.indices
-        # the recorded passive set is the warm start's positive set: its pass is done
-        solved = np.array_equal(w.weights > 0, rec.passive)
+        # the recorded passive set is the warm start's positive set: its pass is done. The
+        # weights are positive only inside that set, so equal counts mean equal sets.
+        solved = np.count_nonzero(w.weights) == np.count_nonzero(rec.passive)
         if L.indices == held:
             return rec.block, rec.mu_entries, w.weights, solved
         if len(L) == len(held) + 1 and L.indices[:-1] == held:
             j = L.indices[-1]
-            row = K.rows([j])[0]
-            edge = row[w.support.as_array()]
-            if edge.all():
+            row = K.rows((j,))[0]
+            edge = row.take(held)
+            if np.count_nonzero(edge) == edge.size:
                 n = len(held)
                 KL = np.empty((n + 1, n + 1))
                 KL[:n, :n] = rec.block
                 KL[n, :n] = KL[:n, n] = edge
                 KL[n, n] = row[j]
-                return (KL, np.append(rec.mu_entries, mu.entries[j]), np.append(w.weights, 0.0),
-                        solved)
+                return (KL, np.concatenate((rec.mu_entries, mu.entries[j:j + 1])),
+                        np.concatenate((w.weights, (0.0,))), solved)
     idx = L.as_array()
     KL = K.block(idx)  # the block first: it refuses an index out of range
     wL = np.zeros(idx.size) if w is None else w.dense()[idx]
@@ -203,18 +208,25 @@ def _restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet, w: WeightVector | N
 def objective(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> float:
     """Value of w'mu - w'Kw/2 using only the support coordinates.
 
-    A w that `solve_restricted` returned for this K and mu brings its support's block
-    and mean-map entries in its record, so nothing is gathered; the value has the same
-    bits either way.
+    A w that `solve_restricted` returned for this K and mu carries the value in its
+    record: the solve computed it by `_value` on the very arrays a gather would give,
+    so nothing is gathered or computed here, and the value has the same bits as from a
+    plain copy of w.
     """
-    KL, muL, wL, _ = _restricted(K, mu, as_instance(w, WeightVector, "w").support, w, "weight")
+    rec = _record_of(as_instance(w, WeightVector, "w"), K, as_instance(mu, MeanMap, "mu"))
+    if rec is not None:
+        return rec.objective
+    return _value(*_restricted(K, mu, w.support, w, "weight")[:3])
+
+
+def _value(KL: np.ndarray, muL: np.ndarray, wL: np.ndarray) -> float:
     return float(wL @ muL - 0.5 * wL @ (KL @ wL))
 
 
 def gradient(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> np.ndarray:
     """Full-length gradient mu - Kw."""
     _check_sizes(K, as_instance(mu, MeanMap, "mu").entries, as_instance(w, WeightVector, "w"))
-    return mu.entries - w.weights @ K.rows(w.support.as_array())
+    return mu.entries - w.weights @ K.rows(w.support.indices)
 
 
 def kkt_residual(w: WeightVector, K: KernelMatrix, mu: MeanMap, L: SupportSet) -> float:
@@ -259,8 +271,7 @@ def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
     s, h, base = diag, g, 0.0
     if len(w.support):
         idx = w.support.as_array()
-        rec = _record_of(w, K)
-        factor = _factor(K.block(idx) if rec is None else rec.block)
+        factor = _factor(_block_of(w, K))
         if factor is None or np.any(np.diagonal(factor) ** 2 <= _SQRT_EPS * diag[idx]):
             return np.full(K.n2, np.inf)
         B = lapack.dtrtrs(factor, K.rows(idx), lower=1)[0]
@@ -276,6 +287,12 @@ def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
     return bound
 
 
+def _block_of(w: WeightVector, K: KernelMatrix) -> np.ndarray:
+    """K's block at w's support: the record's if w was solved against K, else gathered."""
+    rec = _record_of(w, K)
+    return K.block(w.support.as_array()) if rec is None else rec.block
+
+
 def _factor(A: np.ndarray) -> np.ndarray | None:
     """The lower Cholesky factor of A, or None if A is not positive definite. Its upper
     triangle keeps A's entries: dpotrs, dtrtrs and np.diagonal read only the lower."""
@@ -287,24 +304,27 @@ def _subproblem(A: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray
     """Unconstrained maximizer on the passive coordinates; None if their block does not factor.
 
     One or two refinement passes keep the stationarity residual of the
-    passive block near roundoff even for ill-conditioned Gram blocks.
+    passive block near roundoff even for ill-conditioned Gram blocks. A block that
+    is passive whole is solved as it is: no gather, and no scatter of the solution.
     """
-    z = np.zeros_like(b)
-    p = np.flatnonzero(passive)
+    p = passive.nonzero()[0]
     if not p.size:
-        return z
-    # two takes gather a C-ordered block faster than one 2-D index; the whole block needs none
-    sub = A if p.size == b.size else A.take(p, 0).take(p, 1)
-    rhs = b[p]
+        return np.zeros(b.size)
+    whole = p.size == b.size
+    # two takes gather a C-ordered block faster than one 2-D index
+    sub, rhs = (A, b) if whole else (A.take(p, 0).take(p, 1), b[p])
     factor = _factor(sub)
     if factor is None:
         return None
     x = lapack.dpotrs(factor, rhs, lower=1)[0]
     for _ in range(2):
         r = rhs - sub @ x
-        if np.max(np.abs(r)) <= 1e-13 * max(1.0, np.max(np.abs(rhs))):
+        if abs(r).max() <= 1e-13 * max(1.0, abs(rhs).max()):
             break
         x = x + lapack.dpotrs(factor, r, lower=1)[0]
+    if whole:
+        return x
+    z = np.zeros(b.size)
     z[p] = x
     return z
 
@@ -339,22 +359,23 @@ def _active_set_max(A: np.ndarray, b: np.ndarray, w0: np.ndarray, tol: float, ma
         z = w0 if solved and iters == 0 else _subproblem(A, b, passive)
         if z is None:
             return w, passive, NOT_POSITIVE_DEFINITE
-        negative = passive & (z < 0.0)
-        stepping_back = negative.any()
-        if not stepping_back:
+        negative = (passive & (z < 0.0)).nonzero()[0]
+        if not negative.size:
             w = z
+            if np.count_nonzero(passive) == passive.size:  # no coordinate is left to enter
+                return w, passive, None
             masked = np.where(passive, -np.inf, b - A @ w)
-            entering = int(np.argmax(masked))
-            if not np.isfinite(masked[entering]) or masked[entering] <= 0.5 * tol:
+            entering = int(masked.argmax())
+            if not math.isfinite(masked[entering]) or masked[entering] <= 0.5 * tol:
                 return w, passive, None
         iters += 1
         if iters > max_iter:
             return w, passive, ITERATION_CAP
-        if stepping_back:
+        if negative.size:
             ratios = np.full(b.shape[0], np.inf)
             ratios[negative] = w[negative] / (w[negative] - z[negative])
             w = w + min(max(float(ratios.min()), 0.0), 1.0) * (z - w)
-            w[int(np.argmin(ratios))] = 0.0
+            w[int(ratios.argmin())] = 0.0
             np.maximum(w, 0.0, out=w)
             passive = w > 0
         else:
@@ -404,5 +425,5 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
                           f"(residual {residual:.3e})", residual=residual, best_iterate=w,
                           reason=reason)
     object.__setattr__(w, "_record", _Record(weakref.ref(K), weakref.ref(mu), read_only(KL),
-                                             read_only(muL), passive))
+                                             read_only(muL), passive, _value(KL, muL, w.weights)))
     return w

@@ -81,6 +81,11 @@ def _guard_subsets(n2: int, count: int):
         raise GuardError(f"too many subsets to enumerate: {count} > {ENUMERATION_CAP}")
 
 
+def _every_subset(n2: int, full: int) -> int:
+    """The number of subsets of 1 to `full` rows of n2."""
+    return sum(math.comb(n2, k) for k in range(1, full + 1))
+
+
 def _combinations(n: int, k: int) -> np.ndarray:
     """The k-subsets of range(n) as the ascending int64 rows of an (N, k) array, in
     lexicographic order."""
@@ -148,7 +153,7 @@ def _lattice(K: KernelMatrix, mu: MeanMap, full: int, picks: tuple = (), r: int 
     splits = [_split(P, n2) for P in dict.fromkeys(map(frozenset, picks))]
     grown = [[(a, b) for a in range(len(P) + 1) for b in range(min(r, len(rest)) + 1)
               if a + b > full] for P, rest in splits]
-    _guard_subsets(n2, sum(math.comb(n2, k) for k in range(1, full + 1))
+    _guard_subsets(n2, _every_subset(n2, full)
                    + sum(math.comb(len(P), a) * math.comb(len(rest), b)
                          for (P, rest), sizes in zip(splits, grown) for a, b in sizes))
     depth = max([full] + [a + b for sizes in grown for a, b in sizes])
@@ -326,8 +331,9 @@ def verify_instance(K: KernelMatrix, mu: MeanMap, m: int,
     ProtoDash must clear (1 - exp(-3*c*gamma / (4*C_tilde))) * f_opt and
     ProtoGreedy (1 - exp(-gamma_greedy)) * f_opt, each within numerical
     slack; gamma and gamma_greedy are minimized over the prefixes of each
-    selector's own order. The selectors solve with `solver` and run first;
-    the oracle's values then come from one table of every subset of at most
+    selector's own order. m's range and the guard on the table's subsets of
+    at most m rows are checked first; the selectors then solve with `solver`,
+    and the oracle's values come from one table of every subset of at most
     m rows, for f_opt, and of each selector's subsets of its picks with at
     most m other rows, for its ratios.
 
@@ -335,12 +341,13 @@ def verify_instance(K: KernelMatrix, mu: MeanMap, m: int,
         DegenerateDataError: c, gamma or gamma_greedy is not positive, so a
             bound would be vacuous.
     """
+    m = as_index(m, "m", least=1, most=as_instance(K, KernelMatrix, "K").n2)
+    _guard_subsets(K.n2, _every_subset(K.n2, m))  # before either selector runs
     cfg = SelectionConfig(m=m, solver=solver)
     dash = proto_dash(K, mu, cfg)
     greedy = proto_greedy(K, mu, cfg)
     f_dash = dash.final_objective
     f_greedy = greedy.final_objective
-    m = as_index(m, "m", least=1, most=K.n2)
     table = _lattice(K, mu, m, (dash.indices, greedy.indices), m)
     _, f_opt = _optimal(table, m)
     gamma = _least_ratio(table, K.n2, dash.indices.indices, m)

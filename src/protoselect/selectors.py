@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import InputError, SolverError, as_held, as_index, as_indices, as_instance, as_real
 from .kernel import KernelMatrix, MeanMap, _gamma
-from .nnqp import (SolverConfig, SupportSet, WeightVector, _check_sizes, as_solver, gain_bounds,
-                   gradient, objective, solve_restricted)
+from .nnqp import (SolverConfig, SupportSet, WeightVector, _block_of, _check_sizes, as_solver,
+                   gain_bounds, gradient, objective, solve_restricted)
 
 PROTODASH = "protodash"
 PROTOGREEDY = "protogreedy"
@@ -158,8 +158,8 @@ def _grow(method, K, mu, cfg: SelectionConfig, pick) -> SelectionResult:
 def _largest_gradient(grad, weights, f, extend):
     """ProtoDash: take the candidate with the largest positive gradient."""
     g = grad()  # a fresh array, masked in place
-    g[weights.support.as_array()] = -np.inf
-    j = int(np.argmax(g))
+    g.put(weights.support.indices, -np.inf)
+    j = int(g.argmax())
     return (*extend(j), g[j]) if g[j] > 0.0 else None
 
 
@@ -171,7 +171,10 @@ def _largest_gain(K: KernelMatrix, mu: MeanMap):
     decreasing gain bound b_j (`nnqp.gain_bounds`) until the next bound,
     widened by a slack for roundoff, falls below the best gain so far: no
     candidate left can then win or tie, so the pick is the one exhaustive
-    scoring would make, ties going to the lowest index.
+    scoring would make, ties going to the lowest index. Each next candidate
+    is the argmax of the bounds not yet visited, the largest first and ties
+    to the lowest index, as a stable sort would order them: a step solves
+    about one candidate, so it sorts none. Bounds are finite or +inf.
 
     The slack is _BOUND_SLACK b_j for the bound's own roundoff, plus a bound
     on the roundoff of a computed gain. Let u be the unit roundoff,
@@ -205,21 +208,22 @@ def _largest_gain(K: KernelMatrix, mu: MeanMap):
         best = gains.max()
         bounds = gain_bounds(weights, g, K)
         roundoff = _gamma(2 * idx.size + 4)
-        sigma = float(w @ np.abs(mu.entries[idx]) + w @ (np.abs(K.block(idx)) @ w))
-        positive = np.flatnonzero(candidate & (g > 0.0))
+        sigma = float(w @ np.abs(mu.entries[idx]) + w @ (np.abs(_block_of(weights, K)) @ w))
+        left = np.where(candidate & (g > 0.0), bounds, -np.inf)  # the bounds not yet visited
         extensions = {}
-        for j in positive[np.argsort(-bounds[positive], kind="stable")]:
+        while left[j := int(left.argmax())] > -np.inf:  # the largest left, ties to the lowest j
             if bounds[j] + _BOUND_SLACK * bounds[j] + roundoff * (2 * sigma + 4 * bounds[j]) < best:
                 break
-            extensions[j] = extend(int(j))
+            left[j] = -np.inf
+            extensions[j] = extend(j)
             gains[j] = extensions[j][2] - f
             best = max(best, gains[j])
-        j0 = int(np.argmax(gains))
+        j0 = int(gains.argmax())
         if g[j0] > 0.0:
             return (*extensions[j0], g[j0])
         # inert addition: the optimum is unchanged, the new coordinate stays 0
-        return j0, WeightVector(weights.support.extended(j0), np.append(weights.weights, 0.0),
-                                weights.dimension), f, g[j0]
+        padded = np.concatenate((weights.weights, (0.0,)))
+        return j0, WeightVector(weights.support.extended(j0), padded, weights.dimension), f, g[j0]
 
     return pick
 

@@ -32,13 +32,14 @@ from protoselect import (Dataset, KernelMatrix, KernelSpec, MeanMap, ProtoSelect
                          gradient, kernel_matrix, kkt_residual, l2c_equal, mean_map,
                          median_bandwidth, objective, proto_dash, proto_greedy, random_w,
                          rank_sources, solve_restricted, top_m_by_weight)
+from protoselect import ranking, selectors  # noqa: E402
 from protoselect.nnqp import gain_bounds  # noqa: E402
 from protoselect.oracle import (_certified, _lattice, exhaustive_optimal,  # noqa: E402
                                 gamma_over_prefixes, submodularity_ratio, verify_instance)
 from protoselect.ranking import (AverageRanks, GraphExport, RankMatrix,  # noqa: E402
                                  average_ranks, export_graph)
 from protoselect.selectors import CriticismResult, SelectionConfig, SelectionResult  # noqa: E402
-from helpers import dense, margin_instances, oversampled  # noqa: E402
+from helpers import dense, gaussian_instance, margin_instances, oversampled  # noqa: E402
 
 
 def _feed(h, x):
@@ -94,6 +95,21 @@ def _outcome(call, *args, **kwargs):
         return err
 
 
+def _returned(module, name, call, *args):
+    """call(*args), and every value that module.name returned while it ran."""
+    inner, seen = getattr(module, name), []
+
+    def spy(*a, **kw):
+        seen.append(inner(*a, **kw))
+        return seen[-1]
+
+    setattr(module, name, spy)
+    try:
+        return _outcome(call, *args), seen
+    finally:
+        setattr(module, name, inner)
+
+
 def _instances():
     """Seeded selection instances on both kernel families: name -> (K, mu)."""
     rng = np.random.default_rng(20170704)
@@ -135,6 +151,26 @@ def _selector_entries(out):
     spec = KernelSpec("linear")
     out["selectors.linear_rank_deficient.proto_dash"] = _outcome(
         proto_dash, kernel_matrix(X, spec), mean_map(X, X, spec), SelectionConfig(m=5))
+    # Every step's weights and objective: 60 ProtoDash steps on each of three Grams of 300
+    # rows, whose supports hold zero weights and step back, so that passes gather part of
+    # the block.
+    steps = []
+    for seed in range(3):
+        K, mu = gaussian_instance(np.random.default_rng(seed), n1=200, n2=300, d=3)
+        res, solved = _returned(selectors, "solve_restricted", proto_dash, K, mu,
+                                SelectionConfig(m=60))
+        steps += [res] + [(w, objective(w, K, mu)) for w in solved]
+    out["selectors.proto_dash.steps"] = steps
+    # ProtoGreedy where gain bounds tie: an identity Gram with equal mean-map entries, and
+    # a Gram of rows that each appear twice.
+    rng = np.random.default_rng(41)
+    X = Dataset(np.repeat(rng.normal(size=(15, 2)), 2, axis=0))
+    spec = KernelSpec("gaussian", bandwidth=1.0)
+    out["selectors.proto_greedy.tied_bounds"] = [
+        _outcome(proto_greedy, KernelMatrix(np.eye(8)), MeanMap([0.5] * 4 + [0.4] * 4, n1=1),
+                 SelectionConfig(m=5)),
+        _outcome(proto_greedy, kernel_matrix(X, spec),
+                 mean_map(Dataset(rng.normal(size=(20, 2))), X, spec), SelectionConfig(m=6))]
 
 
 def _solver_entries(out):
@@ -346,6 +382,12 @@ def _ranking_entries(out):
                 out[f"{key}.export_graph"] = [export_graph(rm, t) for rm in rms
                                               for t in range(1, rm.k)]
                 out[f"{key}.average_ranks"] = [average_ranks(rm) for rm in rms]
+    # The weights of rank_sources' reweight solves: 12 cold solves of 19 to 26 passes each.
+    rng = np.random.default_rng(50)
+    datasets = [Dataset(rng.normal(size=(200, 3)) + 0.3 * i) for i in range(4)]
+    ranked, solved = _returned(ranking, "solve_restricted", rank_sources, datasets, 25,
+                               KernelSpec("gaussian", bandwidth=1.0))
+    out["ranking.reweight_solves"] = [ranked] + solved
 
 
 def digest() -> dict[str, str]:

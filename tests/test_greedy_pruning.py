@@ -150,6 +150,30 @@ def test_greedy_solves_few_candidates(monkeypatch):
     assert len(calls) <= 3 * 8
 
 
+@pytest.mark.parametrize("support", [(), (3,)], ids=["empty", "one"])
+def test_candidates_are_visited_in_the_stable_order_of_their_bounds(monkeypatch, support):
+    # Crafted bounds that tie, at finite values and at +inf: each next candidate is the
+    # argmax of the bounds left, which must visit the positive-gradient candidates in the
+    # order of a stable sort by decreasing bound, and stop where that order is pruned.
+    K, mu = gaussian_instance(np.random.default_rng(7), n1=10, n2=12, d=2)
+    weights = solve_restricted(K, mu, SupportSet(support))
+    f, g = objective(weights, K, mu), gradient(weights, K, mu)
+    bounds = np.array([0.5, np.inf, 0.5, 0.0, 0.2, 0.5, np.inf, 0.2, 0.9, 0.5, 0.0, 0.2])
+    monkeypatch.setattr(selectors, "gain_bounds", lambda w, g, K: bounds.copy())
+    positive = [j for j in np.flatnonzero(g > 0.0) if j not in support]
+    order = [positive[i] for i in np.argsort(-bounds[positive], kind="stable")]
+    for gain, visits in ((0.0, len(order)), (0.6, sum(bounds[order] >= 0.6))):
+        visited = []
+
+        def extend(j):  # the first candidate gains `gain`, the rest nothing
+            visited.append(j)
+            return j, weights, f + (gain if len(visited) == 1 else 0.0)
+
+        selectors._largest_gain(K, mu)(lambda: g.copy(), weights, f, extend)
+        assert len(order) >= 8 and visits >= 3
+        assert visited == order[:visits]
+
+
 def late_gains_instance():
     """n2 = 400, d = 5: by m = 100 the gains fall below 1e-6 of the objective, and
     step-backs leave support weights at zero with a negative gradient."""

@@ -22,10 +22,12 @@ from protoselect import (
     objective,
     solve_restricted,
 )
-from protoselect import nnqp
+from protoselect import nnqp, ranking, selectors
 from protoselect.nnqp import _restricted, gain_bounds
 from protoselect.oracle import _lattice
-from protoselect.selectors import SelectionConfig, SelectionResult, proto_dash
+from protoselect.ranking import rank_sources
+from protoselect.selectors import (SelectionConfig, SelectionResult, l2c_equal, proto_dash,
+                                   proto_greedy, random_w, top_m_by_weight)
 from helpers import dense, entries_of, gaussian_instance, identity_instance, synthetic_instance
 
 
@@ -408,6 +410,92 @@ class TestWarmRecords:
         with pytest.raises(SolverError) as err:
             solve_restricted(K, mu, SupportSet((0, 1)), SolverConfig(max_iterations=1))
         assert err.value.best_iterate._record is None
+
+
+class TestCallBudget:
+    """What a ProtoDash step and a solved vector's objective read: counted, not timed."""
+
+    def test_a_proto_dash_step_reads_rows_twice_gathers_no_block_and_factors_once(
+            self, monkeypatch):
+        K, mu = TestWarmRecords.instance()
+        calls = []
+        for name in ("rows", "block"):
+            monkeypatch.setattr(K, name, lambda idx, read=getattr(K, name), name=name:
+                                calls.append(name) or read(idx))
+        factor, subproblem = nnqp._factor, nnqp._subproblem
+        monkeypatch.setattr(nnqp, "_factor", lambda A: calls.append("factor") or factor(A))
+        monkeypatch.setattr(nnqp, "_subproblem", lambda A, b, passive: calls.append(
+            ("pass", int(passive.sum()))) or subproblem(A, b, passive))
+        steps, pick = [], selectors._largest_gradient
+
+        def counted(grad, weights, f, extend):
+            del calls[:]
+            picked = pick(grad, weights, f, extend)
+            steps.append((len(weights.support), weights.weights.all(), list(calls)))
+            return picked
+
+        monkeypatch.setattr(selectors, "_largest_gradient", counted)
+        assert len(proto_dash(K, mu, SelectionConfig(m=100)).indices) == 100
+
+        def grows(c):  # each pass's passive set is larger than the one before
+            sizes = [x[1] for x in c if isinstance(x, tuple)]
+            return all(a < b for a, b in zip(sizes, sizes[1:]))
+
+        # From positive weights on S, a step with no step-back has its passive sets grow:
+        # the first pass, on S, is the warm start's, and the next is on S + j.
+        plain = [c for size, positive, c in steps if size >= 2 and positive and grows(c)]
+        assert len(plain) >= 50
+        for c in plain:
+            assert (c.count("rows"), c.count("block"), c.count("factor")) == (2, 0, 1), c
+
+    def test_the_objective_of_a_solved_vector_reads_no_kernel_entry(self, monkeypatch):
+        K, mu = TestWarmRecords.instance(6, n2=60)
+        solved = solve_restricted(K, mu, SupportSet((5, 2, 9, 30)))
+        want = objective(plain(solved), K, mu)
+
+        def refuse(idx):
+            raise AssertionError("a kernel entry was read")
+
+        monkeypatch.setattr(K, "rows", refuse)
+        monkeypatch.setattr(K, "block", refuse)
+        assert same_bits(objective(solved, K, mu), want)
+
+    @pytest.mark.parametrize("select", [proto_dash, proto_greedy, random_w, l2c_equal],
+                             ids=lambda f: f.__name__)
+    def test_every_solve_records_the_objective_of_its_plain_copy(self, monkeypatch, select):
+        # every solve of every prefix, on a gaussian and a linear Gram
+        rng = np.random.default_rng(9)
+        linear = KernelSpec("linear")
+        source = Dataset(rng.normal(size=(60, 6)))
+        instances = [gaussian_instance(rng, n1=70, n2=80, d=4),
+                     (kernel_matrix(source, linear),
+                      mean_map(Dataset(rng.normal(size=(70, 6)) + 0.5), source, linear))]
+        solved, inner = [], selectors.solve_restricted
+        monkeypatch.setattr(selectors, "solve_restricted",
+                            lambda *a, **kw: solved.append(inner(*a, **kw)) or solved[-1])
+        for K, mu in instances:
+            del solved[:]
+            res = select(K, mu, SelectionConfig(m=12, seed=3))
+            solved += [top_m_by_weight(res, 6, K, mu).weights]
+            for w in solved:
+                assert w._record is not None
+                assert same_bits(objective(w, K, mu), objective(plain(w), K, mu))
+
+    def test_rank_sources_reweight_solves_record_the_objective_of_their_plain_copies(
+            self, monkeypatch):
+        rng = np.random.default_rng(50)
+        datasets = [Dataset(rng.normal(size=(120, 3)) + 0.3 * i) for i in range(3)]
+        seen, inner = [], ranking.solve_restricted
+
+        def spy(K, mu, L, cfg):
+            seen.append((K, mu, inner(K, mu, L, cfg)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(ranking, "solve_restricted", spy)
+        rank_sources(datasets, 15, KernelSpec("gaussian", bandwidth=1.0))
+        assert len(seen) == 6
+        for K, mu, w in seen:
+            assert same_bits(objective(w, K, mu), objective(plain(w), K, mu))
 
 
 class TestKktResidual:

@@ -21,7 +21,7 @@ from protoselect import (
     solve_restricted,
 )
 from protoselect import oracle
-from protoselect.errors import DegenerateDataError
+from protoselect.errors import DegenerateDataError, InputError
 from protoselect.nnqp import NOT_POSITIVE_DEFINITE
 from protoselect.oracle import (
     _certified,
@@ -267,6 +267,22 @@ class TestVerifyGuarantee:
               mock.patch.object(oracle, "_masks", refuse),
               pytest.raises(GuardError, match="too many subsets")):
             verify_instance(K, mu, 6)
+        assert not refuse.called
+
+    def test_m_and_the_guard_are_checked_before_either_selector_runs(self, rng, monkeypatch):
+        refuse = mock.Mock(side_effect=AssertionError("a selector ran"))
+        monkeypatch.setattr(oracle, "proto_dash", refuse)
+        monkeypatch.setattr(oracle, "proto_greedy", refuse)
+        K, mu = gaussian_instance(rng, n1=4, n2=5)
+        for m, match in ((0, "m must be at least 1"), (6, "m must be at most 5")):
+            with pytest.raises(InputError, match=match):
+                verify_instance(K, mu, m)
+        with pytest.raises(GuardError, match="n2=63 > 62"):
+            verify_instance(*gaussian_instance(rng, n1=4, n2=63), 1)
+        # the subsets of at most 6 of 40 rows alone pass the cap
+        count = sum(math.comb(40, k) for k in range(1, 7))
+        with pytest.raises(GuardError, match=f"too many subsets to enumerate: {count} > "):
+            verify_instance(*gaussian_instance(rng, n1=4, n2=40), 6)
         assert not refuse.called
 
     def test_vacuous_bound_is_degenerate(self):
