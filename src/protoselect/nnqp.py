@@ -16,7 +16,11 @@ objective once, by `_value` on the record's block, entries and weights, and
 against the same Gram and mean map, on its support or on that support plus one
 index, the block is read from the record, grown by one row of K, not gathered,
 and the warm start itself is not solved again. `kkt_residual` reads the record
-too. Every output has the same bits as from a vector without a record.
+too. `gain_bounds` keeps in the record the whitening of the support (`_Whitened`:
+the Cholesky factor of K's block, the rows it whitens and their Schur
+complements), and a solve from that vector as a warm start carries it over, so
+that the next call grows it by one index in O(|S| n2), not O(|S|^2 n2). Every
+output has the same bits as from a vector without a record.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ class SupportSet:
     """Ordered set of distinct source indices; iteration follows insertion order."""
 
     indices: tuple[int, ...] = ()
+    _array = None  # a class attribute, not a field: `as_array`'s array, once made
 
     def __post_init__(self):
         idx = as_indices(self.indices, "support indices")
@@ -72,7 +77,26 @@ class SupportSet:
         return grown
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=np.intp)
+        """The indices as one read-only intp array, made at the first call and held. It is
+        not part of the value: it is not compared, hashed or pickled."""
+        if self._array is None:
+            object.__setattr__(self, "_array", read_only(np.array(self.indices, dtype=np.intp)))
+        return self._array
+
+    def __getstate__(self):
+        return {"indices": self.indices}
+
+
+class _Whitened(NamedTuple):
+    """The whitening of the first `size` indices S of a support, grown one index at a time
+    by `_whiten`: the lower Cholesky factor L of K_SS, B = L^-1 K[S, :] and the Schur
+    complements s = diag(K) - sum of B's squared rows. All three are None once a pivot
+    is untrusted (see `gain_bounds`), for then every bound on S or a superset is."""
+
+    size: int
+    factor: np.ndarray | None  # size x size
+    B: np.ndarray | None  # size x n2
+    s: np.ndarray | None  # n2
 
 
 class _Record(NamedTuple):
@@ -84,6 +108,8 @@ class _Record(NamedTuple):
     mu_entries: np.ndarray  # mu's entries at the support, read-only
     passive: np.ndarray  # the passive set of the solve's last pass
     objective: float  # `_value` of the weights on the block and entries above
+    whitened: _Whitened | None  # of a prefix of the support, from `gain_bounds` on it or
+    # on the warm start; None if neither had one
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +213,7 @@ def _restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet, w: WeightVector | N
         if len(L) == len(held) + 1 and L.indices[:-1] == held:
             j = L.indices[-1]
             row = K.rows((j,))[0]
-            edge = row.take(held)
+            edge = row.take(w.support.as_array())
             if np.count_nonzero(edge) == edge.size:
                 n = len(held)
                 KL = np.empty((n + 1, n + 1))
@@ -226,7 +252,7 @@ def _value(KL: np.ndarray, muL: np.ndarray, wL: np.ndarray) -> float:
 def gradient(w: WeightVector, K: KernelMatrix, mu: MeanMap) -> np.ndarray:
     """Full-length gradient mu - Kw."""
     _check_sizes(K, as_instance(mu, MeanMap, "mu").entries, as_instance(w, WeightVector, "w"))
-    return mu.entries - w.weights @ K.rows(w.support.indices)
+    return mu.entries - w.weights @ K.rows(w.support.as_array())
 
 
 def kkt_residual(w: WeightVector, K: KernelMatrix, mu: MeanMap, L: SupportSet) -> float:
@@ -253,38 +279,88 @@ def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
     concave function equals l(w) at w, where its gradient is rho_S on S and
     g_j at j, and its unconstrained maximum on S + j lies the entry above
     l(w). Where every weight is positive, rho_S = g_S and the
-    entry is U(S + j) - l(w), U(T) the unconstrained maximum of l on T. One
-    Cholesky factor of K_SS and one triangular solve against K[S, :] give
-    every entry.
+    entry is U(S + j) - l(w), U(T) the unconstrained maximum of l on T.
 
-    The bound is +inf where it cannot be trusted: K_SS does not factor or a
-    pivot of its factor, itself a Schur complement, is at most sqrt(eps)
-    times its diagonal entry; or s_j is, where cancellation has taken its
-    digits. Entries for indices already in S carry no meaning. K_SS is read from w's
-    record when w was solved against this K.
+    Every entry comes from S's whitening (`_Whitened`): the lower Cholesky
+    factor L of K_SS, B = L^-1 K[S, :] and s = diag(K) - sum of B's squared
+    rows. r = L^-1 rho_S gives h = g - r'B and the first term r'r / 2. The
+    whitening is built one index of S at a time, in S's order, by `_whiten`,
+    in O(|S| n2) each (Golub & Van Loan, §4.2 and §6.5); the first, of the
+    empty support, is L = [], B = [] and s = diag(K). If w was solved against
+    this K, its record holds the whitening of a prefix of S, the warm start's
+    or its own, so a growing support adds one index a call and reads one new
+    row of K; the whitening of S is then held in the record. Without a record
+    it is built from the empty support by the same appends, so the entries
+    have the same bits either way. Each s_j takes |S| rounded subtractions
+    of squares, the same gamma_|S| order of error as the sum of squares it
+    replaced, so `selectors._BOUND_SLACK`'s argument stands.
+
+    The bound is +inf where it cannot be trusted: a pivot of L, the Schur
+    complement s_j of the index j it adds (K_jj - l'l, l = B[:, j]), is at
+    most sqrt(eps) times K_jj, which covers a K_SS that does not factor; or
+    s_j is, where cancellation has taken its digits. Entries for indices
+    already in S carry no meaning.
     """
     g = as_reals(g, "gradient")
     if not np.isfinite(g).all():
         raise InputError("gradient contains non-finite entries")
     _check_sizes(K, g, as_instance(w, WeightVector, "w"))
-    diag = K.diag()
-    s, h, base = diag, g, 0.0
-    if len(w.support):
+    W = _whitening(w, K)
+    if W.factor is None:
+        return np.full(K.n2, np.inf)
+    s, h, base = W.s, g, 0.0
+    if W.size:
         idx = w.support.as_array()
-        factor = _factor(_block_of(w, K))
-        if factor is None or np.any(np.diagonal(factor) ** 2 <= _SQRT_EPS * diag[idx]):
-            return np.full(K.n2, np.inf)
-        B = lapack.dtrtrs(factor, K.rows(idx), lower=1)[0]
         rho = np.where(w.weights > 0.0, g[idx], np.maximum(g[idx], 0.0))
-        r = lapack.dtrtrs(factor, rho, lower=1)[0]
-        s = diag - np.einsum("ij,ij->j", B, B)
-        h = g - r @ B
+        r = lapack.dtrtrs(W.factor, rho, lower=1)[0]
+        h = g - r @ W.B
         base = 0.5 * float(r @ r)
+    diag = K.diag()
     trusted = s > _SQRT_EPS * diag
     bound = np.full(K.n2, np.inf)
     with np.errstate(over="ignore"):  # an overflowing bound stays +inf
         bound[trusted] = base + h[trusted] ** 2 / (2.0 * s[trusted])
     return bound
+
+
+def _whitening(w: WeightVector, K: KernelMatrix) -> _Whitened:
+    """The whitening of w's support, grown from that of the prefix w's record holds and
+    then held there in its place, or from the empty support's if w has no record for K."""
+    rec = _record_of(w, K)
+    W = None if rec is None else rec.whitened
+    if W is None:
+        W = _Whitened(0, np.zeros((0, 0)), np.zeros((0, K.n2)), K.diag())
+    for j in w.support.indices[W.size:]:
+        W = _whiten(W, j, K)
+    if rec is not None and rec.whitened is not W:
+        object.__setattr__(w, "_record", rec._replace(whitened=W))
+    return W
+
+
+def _whiten(W: _Whitened, j: int, K: KernelMatrix) -> _Whitened:
+    """W grown by the index j, from row j of K: L gains the row (l, lambda), l = B[:, j]
+    = L^-1 K[S, j] and lambda^2 = s_j = K_jj - l'l, its pivot; B gains the row
+    b = (K_j - l'B) / lambda, and s loses b^2. A pivot at most sqrt(eps) K_jj is
+    untrusted, and so is every whitening grown from one."""
+    n = W.size
+    if W.factor is None or not W.s[j] > _SQRT_EPS * K.diag()[j]:
+        return _Whitened(n + 1, None, None, None)
+    pivot = math.sqrt(W.s[j])
+    edge = W.B[:, j]
+    b = (K.rows((j,))[0] - edge @ W.B) / pivot
+    factor = np.zeros((n + 1, n + 1))
+    factor[:n, :n] = W.factor
+    factor[n, :n] = edge
+    factor[n, n] = pivot
+    return _Whitened(n + 1, factor, np.concatenate((W.B, b[None])), W.s - b * b)
+
+
+def _without_whitening(w: WeightVector) -> WeightVector:
+    """w, whose record, if any, no longer holds a whitening: at |S| x n2 floats it is
+    held only while a selection runs."""
+    if w._record is not None and w._record.whitened is not None:
+        object.__setattr__(w, "_record", w._record._replace(whitened=None))
+    return w
 
 
 def _block_of(w: WeightVector, K: KernelMatrix) -> np.ndarray:
@@ -425,5 +501,15 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
                           f"(residual {residual:.3e})", residual=residual, best_iterate=w,
                           reason=reason)
     object.__setattr__(w, "_record", _Record(weakref.ref(K), weakref.ref(mu), read_only(KL),
-                                             read_only(muL), passive, _value(KL, muL, w.weights)))
+                                             read_only(muL), passive, _value(KL, muL, w.weights),
+                                             _carried(warm_start, K, L)))
     return w
+
+
+def _carried(w: WeightVector | None, K: KernelMatrix, L: SupportSet) -> _Whitened | None:
+    """The whitening w's record holds for K, if it covers a prefix of L; else None."""
+    rec = _record_of(w, K)
+    W = None if rec is None else rec.whitened
+    if W is None or L.indices[:W.size] != w.support.indices[:W.size]:
+        return None
+    return W

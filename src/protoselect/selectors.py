@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import InputError, SolverError, as_held, as_index, as_indices, as_instance, as_real
 from .kernel import KernelMatrix, MeanMap, _gamma
-from .nnqp import (SolverConfig, SupportSet, WeightVector, _block_of, _check_sizes, as_solver,
-                   gain_bounds, gradient, objective, solve_restricted)
+from .nnqp import (SolverConfig, SupportSet, WeightVector, _block_of, _check_sizes,
+                   _without_whitening, as_solver, gain_bounds, gradient, objective,
+                   solve_restricted)
 
 PROTODASH = "protodash"
 PROTOGREEDY = "protogreedy"
@@ -124,6 +125,7 @@ def _grow(method, K, mu, cfg: SelectionConfig, pick) -> SelectionResult:
     returns `(j, weights, f_new, g_j)`, g_j the gradient recorded for j, or None to stop
     early. Growth stops at cfg.m indices (all n2 in epsilon mode) or when the objective
     rises by less than cfg.epsilon; a SolverError leaves with the steps done as `partial`.
+    Neither result's weights keep the whitening that `gain_bounds` holds in a record.
     """
     target = cfg.m if cfg.m is not None else K.n2
     weights, f = WeightVector.zeros(K.n2), 0.0
@@ -140,7 +142,8 @@ def _grow(method, K, mu, cfg: SelectionConfig, pick) -> SelectionResult:
         try:
             picked = pick(lambda: gradient(weights, K, mu), weights, f, extend)
         except SolverError as err:
-            err.partial = SelectionResult(method, weights, obj, grad, times, early)
+            err.partial = SelectionResult(method, _without_whitening(weights), obj, grad, times,
+                                          early)
             raise
         if picked is None:
             early = True
@@ -152,13 +155,13 @@ def _grow(method, K, mu, cfg: SelectionConfig, pick) -> SelectionResult:
         obj.append(f)
         grad.append(g_j)
         times.append(time.perf_counter() - start)
-    return SelectionResult(method, weights, obj, grad, times, early)
+    return SelectionResult(method, _without_whitening(weights), obj, grad, times, early)
 
 
 def _largest_gradient(grad, weights, f, extend):
     """ProtoDash: take the candidate with the largest positive gradient."""
     g = grad()  # a fresh array, masked in place
-    g.put(weights.support.indices, -np.inf)
+    g.put(weights.support.as_array(), -np.inf)
     j = int(g.argmax())
     return (*extend(j), g[j]) if g[j] > 0.0 else None
 
@@ -174,7 +177,11 @@ def _largest_gain(K: KernelMatrix, mu: MeanMap):
     scoring would make, ties going to the lowest index. Each next candidate
     is the argmax of the bounds not yet visited, the largest first and ties
     to the lowest index, as a stable sort would order them: a step solves
-    about one candidate, so it sorts none. Bounds are finite or +inf.
+    about one candidate, so it sorts none. Bounds are finite or +inf. They come
+    from `gain_bounds(weights, g, K)` at every step: the weights a step starts
+    from were solved from the previous step's, whose record holds the whitening
+    that call built, so each call adds the one new row to it (O(|S| n2)) and
+    gathers no block and solves no rows through a factor.
 
     The slack is _BOUND_SLACK b_j for the bound's own roundoff, plus a bound
     on the roundoff of a computed gain. Let u be the unit roundoff,
@@ -279,8 +286,11 @@ def proto_greedy(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> Selectio
     objective most, ties toward the lowest index. Candidates whose gradient
     is non-positive leave the objective unchanged and score zero without a
     solve. The rest are bounded first: the unconstrained maximum on the
-    support grown by j bounds any non-negative solve there, and one Cholesky
-    factor of the support's Gram block gives that bound for every j at once.
+    support grown by j bounds any non-negative solve there, and the support's
+    whitening, its Gram block's Cholesky factor L and B = L^-1 K[S, :], gives
+    that bound for every j at once. The whitening is held from step to step
+    and grows by one row a step, so a step costs O(|S| n2) beside its solves;
+    the returned result holds none of it.
     Candidates are solved in order of decreasing bound, and scoring stops
     once no remaining bound can beat the best gain found, so the picks are
     exactly those of solving every candidate. A bound that roundoff could

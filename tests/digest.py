@@ -39,7 +39,8 @@ from protoselect.oracle import (_certified, _lattice, exhaustive_optimal,  # noq
 from protoselect.ranking import (AverageRanks, GraphExport, RankMatrix,  # noqa: E402
                                  average_ranks, export_graph)
 from protoselect.selectors import CriticismResult, SelectionConfig, SelectionResult  # noqa: E402
-from helpers import dense, gaussian_instance, margin_instances, oversampled  # noqa: E402
+from helpers import (dense, gaussian_instance, late_gains_instance,  # noqa: E402
+                     margin_instances, oversampled)
 
 
 def _feed(h, x):
@@ -171,6 +172,16 @@ def _selector_entries(out):
                  SelectionConfig(m=5)),
         _outcome(proto_greedy, kernel_matrix(X, spec),
                  mean_map(Dataset(rng.normal(size=(20, 2))), X, spec), SelectionConfig(m=6))]
+    # ProtoGreedy over long runs of steps that grow the held whitening by one row each: one
+    # whose supports hold zero weights, and a 600-row gaussian Gram.
+    rng = np.random.default_rng(600)
+    source = Dataset(rng.normal(size=(600, 8)))
+    spec = KernelSpec("gaussian", bandwidth=median_bandwidth(source))
+    out["selectors.proto_greedy.held_rows"] = [
+        _outcome(proto_greedy, *late_gains_instance(), SelectionConfig(m=100)),
+        _outcome(proto_greedy, kernel_matrix(source, spec),
+                 mean_map(Dataset(rng.normal(size=(300, 8)) + 0.2), source, spec),
+                 SelectionConfig(m=60))]
 
 
 def _solver_entries(out):

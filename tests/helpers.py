@@ -3,7 +3,8 @@
 import numpy as np
 from hypothesis import settings
 
-from protoselect import Dataset, KernelSpec, gradient, kernel_matrix, mean_map, top_m_by_weight
+from protoselect import (Dataset, KernelSpec, gradient, kernel_matrix, mean_map,
+                         median_bandwidth, top_m_by_weight)
 from protoselect.kernel import KernelMatrix, MeanMap
 from protoselect.selectors import SelectionConfig
 
@@ -33,6 +34,16 @@ def random_gaussian_instance(rng, max_n1=15, max_n2=10, max_m=3):
     source = Dataset(rng.normal(size=(n2, d)))
     target = Dataset(rng.normal(size=(n1, d)))
     return kernel_matrix(source, spec), mean_map(target, source, spec), m
+
+
+def late_gains_instance():
+    """n2 = 400, d = 5: by m = 100 ProtoGreedy's gains fall below 1e-6 of the objective, and
+    step-backs leave support weights at zero with a negative gradient."""
+    rng = np.random.default_rng(7)
+    source = Dataset(rng.standard_normal((400, 5)))
+    target = Dataset(rng.standard_normal((400, 5)) + 0.3)
+    spec = KernelSpec("gaussian", bandwidth=median_bandwidth(source))
+    return kernel_matrix(source, spec), mean_map(target, source, spec)
 
 
 def margin_instances():

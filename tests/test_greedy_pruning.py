@@ -1,5 +1,9 @@
 """ProtoGreedy's gain-bound pruning: same selections as exhaustive scoring, far fewer solves."""
 
+import gc
+import weakref
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,14 +16,14 @@ from protoselect import (
     gradient,
     kernel_matrix,
     mean_map,
-    median_bandwidth,
     objective,
     solve_restricted,
 )
-from protoselect import kernel, selectors
+from protoselect import kernel, nnqp, selectors
 from protoselect.nnqp import gain_bounds
 from protoselect.selectors import SelectionConfig, SelectionResult, proto_greedy
-from helpers import entries_of, gaussian_instance, oversampled, synthetic_instance
+from helpers import (entries_of, gaussian_instance, late_gains_instance, oversampled,
+                     synthetic_instance)
 
 
 def exhaustive_greedy(K, mu, cfg):
@@ -174,16 +178,6 @@ def test_candidates_are_visited_in_the_stable_order_of_their_bounds(monkeypatch,
         assert visited == order[:visits]
 
 
-def late_gains_instance():
-    """n2 = 400, d = 5: by m = 100 the gains fall below 1e-6 of the objective, and
-    step-backs leave support weights at zero with a negative gradient."""
-    rng = np.random.default_rng(7)
-    source = Dataset(rng.standard_normal((400, 5)))
-    target = Dataset(rng.standard_normal((400, 5)) + 0.3)
-    spec = KernelSpec("gaussian", bandwidth=median_bandwidth(source))
-    return kernel_matrix(source, spec), mean_map(target, source, spec)
-
-
 def test_greedy_prunes_at_every_support_size(monkeypatch):
     # A slack of 1e-6 |f|, or a bound that adds the zero weights' gradients, solved 42 to
     # 53 candidates a step here.
@@ -311,3 +305,104 @@ class TestGainBounds:
         K, mu = synthetic_instance([[1.0, 2.0, 0.2], [2.0, 1.0, 0.2], [0.2, 0.2, 1.0]],
                                    [0.6, 0.6, 0.3])
         assert np.all(gain_bounds(w, gradient(w, K, mu), K) == np.inf)
+
+
+def _plain(w):
+    return WeightVector(w.support, w.weights, w.dimension)
+
+
+def _held_whitening_instances():
+    """name -> (K, mu, m): zero weights on the support, a linear Gram whose Schur
+    complements run out past its rank, and twice-repeated rows whose pivots go untrusted."""
+    rng = np.random.default_rng(5)
+    linear = KernelSpec("linear", jitter=1e-10)
+    source = Dataset(rng.normal(size=(60, 6)))
+    repeated = Dataset(np.repeat(rng.normal(size=(12, 2)), 2, axis=0))
+    gaussian = KernelSpec("gaussian", bandwidth=1.0)
+    return {
+        "late_gains": (*late_gains_instance(), 100),
+        "linear": (kernel_matrix(source, linear),
+                   mean_map(Dataset(rng.normal(size=(50, 6)) + 0.5), source, linear), 10),
+        "repeated_rows": (kernel_matrix(repeated, gaussian),
+                          mean_map(Dataset(rng.normal(size=(20, 2))), repeated, gaussian), 16),
+    }
+
+
+class TestHeldWhitening:
+    """The whitening `gain_bounds` holds in a solve's record and grows by one row a step."""
+
+    @pytest.mark.parametrize("name", list(_held_whitening_instances()))
+    def test_bounds_along_greedy_steps_equal_those_of_plain_copies(self, monkeypatch, name):
+        K, mu, m = _held_whitening_instances()[name]
+        steps = []  # (support size, rows held before the call, zero weight, all +inf)
+
+        def compared(w, g, K):
+            held = w._record.whitened.size if w._record and w._record.whitened else None
+            bounds = gain_bounds(w, g, K)
+            assert gain_bounds(_plain(w), g, K).tobytes() == bounds.tobytes()
+            assert w._record is None or w._record.whitened.size == len(w.support)
+            steps.append((len(w.support), held, bool(np.any(w.weights == 0.0)),
+                          bool(np.all(bounds == np.inf))))
+            return bounds
+
+        monkeypatch.setattr(selectors, "gain_bounds", compared)
+        assert len(proto_greedy(K, mu, SelectionConfig(m=m)).indices) == m
+        # a step grew the warm start's by one, or built from the empty support where the
+        # warm start has no record: the zero vector, or an addition at weight 0
+        assert all(s[1] in (None, s[0] - 1) for s in steps)
+        assert sum(s[1] == s[0] - 1 for s in steps) >= m // 2
+        if name == "late_gains":
+            assert sum(s[2] for s in steps) >= 50
+        else:  # past the rank, or with both copies of a row held, a pivot is untrusted
+            assert 2 <= sum(s[3] for s in steps) < m - 2
+
+    def test_a_greedy_step_reads_one_new_row_and_solves_no_rows_through_the_factor(
+            self, monkeypatch):
+        K, mu = gaussian_instance(np.random.default_rng(0), n1=200, n2=300, d=3)
+        reads, solves = [], []
+        for name in ("rows", "block"):
+            monkeypatch.setattr(K, name, lambda idx, read=getattr(K, name), name=name:
+                                reads.append((name, tuple(np.atleast_1d(idx)))) or read(idx))
+        real = nnqp.lapack
+        monkeypatch.setattr(nnqp, "lapack", SimpleNamespace(
+            dpotrf=real.dpotrf, dpotrs=real.dpotrs,
+            dtrtrs=lambda a, b, **kw: solves.append(np.shape(b)) or real.dtrtrs(a, b, **kw)))
+        budgets = []
+
+        def counted(w, g, K):
+            del reads[:], solves[:]
+            bounds = gain_bounds(w, g, K)
+            budgets.append((len(w.support), w.support.indices[-1:], list(reads), list(solves)))
+            return bounds
+
+        monkeypatch.setattr(selectors, "gain_bounds", counted)
+        proto_greedy(K, mu, SelectionConfig(m=30))
+        late = [b for b in budgets if b[0] >= 2]
+        assert len(late) == 28
+        for size, last, read, solved in late:
+            assert read == [("rows", last)] and solved == [(size,)], (size, read, solved)
+
+    def test_a_returned_result_holds_no_whitened_rows(self, monkeypatch):
+        K, mu = gaussian_instance(np.random.default_rng(1), n1=100, n2=200, d=3)
+        made, whiten = [], nnqp._whiten
+
+        def kept(W, j, K):
+            grown = whiten(W, j, K)
+            if grown.B is not None:
+                made.append(weakref.ref(grown.B))
+            return grown
+
+        monkeypatch.setattr(nnqp, "_whiten", kept)
+        res = proto_greedy(K, mu, SelectionConfig(m=12))
+        gc.collect()
+        assert len(made) == 12 - 1 and res.weights._record.whitened is None
+        assert all(ref() is None for ref in made)
+        # so does a partial result: rank-deficient rows at a large scale fail a solve
+        rng = np.random.default_rng(0)
+        X = Dataset(1e4 * (rng.normal(size=(40, 2)) @ rng.normal(size=(2, 6))))
+        spec = KernelSpec("linear")
+        with pytest.raises(SolverError) as err:
+            proto_greedy(kernel_matrix(X, spec), mean_map(X, X, spec), SelectionConfig(m=5))
+        partial = err.value.partial.weights
+        assert len(partial.support) >= 1
+        assert partial._record is None or partial._record.whitened is None

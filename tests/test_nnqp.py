@@ -555,6 +555,21 @@ class TestTypes:
         assert grown.indices == (3, 0, 7) and type(grown.indices[2]) is int
         assert grown == SupportSet((3, 0, 7)) and s.indices == (3, 0)
 
+    def test_support_set_holds_one_read_only_index_array_outside_its_value(self):
+        s = SupportSet((3, 0, 2))
+        arr = s.as_array()
+        assert s.as_array() is arr and arr.dtype == np.intp and arr.tolist() == [3, 0, 2]
+        with pytest.raises(ValueError):
+            arr[0] = 1
+        assert s.extended(5).as_array().tolist() == [3, 0, 2, 5] and s.as_array() is arr
+        twin = SupportSet((3, 0, 2))
+        assert s == twin and hash(s) == hash(twin)
+        assert pickle.dumps(s) == pickle.dumps(twin)  # twin has made no array
+        loaded = pickle.loads(pickle.dumps(s))
+        assert loaded == s and "_array" not in vars(loaded)
+        assert loaded.as_array().tolist() == [3, 0, 2]
+        assert SupportSet().as_array().shape == (0,)
+
     def test_weight_vector_rejects_negative(self):
         with pytest.raises(InputError):
             WeightVector(SupportSet((0,)), np.array([-0.1]), 2)
