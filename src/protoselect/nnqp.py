@@ -363,6 +363,20 @@ def _without_whitening(w: WeightVector) -> WeightVector:
     return w
 
 
+def _padded(w: WeightVector, j: int, K: KernelMatrix, mu: MeanMap) -> WeightVector:
+    """w with j appended to its support at weight 0. A record w carries for this K and mu
+    goes with it, grown by j as a solve from w on that support grows it, and with its
+    whitening, so that the next solve and `gain_bounds` start from it as from w."""
+    padded = WeightVector(w.support.extended(j), np.concatenate((w.weights, (0.0,))), w.dimension)
+    rec = _record_of(w, K, mu)
+    if rec is not None:
+        KL, muL, _, _ = _restricted(K, mu, padded.support, w, "weight")
+        object.__setattr__(padded, "_record", rec._replace(
+            block=read_only(KL), mu_entries=read_only(muL), passive=np.append(rec.passive, False),
+            objective=_value(KL, muL, padded.weights)))
+    return padded
+
+
 def _block_of(w: WeightVector, K: KernelMatrix) -> np.ndarray:
     """K's block at w's support: the record's if w was solved against K, else gathered."""
     rec = _record_of(w, K)

@@ -16,6 +16,15 @@ block; a block that is not clearly one takes its value from the weight
 solver, `objective(solve_restricted(...))`, which raises SolverError when it
 meets a block that does not factor.
 
+No block is solved for U+ either. Each subset S is grown from two of its
+children, S less its lowest row and S less its second lowest, by one
+bordering step of the factor of K_SS^-1 (`_border`): a fixed number of
+vectorized operations a size, O(|S|) a subset. So each size holds the
+borders of the size before, 2k + 3 numbers a subset of k rows, and only of
+the subsets the next size grows from. Where a pivot of that recursion is not
+positive though the block passes the definiteness test, the block is solved
+by np.linalg.solve as it stands (`_peak`).
+
 The table holds only the subsets its readers read (`_lattice`): every subset
 of at most `full` rows, which `exhaustive_optimal` scans, and, for each pick
 set P, every A ∪ B with A ⊆ P and B a set of at most r rows outside P, which
@@ -54,6 +63,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,12 +126,9 @@ def _split(P, n2: int) -> tuple[np.ndarray, np.ndarray]:
             np.array([j for j in range(n2) if j not in P], dtype=np.int64))
 
 
-def _minors(rows: np.ndarray, idx: np.ndarray):
-    """(indices, blocks) for each chunk of the subsets idx, where blocks[i] is the
-    principal block of rows at indices[i]."""
-    for start in range(0, len(idx), _CHUNK):
-        chunk = idx[start:start + _CHUNK]
-        yield chunk, rows[chunk[:, :, None], chunk[:, None, :]]
+def _blocks(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The principal block of rows at each row of idx, stacked."""
+    return rows[idx[:, :, None], idx[:, None, :]]
 
 
 def _read(table: list, k: int, masks: np.ndarray) -> np.ndarray:
@@ -137,13 +144,17 @@ def _lattice(K: KernelMatrix, mu: MeanMap, full: int, picks: tuple = (), r: int 
     Entry k of the list is (keys, values) for the subsets of k rows: their sorted int64
     bitmasks and f on each. Each size k is filled from the identity
     f(S) = max(U+(S), max over j in S of f(S - j)) of the module docstring, whose
-    children the set holds: a block of k rows is clearly positive definite when its
-    smallest eigenvalue is above k·eps times its largest, which `_certified` settles for
-    every block at once where it can, and one batched eigvalsh a chunk decides where it
-    cannot. One batched solve gives K_SS^-1 mu_S on the definite blocks. Each other
-    block's U+ is replaced by the weight solver's optimum on S, which raises SolverError
-    where a block on S does not factor. A selection with an index at or past n2 raises
-    InputError, and the enumeration is guarded like every other, by its count of
+    children the set holds, one chunk of `_CHUNK` subsets at a time: np.searchsorted
+    finds a chunk's children, and `_border` grows each subset's `_Border` from those of
+    two of them. A block of k rows is clearly positive definite when its smallest
+    eigenvalue is above k·eps times its largest, which `_certified` settles for every
+    block at once where it can, and one batched eigvalsh a chunk decides where it
+    cannot; `_peak` then reads U+ from the border.
+
+    Only what the next size reads is held: the borders of the size before, 2k + 3
+    numbers a subset of k rows, and of those only the subsets that the next size grows
+    from (`_read_next`); none of the last size. A selection with an index at or past n2
+    raises InputError, and the enumeration is guarded like every other, by its count of
     subsets; both before any key is made.
     """
     n2 = as_instance(K, KernelMatrix, "K").n2
@@ -159,20 +170,114 @@ def _lattice(K: KernelMatrix, mu: MeanMap, full: int, picks: tuple = (), r: int 
     depth = max([full] + [a + b for sizes in grown for a, b in sizes])
     certified = _certified(K, depth)
     rows = K.block(range(n2))
+    levels = [np.sort(_masks(_combinations(n2, k))) if k <= full else np.unique(np.concatenate([
+        (_masks(P[_combinations(len(P), a)])[:, None]
+         + _masks(rest[_combinations(len(rest), k - a)])).ravel()
+        for (P, rest), sizes in zip(splits, grown) for a, b in sizes if a + b == k]))
+        for k in range(1, depth + 1)]
     table = [(np.zeros(1, dtype=np.int64), np.zeros(1))]
-    for k in range(1, depth + 1):
-        if k <= full:
-            keys = np.sort(_masks(_combinations(n2, k)))
-        else:
-            keys = np.unique(np.concatenate([
-                (_masks(P[_combinations(len(P), a)])[:, None]
-                 + _masks(rest[_combinations(len(rest), k - a)])).ravel()
-                for (P, rest), sizes in zip(splits, grown) for a, b in sizes if a + b == k]))
-        values = [np.maximum(_peak(K, mu, idx, blocks, certified),
-                             _read(table, k - 1, _masks(idx)[:, None] - (_ONE << idx)).max(axis=1))
-                  for idx, blocks in _minors(rows, _indices(keys, k))]
-        table.append((keys, np.concatenate(values)))
+    held = None
+    last = np.zeros(0, dtype=np.int64)  # the size after the last: it reads nothing
+    for k, (keys, after) in enumerate(zip(levels, levels[1:] + [last]), 1):
+        below, f_below = table[-1]
+        values = np.empty(len(keys))
+        read = _read_next(keys, after)
+        n = np.count_nonzero(read)  # filled in place: no border is held twice
+        held_next = _Border(keys[read], np.empty((n, k)), np.empty((n, k - 1)),
+                            *(np.empty(n) for _ in range(3)))
+        filled = 0
+        for start in range(0, len(keys), _CHUNK):
+            part = slice(start, start + _CHUNK)
+            idx = _indices(keys[part], k)
+            children = below.searchsorted(keys[part, None] - (_ONE << idx))
+            border = _border(rows, mu.entries, keys[part], idx, held)
+            values[part] = np.maximum(_peak(K, mu, rows, idx, border, certified),
+                                      f_below[children].max(axis=1))
+            count = np.count_nonzero(read[part])
+            for whole, field in zip(held_next[1:], border[1:]):
+                whole[filled:filled + count] = field[read[part]]
+            filled += count
+        table.append((keys, values))
+        held = held_next
     return table
+
+
+def _grown_from(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keys of the two children each subset S of `keys` is grown from: S less its
+    lowest row, and S less its second lowest."""
+    parent = keys & (keys - 1)
+    return parent, keys ^ (parent & -parent)
+
+
+def _read_next(keys: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Whether the size after that of `keys`, whose keys are `after`, grows a subset
+    from each subset of `keys`."""
+    read = np.zeros(len(keys), dtype=bool)
+    for children in _grown_from(after):
+        read[keys.searchsorted(children)] = True
+    return read
+
+
+class _Border(NamedTuple):
+    """What the bordering recursion knows of each subset S of one size, row i of each
+    array for the i-th subset. S's rows are taken in ascending order, and its factor is
+    bordered in the reverse one: j is S's lowest row, and P = S - j its parent.
+
+    keys: S's bitmask;
+    x: K_SS^-1 mu_S, in S's ascending order;
+    v: K_PP^-1 K[P, j], in P's ascending order: the new column of the unit triangular
+        factor of K_SS^-1;
+    pivot: K_jj - K[j, P] v, the Schur complement of K_PP, which is the square of the
+        last pivot of K_SS's Cholesky factor; NaN where it is not positive, or where a
+        pivot it was grown from is NaN;
+    g: mu_j - K[j, P] x_P, the gradient at j of P's unconstrained maximizer;
+    U: mu_S' x_S / 2, the unconstrained maximum of l on S.
+    """
+
+    keys: np.ndarray
+    x: np.ndarray
+    v: np.ndarray
+    pivot: np.ndarray
+    g: np.ndarray
+    U: np.ndarray
+
+
+def _border(rows: np.ndarray, mu_entries: np.ndarray, keys: np.ndarray, idx: np.ndarray,
+            held: _Border | None) -> _Border:
+    """The `_Border` of each subset keys[i], whose ascending rows are idx[i], from the
+    held borders of the size before.
+
+    The recursion is Cholesky's bordering step (Golub & Van Loan §4.2) carried on the
+    factor of the inverse, and it reads two children of S: its parent P = S - j and
+    Q = S - p, p the second lowest row of S, whose parent P' = P - p is P's. With
+    c = K_pj - K[p, P'] v_Q, the covariance of rows p and j once P' is regressed out,
+    the new column's entry at p is s = c / pivot_P, and
+        v_S = (s, v_Q - s v_P),   pivot_S = pivot_Q - c s,   g_S = g_Q - s g_P,
+        x_S = (x_j, x_P - x_j v_S) with x_j = g_S / pivot_S,   U_S = U_P + g_S x_j / 2.
+    So each size takes a fixed number of vectorized steps, none of them a triangular
+    sweep, and U_S adds only terms of one sign. A subset of one row has P empty: pivot
+    K_jj and g = mu_j.
+    """
+    j = idx[:, 0]
+    if held is None:
+        x_P = v = np.zeros((len(idx), 0))
+        pivot, g, U_P = rows[j, j], mu_entries[j], 0.0
+    else:
+        P, Q = (held.keys.searchsorted(children) for children in _grown_from(keys))
+        p, v_Q, v_P = idx[:, 1], held.v[Q], held.v[P]
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = rows[p, j] - (rows[p[:, None], idx[:, 2:]] * v_Q).sum(axis=1)
+            s = c / held.pivot[P]
+            v = np.concatenate((s[:, None], v_Q - s[:, None] * v_P), axis=1)
+            pivot = held.pivot[Q] - c * s
+            g = held.g[Q] - s * held.g[P]
+        x_P, U_P = held.x[P], held.U[P]
+    pivot[~(pivot > 0.0)] = np.nan  # NaN stays NaN in every border grown from this one
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_j = g / pivot
+        x = np.concatenate((x_j[:, None], x_P - x_j[:, None] * v), axis=1)
+        U = U_P + 0.5 * g * x_j
+    return _Border(keys, x, v, pivot, g, U)
 
 
 def _certified(K: KernelMatrix, depth: int) -> bool:
@@ -200,21 +305,33 @@ def _certified(K: KernelMatrix, depth: int) -> bool:
     return bool(eig[0] - 2 * delta > depth * _EPS * (eig[-1] + 2 * delta))
 
 
-def _peak(K: KernelMatrix, mu: MeanMap, idx: np.ndarray, blocks: np.ndarray,
+def _peak(K: KernelMatrix, mu: MeanMap, rows: np.ndarray, idx: np.ndarray, border: _Border,
           certified: bool) -> np.ndarray:
     """U+ on each support idx[i], or the weight solver's optimum on it where its block
-    is not clearly positive definite; with `certified`, every block is."""
-    rhs = mu.entries[idx]
+    is not clearly positive definite; with `certified`, every block is.
+
+    A definite block takes U+ from its border: U where every entry of x is positive.
+    Where the border has no pivot, because a pivot met on the way is not positive, the
+    block is solved by np.linalg.solve as it stands. This fallback exists because a
+    factor needs a wider margin than the rule's k·eps: a Schur complement computed by
+    subtractions can lose every digit of a smallest eigenvalue near that margin, or, as
+    in `tests/helpers.unextendable_instance`, one a hundred times above it, while the LU
+    solve of the definite block still answers; so the table answers wherever a solve of
+    each block did.
+    """
     if certified:
         definite = np.ones(len(idx), dtype=bool)
     else:
-        eig = np.linalg.eigvalsh(blocks)
+        eig = np.linalg.eigvalsh(_blocks(rows, idx))
         definite = eig[:, 0] > idx.shape[1] * _EPS * eig[:, -1]
-    A, b = blocks[definite], rhs[definite]
-    x = np.linalg.solve(A, b[..., None])[..., 0]
-    value = np.einsum("ij,ij->i", x, b) - 0.5 * np.einsum("ij,ijk,ik->i", x, A, x)
-    peak = np.full(len(idx), -np.inf)
-    peak[definite] = np.where((x > 0.0).all(axis=1), value, -np.inf)
+    bordered = border.pivot > 0.0
+    peak = np.where(definite & bordered & (border.x > 0.0).all(axis=1), border.U, -np.inf)
+    unbordered = np.flatnonzero(definite & ~bordered)
+    if unbordered.size:
+        A, b = _blocks(rows, idx[unbordered]), mu.entries[idx[unbordered]]
+        x = np.linalg.solve(A, b[..., None])[..., 0]
+        value = np.einsum("ij,ij->i", x, b) - 0.5 * np.einsum("ij,ijk,ik->i", x, A, x)
+        peak[unbordered] = np.where((x > 0.0).all(axis=1), value, -np.inf)
     for i in np.flatnonzero(~definite):
         peak[i] = objective(solve_restricted(K, mu, SupportSet(idx[i])), K, mu)
     return peak
@@ -317,8 +434,9 @@ def rsc_rsm_bounds(K: KernelMatrix, k: int) -> tuple[float, float]:
         _guard_subsets(n2, math.comb(n2, k))
     c = np.inf
     C = -np.inf
-    for _, blocks in _minors(K.block(range(n2)), _combinations(n2, k)):
-        eig = np.linalg.eigvalsh(blocks)
+    rows, idx = K.block(range(n2)), _combinations(n2, k)
+    for start in range(0, len(idx), _CHUNK):
+        eig = np.linalg.eigvalsh(_blocks(rows, idx[start:start + _CHUNK]))
         c = min(c, float(eig[:, 0].min()))
         C = max(C, float(eig[:, -1].max()))
     return c, C
@@ -353,7 +471,9 @@ def verify_instance(K: KernelMatrix, mu: MeanMap, m: int,
     gamma = _least_ratio(table, K.n2, dash.indices.indices, m)
     c, _ = rsc_rsm_bounds(K, m)
     C_tilde = float(K.diag().max())
-    gamma_greedy = _least_ratio(table, K.n2, greedy.indices.indices, m)
+    # a pure function of the table and the order: the same order reads the same bits
+    gamma_greedy = (gamma if greedy.indices == dash.indices
+                    else _least_ratio(table, K.n2, greedy.indices.indices, m))
     for name, value in (("c", c), ("gamma", gamma), ("gamma_greedy", gamma_greedy)):
         if value <= 0:
             raise DegenerateDataError(f"{name}={value:.3g} is not positive; the bound is vacuous")

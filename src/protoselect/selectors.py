@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InputError, SolverError, as_held, as_index, as_indices, as_instance, as_real
 from .kernel import KernelMatrix, MeanMap, _gamma
-from .nnqp import (SolverConfig, SupportSet, WeightVector, _block_of, _check_sizes,
+from .nnqp import (SolverConfig, SupportSet, WeightVector, _block_of, _check_sizes, _padded,
                    _without_whitening, as_solver, gain_bounds, gradient, objective,
                    solve_restricted)
 
@@ -179,7 +179,8 @@ def _largest_gain(K: KernelMatrix, mu: MeanMap):
     to the lowest index, as a stable sort would order them: a step solves
     about one candidate, so it sorts none. Bounds are finite or +inf. They come
     from `gain_bounds(weights, g, K)` at every step: the weights a step starts
-    from were solved from the previous step's, whose record holds the whitening
+    from were solved from the previous step's, or padded from them with the
+    pick at weight 0 (`nnqp._padded`), and their record holds the whitening
     that call built, so each call adds the one new row to it (O(|S| n2)) and
     gathers no block and solves no rows through a factor.
 
@@ -229,8 +230,7 @@ def _largest_gain(K: KernelMatrix, mu: MeanMap):
         if g[j0] > 0.0:
             return (*extensions[j0], g[j0])
         # inert addition: the optimum is unchanged, the new coordinate stays 0
-        padded = np.concatenate((weights.weights, (0.0,)))
-        return j0, WeightVector(weights.support.extended(j0), padded, weights.dimension), f, g[j0]
+        return j0, _padded(weights, j0, K, mu), f, g[j0]
 
     return pick
 

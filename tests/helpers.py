@@ -60,6 +60,29 @@ def margin_instances():
             for side, t in (("below", 2.0 ** -41 + 1.5 * eps), ("above", 2.0 ** -41 + 2.5 * eps))}
 
 
+def unextendable_instance():
+    """Five rows whose Gram, of smallest eigenvalue 1.2e-13 and largest 1, passes the
+    oracle's definiteness test, 5 eps times the largest, with a wide margin, while the
+    Schur complement its bordering recursion computes for the whole set is not positive:
+    (K, mu), both as 17-digit decimals of a principal block of a random rotation of
+    diag(1, 1, 1, 1, 661 eps, 2060 eps) and of absolute normal draws."""
+    entries = [
+        [0.4387009733743452, 0.13155120979775903, 0.1041007519507343, 0.08815851138065747,
+         0.23444705268983992],
+        [0.13155120979775903, 0.6569278196782724, -0.1635445830261877, -0.11509329276856294,
+         -0.3350237212901535],
+        [0.1041007519507343, -0.1635445830261877, 0.6525137398388519, -0.42000308341332165,
+         0.08585200365419214],
+        [0.08815851138065747, -0.11509329276856294, -0.42000308341332165, 0.46643063997173934,
+         0.22371040510438375],
+        [0.23444705268983992, -0.3350237212901535, 0.08585200365419214, 0.22371040510438375,
+         0.408182963809899],
+    ]
+    return synthetic_instance(entries, [0.3742066001599236, 0.8430834414974995,
+                                        0.1251301340829019, 0.32284388910009953,
+                                        0.6902772828024353])
+
+
 def dense(table, n2):
     """The oracle's keyed table as one array over every bitmask of n2 rows: entry mask holds
     f on the subset whose bitmask is mask, and NaN where the table holds no subset."""

@@ -356,6 +356,25 @@ class TestHeldWhitening:
         else:  # past the rank, or with both copies of a row held, a pivot is untrusted
             assert 2 <= sum(s[3] for s in steps) < m - 2
 
+    def test_an_addition_at_weight_0_keeps_the_whitening(self, monkeypatch):
+        # Past the linear Gram's rank ProtoGreedy adds indices at weight 0. The padded
+        # weights carry their record, so every step's bounds append exactly one row.
+        K, mu, m = _held_whitening_instances()["linear"]
+        appended, whiten = [], nnqp._whiten
+        monkeypatch.setattr(nnqp, "_whiten", lambda W, j, K: appended.append(j) or whiten(W, j, K))
+        steps = []
+
+        def counted(w, g, K):
+            del appended[:]
+            bounds = gain_bounds(w, g, K)
+            steps.append((len(w.support), len(appended), bool(np.any(w.weights == 0.0))))
+            return bounds
+
+        monkeypatch.setattr(selectors, "gain_bounds", counted)
+        proto_greedy(K, mu, SelectionConfig(m=m))
+        assert [appends for _, appends, _ in steps] == [min(size, 1) for size, _, _ in steps]
+        assert sum(zero for _, _, zero in steps) >= 2
+
     def test_a_greedy_step_reads_one_new_row_and_solves_no_rows_through_the_factor(
             self, monkeypatch):
         K, mu = gaussian_instance(np.random.default_rng(0), n1=200, n2=300, d=3)

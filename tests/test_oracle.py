@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from importlib import resources
 from unittest import mock
 
@@ -41,7 +42,7 @@ from protoselect.selectors import (
 )
 from helpers import (dense, entries_of, finite_difference_check, gaussian_instance,
                      identity_instance, identity_kernel_instance, margin_instances,
-                     random_gaussian_instance, synthetic_instance)
+                     random_gaussian_instance, synthetic_instance, unextendable_instance)
 import reference
 
 
@@ -487,3 +488,99 @@ class TestDemandTable:
         assert reference.objective(gram, mean, L, w) == pytest.approx(f_opt, rel=1e-10)
         # ProtoDash falls short of the optimum here, so f_opt is not its own value read back
         assert row["f_dash"] < f_opt * (1 - 1e-3)
+
+
+def solved_table(K, mu, table):
+    """f at every subset the table holds, {key: f}, from the identity
+    f(S) = max(U+(S), max over j in S of f(S - j)) with U+ from one np.linalg.solve of
+    each subset's own block."""
+    rows, entries = entries_of(K), mu.entries
+    f = {0: 0.0}
+    for keys, _ in table[1:]:
+        for key in keys.tolist():
+            S = [j for j in range(K.n2) if key >> j & 1]
+            x = np.linalg.solve(rows[np.ix_(S, S)], entries[S])
+            peak = 0.5 * float(entries[S] @ x) if (x > 0).all() else -np.inf
+            f[key] = max([peak] + [f[key ^ (1 << j)] for j in S])
+    return f
+
+
+def bordered_instances():
+    """(K, mu, m): gaussian instances drawn as the oracle_sweep pool draws them, and a
+    linear Gram with entries of both signs."""
+    rng = np.random.default_rng(36)
+    instances = [random_gaussian_instance(rng, max_n2=11, max_m=4) for _ in range(8)]
+    linear = KernelSpec("linear")
+    source = Dataset(rng.normal(size=(9, 7)))
+    instances.append((kernel_matrix(source, linear),
+                      mean_map(Dataset(rng.normal(size=(6, 7)) + 0.3), source, linear), 3))
+    return instances
+
+
+class TestBorderedTable:
+    """Each subset's U+ is grown from two children's borders, not solved from its block."""
+
+    def test_the_table_equals_a_solve_of_each_block(self):
+        for draw, (K, mu, m) in enumerate(bordered_instances()):
+            cfg = SelectionConfig(m=m)
+            picks = (proto_dash(K, mu, cfg).indices, proto_greedy(K, mu, cfg).indices)
+            table = _lattice(K, mu, m, picks, m)
+            expected = solved_table(K, mu, table)
+            for keys, values in table[1:]:
+                want = [expected[key] for key in keys.tolist()]
+                np.testing.assert_allclose(values, want, rtol=1e-12, atol=0, err_msg=str(draw))
+
+    def test_a_block_whose_factor_cannot_be_extended_is_solved_as_it_stands(self):
+        K, mu = unextendable_instance()
+        rows = entries_of(K)
+        eig = np.linalg.eigvalsh(rows)
+        assert eig[0] > 100 * 5 * np.finfo(float).eps * eig[-1]  # definite, with room
+        solve = mock.Mock(wraps=np.linalg.solve)
+        with mock.patch.object(np.linalg, "solve", solve):
+            table = _lattice(K, mu, 5)
+        assert solve.call_count == 1 and solve.call_args.args[0].shape == (1, 5, 5)
+        expected = solved_table(K, mu, table)
+        for keys, values in table[1:]:
+            np.testing.assert_allclose(values, [expected[key] for key in keys.tolist()],
+                                       rtol=1e-12, atol=0)
+
+    def test_verify_instance_answers_on_each_instance(self):
+        instances = bordered_instances() + [(*unextendable_instance(), m) for m in (2, 3)]
+        for K, mu, m in instances:
+            report = verify_instance(K, mu, m)
+            assert report["satisfied"] and report["greedy_satisfied"]
+
+    def test_a_sweep_sized_item_holds_little_beside_its_table(self):
+        # The largest oracle_sweep size, (16, 4), drawn as its pool draws it. Its table
+        # holds 19 344 subsets; the previous size's borders, of the subsets the next size
+        # reads, add about 0.4 MB to the 0.86 MB that solving each block took at peak.
+        # Dense factors of whole sizes took 5 to 6 MB.
+        rng = np.random.default_rng(16)
+        spec = KernelSpec("gaussian", bandwidth=float(rng.uniform(0.5, 2.0)))
+        source, target = Dataset(rng.normal(size=(16, 3))), Dataset(rng.normal(size=(12, 3)))
+        K, mu = kernel_matrix(source, spec), mean_map(target, source, spec)
+        verify_instance(K, mu, 4)
+        tracemalloc.start()
+        try:
+            verify_instance(K, mu, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6e6, peak
+
+
+class TestSharedOrder:
+    def test_equal_orders_read_the_ratio_once(self):
+        rng = np.random.default_rng(3)
+        while True:
+            K, mu, m = random_gaussian_instance(rng, max_n2=10, max_m=4)
+            cfg = SelectionConfig(m=m)
+            order = proto_dash(K, mu, cfg).indices
+            if m >= 3 and proto_greedy(K, mu, cfg).indices == order:
+                break
+        least = mock.Mock(wraps=oracle._least_ratio)
+        with mock.patch.object(oracle, "_least_ratio", least):
+            report = verify_instance(K, mu, m)
+        assert least.call_count == 1
+        assert report["gamma_greedy"] == report["gamma"] == gamma_over_prefixes(K, mu, order, m)
+        assert report["greedy_bound"] == (1.0 - math.exp(-report["gamma"])) * report["f_opt"]
