@@ -9,18 +9,20 @@ Gram matrix it terminates finitely with an exact support, which the
 downstream KKT-based checks rely on; a block that does not factor ends it.
 
 A weight vector that `solve_restricted` returns remembers its solve: the Gram
-and mean map it was solved against, their block and entries at its support, and
-the final passive set, and its objective (`_Record`). The solve computes that
-objective once, by `_value` on the record's block, entries and weights, and
-`objective` of the vector returns it. Solved again from it as a warm start,
-against the same Gram and mean map, on its support or on that support plus one
-index, the block is read from the record, grown by one row of K, not gathered,
-and the warm start itself is not solved again. `kkt_residual` reads the record
-too. `gain_bounds` keeps in the record the whitening of the support (`_Whitened`:
-the Cholesky factor of K's block, the rows it whitens and their Schur
-complements), and a solve from that vector as a warm start carries it over, so
-that the next call grows it by one index in O(|S| n2), not O(|S|^2 n2). Every
-output has the same bits as from a vector without a record.
+and mean map it was solved against, their block and entries at its support, the
+final passive set, and its objective (`_Record`). The solve sets the record once,
+and nothing changes it later; it computes that objective once, by `_value` on the
+record's block, entries and weights, and `objective` of the vector returns it.
+Solved again from it as a warm start, against the same Gram and mean map, on
+its support or on that support plus one index, the block is read from the record,
+grown by one row of K, not gathered, and the warm start itself is not solved
+again. `kkt_residual` reads the record too. `gain_bounds` reads its bounds from the
+whitening of the support (`_Whitened`: the Cholesky factor of K's block, the rows
+it whitens and their Schur complements), built from the empty support one index
+at a time; a caller that bounds a growing support holds the whitening itself and
+grows it by the new indices only (`_whitening`, then `_bounds`), in O(|S| n2) an
+index, not O(|S|^2 n2). Every output has the same bits as from a vector without a
+record.
 """
 
 from __future__ import annotations
@@ -108,8 +110,6 @@ class _Record(NamedTuple):
     mu_entries: np.ndarray  # mu's entries at the support, read-only
     passive: np.ndarray  # the passive set of the solve's last pass
     objective: float  # `_value` of the weights on the block and entries above
-    whitened: _Whitened | None  # of a prefix of the support, from `gain_bounds` on it or
-    # on the warm start; None if neither had one
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,14 +286,14 @@ def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
     rows. r = L^-1 rho_S gives h = g - r'B and the first term r'r / 2. The
     whitening is built one index of S at a time, in S's order, by `_whiten`,
     in O(|S| n2) each (Golub & Van Loan, §4.2 and §6.5); the first, of the
-    empty support, is L = [], B = [] and s = diag(K). If w was solved against
-    this K, its record holds the whitening of a prefix of S, the warm start's
-    or its own, so a growing support adds one index a call and reads one new
-    row of K; the whitening of S is then held in the record. Without a record
-    it is built from the empty support by the same appends, so the entries
-    have the same bits either way. Each s_j takes |S| rounded subtractions
-    of squares, the same gamma_|S| order of error as the sum of squares it
-    replaced, so `selectors._BOUND_SLACK`'s argument stands.
+    empty support, is L = [], B = [] and s = diag(K). Here it is built from
+    the empty support; a caller that bounds a growing support, as ProtoGreedy
+    does, holds the whitening instead, grows it by each new index of S
+    (`_whitening`), and reads the same entries, bit for bit, through
+    `_bounds`, so that a step adds one row and reads one new row of K. Each
+    s_j takes |S| rounded subtractions of squares, the same gamma_|S| order
+    of error as the sum of squares it replaced, so
+    `selectors._BOUND_SLACK`'s argument stands.
 
     The bound is +inf where it cannot be trusted: a pivot of L, the Schur
     complement s_j of the index j it adds (K_jj - l'l, l = B[:, j]), is at
@@ -305,7 +305,11 @@ def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
     if not np.isfinite(g).all():
         raise InputError("gradient contains non-finite entries")
     _check_sizes(K, g, as_instance(w, WeightVector, "w"))
-    W = _whitening(w, K)
+    return _bounds(_whitening(w.support, K), w, g, K)
+
+
+def _bounds(W: _Whitened, w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
+    """`gain_bounds` of w and g, read from W, the whitening of w's support."""
     if W.factor is None:
         return np.full(K.n2, np.inf)
     s, h, base = W.s, g, 0.0
@@ -323,17 +327,12 @@ def gain_bounds(w: WeightVector, g: np.ndarray, K: KernelMatrix) -> np.ndarray:
     return bound
 
 
-def _whitening(w: WeightVector, K: KernelMatrix) -> _Whitened:
-    """The whitening of w's support, grown from that of the prefix w's record holds and
-    then held there in its place, or from the empty support's if w has no record for K."""
-    rec = _record_of(w, K)
-    W = None if rec is None else rec.whitened
+def _whitening(S: SupportSet, K: KernelMatrix, W: _Whitened | None = None) -> _Whitened:
+    """The whitening of S, grown from W, that of a prefix of S, or from the empty support's."""
     if W is None:
         W = _Whitened(0, np.zeros((0, 0)), np.zeros((0, K.n2)), K.diag())
-    for j in w.support.indices[W.size:]:
+    for j in S.indices[W.size:]:
         W = _whiten(W, j, K)
-    if rec is not None and rec.whitened is not W:
-        object.__setattr__(w, "_record", rec._replace(whitened=W))
     return W
 
 
@@ -353,28 +352,6 @@ def _whiten(W: _Whitened, j: int, K: KernelMatrix) -> _Whitened:
     factor[n, :n] = edge
     factor[n, n] = pivot
     return _Whitened(n + 1, factor, np.concatenate((W.B, b[None])), W.s - b * b)
-
-
-def _without_whitening(w: WeightVector) -> WeightVector:
-    """w, whose record, if any, no longer holds a whitening: at |S| x n2 floats it is
-    held only while a selection runs."""
-    if w._record is not None and w._record.whitened is not None:
-        object.__setattr__(w, "_record", w._record._replace(whitened=None))
-    return w
-
-
-def _padded(w: WeightVector, j: int, K: KernelMatrix, mu: MeanMap) -> WeightVector:
-    """w with j appended to its support at weight 0. A record w carries for this K and mu
-    goes with it, grown by j as a solve from w on that support grows it, and with its
-    whitening, so that the next solve and `gain_bounds` start from it as from w."""
-    padded = WeightVector(w.support.extended(j), np.concatenate((w.weights, (0.0,))), w.dimension)
-    rec = _record_of(w, K, mu)
-    if rec is not None:
-        KL, muL, _, _ = _restricted(K, mu, padded.support, w, "weight")
-        object.__setattr__(padded, "_record", rec._replace(
-            block=read_only(KL), mu_entries=read_only(muL), passive=np.append(rec.passive, False),
-            objective=_value(KL, muL, padded.weights)))
-    return padded
 
 
 def _block_of(w: WeightVector, K: KernelMatrix) -> np.ndarray:
@@ -515,15 +492,6 @@ def solve_restricted(K: KernelMatrix, mu: MeanMap, L: SupportSet,
                           f"(residual {residual:.3e})", residual=residual, best_iterate=w,
                           reason=reason)
     object.__setattr__(w, "_record", _Record(weakref.ref(K), weakref.ref(mu), read_only(KL),
-                                             read_only(muL), passive, _value(KL, muL, w.weights),
-                                             _carried(warm_start, K, L)))
+                                             read_only(muL), passive, _value(KL, muL, w.weights)))
     return w
 
-
-def _carried(w: WeightVector | None, K: KernelMatrix, L: SupportSet) -> _Whitened | None:
-    """The whitening w's record holds for K, if it covers a prefix of L; else None."""
-    rec = _record_of(w, K)
-    W = None if rec is None else rec.whitened
-    if W is None or L.indices[:W.size] != w.support.indices[:W.size]:
-        return None
-    return W

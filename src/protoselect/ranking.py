@@ -76,10 +76,10 @@ class AverageRanks:
 class GraphExport:
     """The graph, made from JSON-ready data {"nodes": names, "edges": [...]}.
 
-    Each edge is a dict with a rank whose ends are nodes. The graph holds a
-    frozen copy of the data: `nodes`, a tuple of names, and `edges`, one tuple
-    of (key, value) pairs per edge, so no later change to the caller's dict
-    reaches it. `data` and the DOT text `dot` are rendered from them on each
+    Each edge is a dict with a rank, an integer of at least 1, whose ends are
+    nodes. The graph holds a frozen copy of the data: `nodes`, a tuple of
+    names, and `edges`, one tuple of (key, value) pairs per edge, its rank a
+    Python int, so no later change to the caller's dict reaches it. `data` and the DOT text `dot` are rendered from them on each
     read: one DOT line per node, then one per edge `from -> to` labeled with
     its rank, in the order of the data.
     """
@@ -98,7 +98,9 @@ class GraphExport:
                 for e in edges):
             raise InputError("data edges must be dicts with a rank, and from and to among the nodes")
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", tuple(tuple(e.items()) for e in edges))
+        object.__setattr__(self, "edges", tuple(
+            tuple({**e, "rank": as_index(e["rank"], "data edge rank", least=1)}.items())
+            for e in edges))
 
     @property
     def data(self) -> dict:

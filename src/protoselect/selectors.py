@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import InputError, SolverError, as_held, as_index, as_indices, as_instance, as_real
 from .kernel import KernelMatrix, MeanMap, _gamma
-from .nnqp import (SolverConfig, SupportSet, WeightVector, _block_of, _check_sizes, _padded,
-                   _without_whitening, as_solver, gain_bounds, gradient, objective,
-                   solve_restricted)
+from .nnqp import (SolverConfig, SupportSet, WeightVector, _block_of, _bounds, _check_sizes,
+                   _whitening, as_solver, gradient, objective, solve_restricted)
 
 PROTODASH = "protodash"
 PROTOGREEDY = "protogreedy"
@@ -95,13 +94,16 @@ class SelectionResult:
 
 @dataclass(frozen=True, eq=False)
 class CriticismResult:
-    """Worst-represented non-prototypes, scores sorted non-increasing."""
+    """Worst-represented non-prototypes, distinct, scores sorted non-increasing."""
 
     indices: tuple[int, ...]
     scores: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", as_indices(self.indices, "criticism indices"))
+        idx = as_indices(self.indices, "criticism indices")
+        if len(set(idx)) != len(idx):
+            raise InputError("criticism indices must be distinct")
+        object.__setattr__(self, "indices", idx)
         scores = as_held(self.scores, "scores", (len(self.indices),))
         if np.any(np.diff(scores) > 0):
             raise InputError("scores must be non-increasing")
@@ -125,7 +127,8 @@ def _grow(method, K, mu, cfg: SelectionConfig, pick) -> SelectionResult:
     returns `(j, weights, f_new, g_j)`, g_j the gradient recorded for j, or None to stop
     early. Growth stops at cfg.m indices (all n2 in epsilon mode) or when the objective
     rises by less than cfg.epsilon; a SolverError leaves with the steps done as `partial`.
-    Neither result's weights keep the whitening that `gain_bounds` holds in a record.
+    State a pick keeps across steps, L2C's sums or ProtoGreedy's whitening, lives in the
+    pick's closure, so neither result holds it.
     """
     target = cfg.m if cfg.m is not None else K.n2
     weights, f = WeightVector.zeros(K.n2), 0.0
@@ -142,8 +145,7 @@ def _grow(method, K, mu, cfg: SelectionConfig, pick) -> SelectionResult:
         try:
             picked = pick(lambda: gradient(weights, K, mu), weights, f, extend)
         except SolverError as err:
-            err.partial = SelectionResult(method, _without_whitening(weights), obj, grad, times,
-                                          early)
+            err.partial = SelectionResult(method, weights, obj, grad, times, early)
             raise
         if picked is None:
             early = True
@@ -155,7 +157,7 @@ def _grow(method, K, mu, cfg: SelectionConfig, pick) -> SelectionResult:
         obj.append(f)
         grad.append(g_j)
         times.append(time.perf_counter() - start)
-    return SelectionResult(method, _without_whitening(weights), obj, grad, times, early)
+    return SelectionResult(method, weights, obj, grad, times, early)
 
 
 def _largest_gradient(grad, weights, f, extend):
@@ -177,12 +179,15 @@ def _largest_gain(K: KernelMatrix, mu: MeanMap):
     scoring would make, ties going to the lowest index. Each next candidate
     is the argmax of the bounds not yet visited, the largest first and ties
     to the lowest index, as a stable sort would order them: a step solves
-    about one candidate, so it sorts none. Bounds are finite or +inf. They come
-    from `gain_bounds(weights, g, K)` at every step: the weights a step starts
-    from were solved from the previous step's, or padded from them with the
-    pick at weight 0 (`nnqp._padded`), and their record holds the whitening
-    that call built, so each call adds the one new row to it (O(|S| n2)) and
-    gathers no block and solves no rows through a factor.
+    about one candidate, so it sorts none. Bounds are finite or +inf. They are
+    `nnqp.gain_bounds` of the step's weights, read by `nnqp._bounds` from the
+    whitening W of their support, which the pick holds from step to step: a
+    step's support is the last one's plus its pick, so each step appends one
+    row to W (O(|S| n2)), gathers no block and solves no rows through a factor.
+    If no candidate gains, the pick j0 has a non-positive gradient and joins at
+    weight 0 by `extend(j0)`: a warm solve from the step's weights that skips its
+    first pass and returns those weights with 0 appended, bit for bit, and the
+    objective trace keeps f.
 
     The slack is _BOUND_SLACK b_j for the bound's own roundoff, plus a bound
     on the roundoff of a computed gain. Let u be the unit roundoff,
@@ -204,7 +209,10 @@ def _largest_gain(K: KernelMatrix, mu: MeanMap):
     A slack of 1e-6 |f| instead would pass every gain below 1e-6 of the
     objective, and stop the pruning once the gains fall that low.
     """
+    W = None  # the whitening of the support of the last step's weights
+
     def pick(grad, weights, f, extend):
+        nonlocal W
         g = grad()
         idx, w = weights.support.as_array(), weights.weights
         candidate = np.ones(g.shape[0], dtype=bool)
@@ -214,7 +222,8 @@ def _largest_gain(K: KernelMatrix, mu: MeanMap):
         gains = np.full(g.shape[0], -np.inf)
         gains[candidate & (g <= 0.0)] = 0.0
         best = gains.max()
-        bounds = gain_bounds(weights, g, K)
+        W = _whitening(weights.support, K, W)
+        bounds = _bounds(W, weights, g, K)
         roundoff = _gamma(2 * idx.size + 4)
         sigma = float(w @ np.abs(mu.entries[idx]) + w @ (np.abs(_block_of(weights, K)) @ w))
         left = np.where(candidate & (g > 0.0), bounds, -np.inf)  # the bounds not yet visited
@@ -230,7 +239,7 @@ def _largest_gain(K: KernelMatrix, mu: MeanMap):
         if g[j0] > 0.0:
             return (*extensions[j0], g[j0])
         # inert addition: the optimum is unchanged, the new coordinate stays 0
-        return j0, _padded(weights, j0, K, mu), f, g[j0]
+        return j0, extend(j0)[1], f, g[j0]
 
     return pick
 
@@ -285,12 +294,14 @@ def proto_greedy(K: KernelMatrix, mu: MeanMap, cfg: SelectionConfig) -> Selectio
     Each step appends the index whose restricted weight solve raises the
     objective most, ties toward the lowest index. Candidates whose gradient
     is non-positive leave the objective unchanged and score zero without a
-    solve. The rest are bounded first: the unconstrained maximum on the
-    support grown by j bounds any non-negative solve there, and the support's
-    whitening, its Gram block's Cholesky factor L and B = L^-1 K[S, :], gives
-    that bound for every j at once. The whitening is held from step to step
-    and grows by one row a step, so a step costs O(|S| n2) beside its solves;
-    the returned result holds none of it.
+    solve; if one of them wins, it joins at weight 0 by a warm solve that
+    returns the step's weights with that 0 appended. The rest are bounded
+    first: the unconstrained maximum on the support grown by j bounds any
+    non-negative solve there, and the support's whitening, its Gram block's
+    Cholesky factor L and B = L^-1 K[S, :], gives that bound for every j at
+    once. The selection holds the whitening itself, not in any solve's
+    record, and grows it by one row a step, so a step costs O(|S| n2) beside
+    its solves; the returned result holds none of it.
     Candidates are solved in order of decreasing bound, and scoring stops
     once no remaining bound can beat the best gain found, so the picks are
     exactly those of solving every candidate. A bound that roundoff could

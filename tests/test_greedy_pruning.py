@@ -163,7 +163,7 @@ def test_candidates_are_visited_in_the_stable_order_of_their_bounds(monkeypatch,
     weights = solve_restricted(K, mu, SupportSet(support))
     f, g = objective(weights, K, mu), gradient(weights, K, mu)
     bounds = np.array([0.5, np.inf, 0.5, 0.0, 0.2, 0.5, np.inf, 0.2, 0.9, 0.5, 0.0, 0.2])
-    monkeypatch.setattr(selectors, "gain_bounds", lambda w, g, K: bounds.copy())
+    monkeypatch.setattr(selectors, "_bounds", lambda W, w, g, K: bounds.copy())
     positive = [j for j in np.flatnonzero(g > 0.0) if j not in support]
     order = [positive[i] for i in np.argsort(-bounds[positive], kind="stable")]
     for gain, visits in ((0.0, len(order)), (0.6, sum(bounds[order] >= 0.6))):
@@ -192,7 +192,7 @@ def test_greedy_prunes_at_every_support_size(monkeypatch):
     monkeypatch.setattr(selectors, "solve_restricted", counted)
     pruned = _outcome(proto_greedy, K, mu, cfg)
     assert len(calls) <= 4 * cfg.m
-    monkeypatch.setattr(selectors, "gain_bounds", lambda w, g, K: np.full(K.n2, np.inf))
+    monkeypatch.setattr(selectors, "_bounds", lambda W, w, g, K: np.full(K.n2, np.inf))
     assert pruned == _outcome(proto_greedy, K, mu, cfg)  # every positive candidate solved
 
 
@@ -203,15 +203,15 @@ def test_solved_gains_stay_within_their_bounds_where_the_support_holds_a_zero_we
     K, mu = late_gains_instance()
     steps = []  # (weights, bounds, weights solved in the step)
 
-    def bounds_of(w, g, K):
-        steps.append((w, gain_bounds(w, g, K), []))
+    def bounds_of(W, w, g, K):
+        steps.append((w, nnqp._bounds(W, w, g, K), []))
         return steps[-1][1]
 
     def solved(K, mu, L, cfg, warm_start=None):
         steps[-1][2].append(solve_restricted(K, mu, L, cfg, warm_start=warm_start))
         return steps[-1][2][-1]
 
-    monkeypatch.setattr(selectors, "gain_bounds", bounds_of)
+    monkeypatch.setattr(selectors, "_bounds", bounds_of)
     monkeypatch.setattr(selectors, "solve_restricted", solved)
     proto_greedy(K, mu, SelectionConfig(m=100))
     zero_steps = checked = 0
@@ -329,51 +329,78 @@ def _held_whitening_instances():
 
 
 class TestHeldWhitening:
-    """The whitening `gain_bounds` holds in a solve's record and grows by one row a step."""
+    """The whitening ProtoGreedy's pick holds from step to step and grows by one row a step."""
 
     @pytest.mark.parametrize("name", list(_held_whitening_instances()))
     def test_bounds_along_greedy_steps_equal_those_of_plain_copies(self, monkeypatch, name):
         K, mu, m = _held_whitening_instances()[name]
-        steps = []  # (support size, rows held before the call, zero weight, all +inf)
+        held = []  # rows of the whitening the pick held before each step grew it
+        steps = []  # (support size, rows held before the step, zero weight, all +inf)
 
-        def compared(w, g, K):
-            held = w._record.whitened.size if w._record and w._record.whitened else None
-            bounds = gain_bounds(w, g, K)
+        def grown(S, K, W=None):
+            held.append(None if W is None else W.size)
+            return nnqp._whitening(S, K, W)
+
+        def compared(W, w, g, K):
+            bounds = nnqp._bounds(W, w, g, K)
             assert gain_bounds(_plain(w), g, K).tobytes() == bounds.tobytes()
-            assert w._record is None or w._record.whitened.size == len(w.support)
-            steps.append((len(w.support), held, bool(np.any(w.weights == 0.0)),
+            assert W.size == len(w.support)
+            steps.append((len(w.support), held[-1], bool(np.any(w.weights == 0.0)),
                           bool(np.all(bounds == np.inf))))
             return bounds
 
-        monkeypatch.setattr(selectors, "gain_bounds", compared)
+        monkeypatch.setattr(selectors, "_whitening", grown)
+        monkeypatch.setattr(selectors, "_bounds", compared)
         assert len(proto_greedy(K, mu, SelectionConfig(m=m)).indices) == m
-        # a step grew the warm start's by one, or built from the empty support where the
-        # warm start has no record: the zero vector, or an addition at weight 0
-        assert all(s[1] in (None, s[0] - 1) for s in steps)
-        assert sum(s[1] == s[0] - 1 for s in steps) >= m // 2
+        # the first step built the whitening from the empty support, and every later step
+        # grew the last step's by one, additions at weight 0 included
+        assert [s[1] for s in steps] == [None] + [s[0] - 1 for s in steps[1:]]
         if name == "late_gains":
             assert sum(s[2] for s in steps) >= 50
         else:  # past the rank, or with both copies of a row held, a pivot is untrusted
             assert 2 <= sum(s[3] for s in steps) < m - 2
 
     def test_an_addition_at_weight_0_keeps_the_whitening(self, monkeypatch):
-        # Past the linear Gram's rank ProtoGreedy adds indices at weight 0. The padded
-        # weights carry their record, so every step's bounds append exactly one row.
+        # Past the linear Gram's rank ProtoGreedy adds indices at weight 0. The pick's
+        # whitening grows across them too, so every step's bounds append exactly one row.
         K, mu, m = _held_whitening_instances()["linear"]
         appended, whiten = [], nnqp._whiten
         monkeypatch.setattr(nnqp, "_whiten", lambda W, j, K: appended.append(j) or whiten(W, j, K))
         steps = []
 
-        def counted(w, g, K):
-            del appended[:]
-            bounds = gain_bounds(w, g, K)
+        def counted(W, w, g, K):
             steps.append((len(w.support), len(appended), bool(np.any(w.weights == 0.0))))
-            return bounds
+            del appended[:]
+            return nnqp._bounds(W, w, g, K)
 
-        monkeypatch.setattr(selectors, "gain_bounds", counted)
+        monkeypatch.setattr(selectors, "_bounds", counted)
         proto_greedy(K, mu, SelectionConfig(m=m))
         assert [appends for _, appends, _ in steps] == [min(size, 1) for size, _, _ in steps]
         assert sum(zero for _, _, zero in steps) >= 2
+
+    @pytest.mark.parametrize("name, inert", [("linear", 3), ("repeated_rows", 4)])
+    def test_an_inert_pick_pads_the_weights_and_keeps_the_objective(self, monkeypatch, name,
+                                                                     inert):
+        # A pick that gains nothing joins at weight 0 by a warm solve that skips its first
+        # pass: the weights are the step's with 0 appended, bit for bit, and the objective
+        # trace repeats the step's entry.
+        K, mu, m = _held_whitening_instances()[name]
+        starts = []  # the weights each step starts from
+
+        def kept(W, w, g, K):
+            starts.append(w)
+            return nnqp._bounds(W, w, g, K)
+
+        monkeypatch.setattr(selectors, "_bounds", kept)
+        res = proto_greedy(K, mu, SelectionConfig(m=m))
+        ends = starts[1:] + [res.weights]
+        steps = [t for t in range(m) if res.gradient_trace[t] <= 0.0]
+        assert len(steps) >= inert and steps[0] >= 1
+        trace = res.objective_trace
+        for t in steps:
+            assert ends[t].support.indices[:-1] == starts[t].support.indices
+            assert ends[t].weights.tobytes() == np.append(starts[t].weights, 0.0).tobytes()
+            assert trace[t:t + 1].tobytes() == trace[t - 1:t].tobytes()
 
     def test_a_greedy_step_reads_one_new_row_and_solves_no_rows_through_the_factor(
             self, monkeypatch):
@@ -388,13 +415,17 @@ class TestHeldWhitening:
             dtrtrs=lambda a, b, **kw: solves.append(np.shape(b)) or real.dtrtrs(a, b, **kw)))
         budgets = []
 
-        def counted(w, g, K):
+        def grown(S, K, W=None):  # a step's reads and solves from here to its bounds
             del reads[:], solves[:]
-            bounds = gain_bounds(w, g, K)
+            return nnqp._whitening(S, K, W)
+
+        def counted(W, w, g, K):
+            bounds = nnqp._bounds(W, w, g, K)
             budgets.append((len(w.support), w.support.indices[-1:], list(reads), list(solves)))
             return bounds
 
-        monkeypatch.setattr(selectors, "gain_bounds", counted)
+        monkeypatch.setattr(selectors, "_whitening", grown)
+        monkeypatch.setattr(selectors, "_bounds", counted)
         proto_greedy(K, mu, SelectionConfig(m=30))
         late = [b for b in budgets if b[0] >= 2]
         assert len(late) == 28
@@ -414,14 +445,18 @@ class TestHeldWhitening:
         monkeypatch.setattr(nnqp, "_whiten", kept)
         res = proto_greedy(K, mu, SelectionConfig(m=12))
         gc.collect()
-        assert len(made) == 12 - 1 and res.weights._record.whitened is None
+        assert len(res.indices) == 12 and len(made) == 12 - 1
         assert all(ref() is None for ref in made)
-        # so does a partial result: rank-deficient rows at a large scale fail a solve
+        # nor does a partial result, once the error that carries it is dropped:
+        # rank-deficient rows at a large scale fail a solve
+        del made[:]
         rng = np.random.default_rng(0)
         X = Dataset(1e4 * (rng.normal(size=(40, 2)) @ rng.normal(size=(2, 6))))
         spec = KernelSpec("linear")
         with pytest.raises(SolverError) as err:
             proto_greedy(kernel_matrix(X, spec), mean_map(X, X, spec), SelectionConfig(m=5))
         partial = err.value.partial.weights
-        assert len(partial.support) >= 1
-        assert partial._record is None or partial._record.whitened is None
+        del err
+        gc.collect()
+        assert len(partial.support) >= 1 and made
+        assert all(ref() is None for ref in made)

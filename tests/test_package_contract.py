@@ -1,9 +1,10 @@
 """The package declares only what its code keeps: every console script imports, every
 exported name resolves, every module uses each name it imports, no public function
 takes a parameter named with a leading underscore, the kernel formula, the distance
-GEMM, the Cholesky factorization and the freezing of an array are each written in one
-place, ranking computes kernel values only through the kernel module's public passes,
-and every function that takes a Gram is checked with a raw array in its place."""
+GEMM, the Cholesky factorization, the freezing of an array and the writing of a solve's
+record are each written in one place, ranking computes kernel values only through the
+kernel module's public passes, and every function that takes a Gram is checked with a
+raw array in its place."""
 
 import ast
 import importlib
@@ -119,6 +120,28 @@ def test_arrays_are_frozen_in_one_place():
     found = sorted(where for path in _MODULES
                    for where in _freezes(ast.parse(path.read_text()), path.stem))
     assert found == ["errors.read_only", "kernel.KernelMatrix._hold", "kernel.KernelMatrix.rows"]
+
+
+
+def _record_writes(node, where):
+    """Enclosing module.function of each `object.__setattr__(..., "_record", ...)` below node."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}"
+        elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+              and child.func.attr == "__setattr__" and len(child.args) > 1
+              and isinstance(child.args[1], ast.Constant) and child.args[1].value == "_record"):
+            yield where
+        yield from _record_writes(child, inner)
+
+
+def test_a_solve_record_is_written_in_one_place():
+    # A WeightVector's record is set once, by the solve that returns it, and never changed:
+    # state a selector keeps across steps lives in the selector's pick, not in a record.
+    found = sorted(where for path in _MODULES
+                   for where in _record_writes(ast.parse(path.read_text()), path.stem))
+    assert found == ["nnqp.solve_restricted"]
 
 
 def _public_functions(tree):

@@ -499,6 +499,17 @@ def _one_prototype():
         (lambda K, mu: GraphExport({}).dot, InputError, "data must be a dict with nodes and edges"),
         (lambda K, mu: GraphExport({"nodes": ["a"], "edges": [{"from": "a", "to": "b", "rank": 1}]}),
          InputError, "data edges must be dicts with a rank, and from and to among the nodes"),
+        (lambda K, mu: GraphExport({"nodes": ["a", "b"], "edges": [
+            {"from": "a", "to": "b", "rank": '1"]; x [label="y'}]}), InputError,
+         "data edge rank must be an integer"),
+        (lambda K, mu: GraphExport({"nodes": ["a", "b"], "edges": [
+            {"from": "a", "to": "b", "rank": True}]}), InputError,
+         "data edge rank must be an integer, not a bool"),
+        (lambda K, mu: GraphExport({"nodes": ["a", "b"], "edges": [
+            {"from": "a", "to": "b", "rank": 0}]}), InputError,
+         "data edge rank must be at least 1"),
+        (lambda K, mu: CriticismResult((1, 1), [0.5, 0.4]), InputError,
+         "criticism indices must be distinct"),
         (lambda K, mu: RankMatrix(("a",), np.zeros((1, 1))), InputError,
          "ranking needs at least two datasets"),
         (lambda K, mu: RankMatrix((), np.zeros((0, 0))), InputError,
@@ -541,6 +552,8 @@ def _one_prototype():
          "rank_names_bare_string", "export_graph_raw_rm", "average_ranks_raw_rm",
          "rank_names_misaligned", "support_index_overflow", "criticism_index_overflow",
          "graph_export_int", "graph_export_empty_dict", "graph_export_unknown_node",
+         "graph_export_rank_string", "graph_export_rank_bool", "graph_export_rank_zero",
+         "criticism_repeated_index",
          "rank_matrix_one_name", "rank_matrix_no_names"]
     + [f"{function.__name__}_raw_gram" for function in RAW_GRAM_CALLS],
 )
